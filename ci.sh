@@ -49,8 +49,8 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "==> cargo clippy -- -D warnings -W clippy::or_fun_call"
+cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 
 echo "==> cargo doc --offline --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace

@@ -117,7 +117,7 @@ pub fn table6(
     let fit_algo = |algo: StateAlgorithm, cap: Option<usize>| -> Result<CostModel, CoreError> {
         let mut obs = base_observations.clone();
         let cfg = StatesConfig {
-            max_states: cap.unwrap_or(StatesConfig::default().max_states),
+            max_states: cap.unwrap_or_else(|| StatesConfig::default().max_states),
             ..StatesConfig::default()
         };
         let states_result = determine_states(

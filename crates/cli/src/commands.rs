@@ -545,7 +545,7 @@ fn cmd_estimate(args: &Args) -> Result<String, CliError> {
         Telemetry::disabled()
     };
     let catalog = load_snapshot_or_empty(catalog_path, &mut tel)?.catalog;
-    let schema = agent.catalog().clone();
+    let schema = agent.shared_catalog();
     let query = parse_query(&schema, sql).map_err(|e| CliError::Invalid(e.to_string()))?;
     let class = classify(&schema, &query)
         .ok_or_else(|| CliError::Invalid("query cannot be classified".into()))?;
@@ -776,7 +776,7 @@ fn serve_query_line(
     seed: u64,
 ) -> Result<(bool, String), String> {
     let mut agent = site_agent(site, profile, split_stream(seed, lineno as u64));
-    let schema = agent.catalog().clone();
+    let schema = agent.shared_catalog();
     let query = parse_query(&schema, sql).map_err(|e| format!("{queries_path}:{lineno}: {e}"))?;
     let class = classify(&schema, &query)
         .ok_or_else(|| format!("{queries_path}:{lineno}: query cannot be classified"))?;
@@ -954,8 +954,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         Telemetry::disabled()
     };
     agent.set_load(mdbs_sim::contention::Load::background(procs));
-    let schema = agent.catalog().clone();
-    let query = parse_query(&schema, sql).map_err(|e| CliError::Invalid(e.to_string()))?;
+    let query = parse_query(agent.catalog(), sql).map_err(|e| CliError::Invalid(e.to_string()))?;
     let span = tel.begin_span("run");
     tel.field(span, "procs", procs);
     let exec = agent

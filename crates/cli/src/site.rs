@@ -10,7 +10,8 @@
 
 use crate::args::ArgsError;
 use mdbs_sim::datagen::standard_database;
-use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
+use mdbs_sim::{ContentionProfile, LoadBuilder, LocalCatalog, MdbsAgent, VendorProfile};
+use std::sync::{Arc, OnceLock};
 
 /// A named simulated site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,16 +42,26 @@ impl SiteName {
         }
     }
 
+    /// The site's standard database, generated once per process and shared
+    /// by every agent of the site (agents copy it on their first schema
+    /// change).
+    fn schema(self) -> Arc<LocalCatalog> {
+        static ORACLE: OnceLock<Arc<LocalCatalog>> = OnceLock::new();
+        static DB2: OnceLock<Arc<LocalCatalog>> = OnceLock::new();
+        let (cell, db_seed) = match self {
+            SiteName::Oracle => (&ORACLE, 42),
+            SiteName::Db2 => (&DB2, 43),
+        };
+        Arc::clone(cell.get_or_init(|| Arc::new(standard_database(db_seed))))
+    }
+
     /// Builds an agent for this site with the given environment seed.
     pub fn agent(self, env_seed: u64) -> MdbsAgent {
-        match self {
-            SiteName::Oracle => {
-                MdbsAgent::new(VendorProfile::oracle8(), standard_database(42), env_seed)
-            }
-            SiteName::Db2 => {
-                MdbsAgent::new(VendorProfile::db2v5(), standard_database(43), env_seed)
-            }
-        }
+        let vendor = match self {
+            SiteName::Oracle => VendorProfile::oracle8(),
+            SiteName::Db2 => VendorProfile::db2v5(),
+        };
+        MdbsAgent::new(vendor, self.schema(), env_seed)
     }
 }
 
@@ -126,6 +137,65 @@ mod tests {
         assert!(parse_profile("uniform:9").is_err());
         assert!(parse_profile("uniform:50:10").is_err());
         assert!(parse_profile("bogus").is_err());
+    }
+
+    #[test]
+    fn shared_schema_agents_match_freshly_built_ones() {
+        use mdbs_sim::query::{Predicate, Query, UnaryQuery};
+        let profile = parse_profile("uniform:20:125").unwrap();
+        for (site, vendor, db_seed) in [
+            (SiteName::Oracle, VendorProfile::oracle8(), 42),
+            (SiteName::Db2, VendorProfile::db2v5(), 43),
+        ] {
+            for env_seed in [1, 7] {
+                let mut shared = site_agent(site, &profile, env_seed);
+                let mut fresh =
+                    MdbsAgent::new(vendor.clone(), standard_database(db_seed), env_seed);
+                fresh.set_load_builder(LoadBuilder::new(profile.clone()));
+                assert_eq!(shared.catalog().tables(), fresh.catalog().tables());
+                for step in 0..120u32 {
+                    let t = &fresh.catalog().tables()[step as usize % 12];
+                    let query = Query::Unary(UnaryQuery {
+                        table: t.id,
+                        projection: vec![0, 2],
+                        predicates: vec![Predicate::lt(4, t.columns[4].domain_max / 3)],
+                        order_by: None,
+                    });
+                    shared.tick();
+                    fresh.tick();
+                    assert_eq!(shared.probe().to_bits(), fresh.probe().to_bits());
+                    let (a, b) = (shared.run(&query).unwrap(), fresh.run(&query).unwrap());
+                    assert_eq!(a.cost_s.to_bits(), b.cost_s.to_bits(), "step {step}");
+                    assert_eq!((a.access, a.sizes), (b.access, b.sizes));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn site_schema_is_built_once_and_never_mutated() {
+        use mdbs_sim::events::EnvironmentEvent;
+        let first = SiteName::Oracle.agent(1);
+        let mut grown = SiteName::Oracle.agent(2);
+        assert!(Arc::ptr_eq(
+            &first.shared_catalog(),
+            &grown.shared_catalog()
+        ));
+        grown
+            .apply_event(&EnvironmentEvent::TableGrowth {
+                table: mdbs_sim::TableId(3),
+                factor: 2.0,
+            })
+            .unwrap();
+        assert_eq!(
+            SiteName::Oracle.schema().tables(),
+            standard_database(42).tables()
+        );
+        assert!(Arc::ptr_eq(
+            &SiteName::Oracle.schema(),
+            &first.shared_catalog()
+        ));
+        assert_ne!(grown.catalog().tables(), first.catalog().tables());
     }
 
     #[test]

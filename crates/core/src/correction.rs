@@ -220,7 +220,7 @@ impl CorrectionLedger {
         self.touch_counter += 1;
         let touch = self.touch_counter;
         let alpha = self.config.ewma_alpha;
-        let cell = self.cells.entry(key).or_insert(Cell {
+        let cell = self.cells.entry(key).or_insert_with(|| Cell {
             bias: rel,
             scale: rel.abs(),
             samples: 0,

@@ -2,18 +2,19 @@
 //!
 //! Per-site, per-class model derivations are independent (the paper's
 //! pipeline touches one local site at a time), so a batch of them is
-//! embarrassingly parallel. [`run_jobs`] fans indexed jobs out to scoped
-//! worker threads — each worker owns a deque seeded round-robin and steals
-//! from the back of its neighbours' when its own runs dry — and returns the
-//! results **in job order**, so callers observe output independent of the
-//! worker count or interleaving. Determinism therefore only requires that
-//! each job's *inputs* (seeds, configs) not depend on scheduling; the
-//! [`crate::derive::derive_all`] layer guarantees that by splitting per-job
-//! RNG streams from the root seed with stable keys.
+//! embarrassingly parallel. [`run_jobs`] fans indexed jobs out to the
+//! calling thread plus scoped worker threads — each worker owns a deque
+//! seeded round-robin and steals from the back of its neighbours' when its
+//! own runs dry — and returns the results **in job order**, so callers
+//! observe output independent of the worker count or interleaving.
+//! Determinism therefore only requires that each job's *inputs* (seeds,
+//! configs) not depend on scheduling; the [`crate::derive::derive_all`]
+//! layer guarantees that by splitting per-job RNG streams from the root
+//! seed with stable keys.
 //!
 //! Worker counts default to [`std::thread::available_parallelism`] and are
 //! clamped to the job count; `Some(1)` degenerates to running every job on
-//! one worker thread, which is the reference serial order.
+//! the calling thread, which is the reference serial order.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -28,7 +29,8 @@ use std::sync::Mutex;
 /// determinism comparisons strip them. `jobs_completed` is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolReport {
-    /// Worker threads actually spawned.
+    /// Workers that ran jobs: the calling thread (worker 0) plus the
+    /// `workers - 1` threads spawned beside it.
     pub workers: usize,
     /// Jobs executed (always the full job count — the pool never drops).
     pub jobs_completed: usize,
@@ -48,8 +50,10 @@ pub fn effective_workers(requested: Option<usize>, jobs: usize) -> usize {
     requested.unwrap_or(available).clamp(1, jobs.max(1))
 }
 
-/// Runs every job on a pool of `workers` scoped threads and returns the
-/// results in job order, plus a [`PoolReport`].
+/// Runs every job on a pool of `workers` workers and returns the results in
+/// job order, plus a [`PoolReport`]. The calling thread is worker 0 and
+/// only `workers - 1` scoped threads are spawned, so a one-job batch runs
+/// inline.
 ///
 /// `f` receives the job's index and the job itself; it must not panic (a
 /// panicking job propagates out of `run_jobs` once the scope unwinds).
@@ -82,29 +86,31 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let steals = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let steals = &steals;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Own work first (front), then steal from a neighbour's back.
-                let mut next = queues[me].lock().expect("queue lock").pop_front();
-                if next.is_none() {
-                    for other in (0..workers).filter(|&w| w != me) {
-                        let stolen = queues[other].lock().expect("queue lock").pop_back();
-                        if stolen.is_some() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            next = stolen;
-                            break;
-                        }
-                    }
+    // One worker's loop: own work first (front), then steal from a
+    // neighbour's back; returns once every deque is empty.
+    let work = |me: usize| loop {
+        let mut next = queues[me].lock().expect("queue lock").pop_front();
+        if next.is_none() {
+            for other in (0..workers).filter(|&w| w != me) {
+                let stolen = queues[other].lock().expect("queue lock").pop_back();
+                if stolen.is_some() {
+                    steals.fetch_add(1, Ordering::Relaxed);
+                    next = stolen;
+                    break;
                 }
-                let Some((index, job)) = next else { return };
-                *slots[index].lock().expect("result slot") = Some(f(index, job));
-            });
+            }
         }
+        let Some((index, job)) = next else { return };
+        *slots[index].lock().expect("result slot") = Some(f(index, job));
+    };
+
+    // The calling thread is worker 0, so a one-worker batch spawns nothing.
+    std::thread::scope(|scope| {
+        let work = &work;
+        for me in 1..workers {
+            scope.spawn(move || work(me));
+        }
+        work(0);
     });
 
     let results: Vec<R> = slots
@@ -130,13 +136,48 @@ mod tests {
 
     #[test]
     fn results_come_back_in_job_order_regardless_of_workers() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
         let jobs: Vec<u64> = (0..40).collect();
         let expected: Vec<u64> = jobs.iter().map(|j| j * j).collect();
         for workers in [1, 2, 3, 8] {
-            let (results, report) = run_jobs(jobs.clone(), workers, |_, j| j * j);
-            assert_eq!(results, expected, "workers={workers}");
+            // Spawned workers hold their first job until the caller has run
+            // one, so the caller's own front job cannot be stolen first.
+            let caller_ran = AtomicBool::new(false);
+            let (results, report) = run_jobs(jobs.clone(), workers, |_, j| {
+                let me = std::thread::current().id();
+                if me == caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                } else {
+                    while !caller_ran.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                (j * j, me)
+            });
+            let (squares, ran_on): (Vec<u64>, Vec<_>) = results.into_iter().unzip();
+            assert_eq!(squares, expected, "workers={workers}");
             assert_eq!(report.jobs_completed, 40);
             assert_eq!(report.workers, workers);
+            // At most `workers` threads ran jobs, and the caller was one.
+            let mut distinct = Vec::new();
+            for id in ran_on {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            assert!(distinct.len() <= workers, "workers={workers}");
+            assert!(distinct.contains(&caller), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn one_job_batch_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 8] {
+            let (ran_on, report) = run_jobs(vec![()], workers, |_, ()| std::thread::current().id());
+            assert_eq!(ran_on, vec![caller], "workers={workers}");
+            assert_eq!(report.workers, 1, "nothing is spawned beside the caller");
         }
     }
 

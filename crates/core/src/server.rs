@@ -1684,7 +1684,7 @@ where
     let mut agent = make_agent(&q.site, split_stream(root_seed, q.lineno as u64))
         .ok_or_else(|| format!("unknown site `{}`", q.site))?;
     apply_degradation(&mut agent, degrade_factor)?;
-    let schema = agent.catalog().clone();
+    let schema = agent.shared_catalog();
     let query = parse_query(&schema, &q.sql).map_err(|e| e.to_string())?;
     let class =
         classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
@@ -1724,7 +1724,7 @@ where
     let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
         .ok_or_else(|| format!("unknown site `{site}`"))?;
     apply_degradation(&mut agent, degrade_factor)?;
-    let schema = agent.catalog().clone();
+    let schema = agent.shared_catalog();
     let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
     let class =
         classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;

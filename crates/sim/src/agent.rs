@@ -28,6 +28,7 @@ use crate::util::noise_factor;
 use crate::vendor::VendorProfile;
 use mdbs_obs::MetricsRegistry;
 use mdbs_stats::rng::Rng;
+use std::sync::Arc;
 
 /// The physical operator the local DBS chose for an execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,7 +92,9 @@ impl std::error::Error for AgentError {}
 #[derive(Debug, Clone)]
 pub struct MdbsAgent {
     vendor: VendorProfile,
-    catalog: LocalCatalog,
+    /// Shared with every agent built from the same schema; the schema
+    /// mutators copy it on write, so each agent's changes stay its own.
+    catalog: Arc<LocalCatalog>,
     machine: Machine,
     load_builder: Option<LoadBuilder>,
     rng: Rng,
@@ -105,10 +108,13 @@ impl MdbsAgent {
     /// Creates an agent for a local DBS with the given vendor profile,
     /// database and RNG seed. The environment starts idle and static; call
     /// [`Self::set_load_builder`] to make it dynamic.
-    pub fn new(vendor: VendorProfile, catalog: LocalCatalog, seed: u64) -> Self {
+    ///
+    /// The database may be an owned [`LocalCatalog`] or an
+    /// `Arc<LocalCatalog>` shared with other agents.
+    pub fn new(vendor: VendorProfile, catalog: impl Into<Arc<LocalCatalog>>, seed: u64) -> Self {
         MdbsAgent {
             vendor,
-            catalog,
+            catalog: catalog.into(),
             machine: Machine::new(MachineSpec::default()),
             load_builder: None,
             rng: Rng::seed_from_u64(seed),
@@ -162,6 +168,12 @@ impl MdbsAgent {
     /// The local schema (what the MDBS global catalog legitimately knows).
     pub fn catalog(&self) -> &LocalCatalog {
         &self.catalog
+    }
+
+    /// The local schema as a shared handle: a pointer copy, not a deep
+    /// clone, that stays valid while the agent itself is mutated.
+    pub fn shared_catalog(&self) -> Arc<LocalCatalog> {
+        Arc::clone(&self.catalog)
     }
 
     /// Installs a load builder driving the dynamic environment. Each query
@@ -304,12 +316,12 @@ impl MdbsAgent {
     /// temporary table for shipped tuples during global query execution.
     /// Panics on a duplicate id (caller controls temp-table ids).
     pub fn register_table(&mut self, table: TableDef) {
-        self.catalog.add_table(table);
+        Arc::make_mut(&mut self.catalog).add_table(table);
     }
 
     /// Drops a (temporary) table; returns whether it existed.
     pub fn drop_table(&mut self, id: TableId) -> bool {
-        self.catalog.remove_table(id)
+        self.catalog.table(id).is_some() && Arc::make_mut(&mut self.catalog).remove_table(id)
     }
 
     /// Applies an occasionally-changing environmental factor (paper §2):
@@ -343,8 +355,7 @@ impl MdbsAgent {
                 column,
                 kind,
             } => {
-                let t = self
-                    .catalog
+                let t = Arc::make_mut(&mut self.catalog)
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 let col = t
@@ -357,8 +368,7 @@ impl MdbsAgent {
                 col.index = *kind;
             }
             E::DropIndex { table, column } => {
-                let t = self
-                    .catalog
+                let t = Arc::make_mut(&mut self.catalog)
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 let col = t
@@ -376,8 +386,7 @@ impl MdbsAgent {
                         "growth factor must be positive, got {factor}"
                     )));
                 }
-                let t = self
-                    .catalog
+                let t = Arc::make_mut(&mut self.catalog)
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 t.cardinality = ((t.cardinality as f64 * factor).round() as u64).max(1);
@@ -669,6 +678,57 @@ mod tests {
             format!("{:?}", crate::access::UnaryAccess::NonClusteredIndexScan),
             crate::access::UnaryAccess::NonClusteredIndexScan.to_string()
         );
+    }
+
+    #[test]
+    fn schema_changes_copy_on_write() {
+        use crate::catalog::IndexKind;
+        use crate::events::EnvironmentEvent as E;
+        let prototype = Arc::new(standard_database(42));
+        let pristine = (*prototype).clone();
+        let new_shared = || MdbsAgent::new(VendorProfile::oracle8(), Arc::clone(&prototype), 7);
+        let (r1, r9) = (TableId(1), TableId(9));
+        let mut temp = pristine.tables()[0].clone();
+        temp.id = TableId(100);
+        let changes: [&dyn Fn(&mut MdbsAgent); 6] = [
+            &|a| a.register_table(temp.clone()),
+            &|a| assert!(a.drop_table(r1)),
+            &|a| {
+                a.apply_event(&E::CreateIndex {
+                    table: r9,
+                    column: 5,
+                    kind: IndexKind::NonClustered,
+                })
+                .unwrap()
+            },
+            &|a| {
+                a.apply_event(&E::DropIndex {
+                    table: r9,
+                    column: 2,
+                })
+                .unwrap()
+            },
+            &|a| {
+                a.apply_event(&E::TableGrowth {
+                    table: r9,
+                    factor: 4.0,
+                })
+                .unwrap()
+            },
+            // Dropping a table that is not there changes nothing.
+            &|a| assert!(!a.drop_table(TableId(99))),
+        ];
+        for (i, change) in changes.iter().enumerate() {
+            let mut changed = new_shared();
+            let untouched = new_shared();
+            change(&mut changed);
+            let mutated = i < 5;
+            assert_eq!(changed.catalog().tables() != pristine.tables(), mutated);
+            assert_eq!(Arc::ptr_eq(&changed.shared_catalog(), &prototype), !mutated);
+            assert_eq!(untouched.catalog().tables(), pristine.tables());
+            assert_eq!(prototype.tables(), pristine.tables());
+            assert!(Arc::ptr_eq(&untouched.shared_catalog(), &prototype));
+        }
     }
 
     #[test]

@@ -43,9 +43,11 @@ fn err<T>(message: impl Into<String>) -> Result<T, SqlError> {
     })
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// A lexical token. Identifiers borrow from the input, so tokenizing
+/// allocates only the token vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'s> {
+    Ident(&'s str),
     Number(u64),
     Comma,
     Dot,
@@ -57,10 +59,10 @@ enum Token {
     Eq,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
+fn tokenize(input: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut chars = input.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
         match c {
             c if c.is_whitespace() => {
                 chars.next();
@@ -83,8 +85,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             '<' => {
                 chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
+                if chars.next_if(|&(_, d)| d == '=').is_some() {
                     tokens.push(Token::Le);
                 } else {
                     tokens.push(Token::Lt);
@@ -92,8 +93,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             '>' => {
                 chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
+                if chars.next_if(|&(_, d)| d == '=').is_some() {
                     tokens.push(Token::Ge);
                 } else {
                     tokens.push(Token::Gt);
@@ -101,12 +101,12 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             c if c.is_ascii_digit() => {
                 let mut n: u64 = 0;
-                while let Some(&d) = chars.peek() {
+                while let Some(&(_, d)) = chars.peek() {
                     if let Some(v) = d.to_digit(10) {
                         n = n
                             .checked_mul(10)
                             .and_then(|n| n.checked_add(v as u64))
-                            .ok_or(SqlError {
+                            .ok_or_else(|| SqlError {
                                 message: "numeric literal overflows u64".into(),
                             })?;
                         chars.next();
@@ -119,16 +119,12 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 tokens.push(Token::Number(n));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token::Ident(s));
+                while chars
+                    .next_if(|&(_, d)| d.is_ascii_alphanumeric() || d == '_')
+                    .is_some()
+                {}
+                let end = chars.peek().map_or(input.len(), |&(i, _)| i);
+                tokens.push(Token::Ident(&input[start..end]));
             }
             other => return err(format!("unexpected character `{other}`")),
         }
@@ -136,19 +132,32 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
     Ok(tokens)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
+/// The table a name such as `R7` or `r7` spells: exactly what
+/// [`TableId`]'s `Display` writes (no sign, no leading zeros), compared
+/// case-insensitively.
+fn spelled_table_id(name: &str) -> Option<TableId> {
+    let digits = name.strip_prefix(['R', 'r'])?;
+    let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+        && !(digits.len() > 1 && digits.starts_with('0'));
+    if !canonical {
+        return None;
+    }
+    digits.parse().ok().map(TableId)
+}
+
+struct Parser<'a, 's> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
     catalog: &'a LocalCatalog,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a, 's> Parser<'a, 's> {
+    fn peek(&self) -> Option<Token<'s>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'s>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -166,7 +175,7 @@ impl<'a> Parser<'a> {
         matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
     }
 
-    fn ident(&mut self) -> Result<String, SqlError> {
+    fn ident(&mut self) -> Result<&'s str, SqlError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => err(format!("expected an identifier, found {other:?}")),
@@ -181,11 +190,9 @@ impl<'a> Parser<'a> {
     }
 
     fn resolve_table(&self, name: &str) -> Result<&'a TableDef, SqlError> {
-        self.catalog
-            .tables()
-            .iter()
-            .find(|t| t.id.to_string().eq_ignore_ascii_case(name))
-            .ok_or(SqlError {
+        spelled_table_id(name)
+            .and_then(|id| self.catalog.table(id))
+            .ok_or_else(|| SqlError {
                 message: format!(
                     "unknown table `{name}` (have: {})",
                     self.catalog
@@ -203,27 +210,27 @@ impl<'a> Parser<'a> {
             .columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
-            .ok_or(SqlError {
+            .ok_or_else(|| SqlError {
                 message: format!("table {} has no column `{name}`", table.id),
             })
     }
 }
 
-/// A parsed column reference: optional table qualifier plus column index.
-#[derive(Debug, Clone, PartialEq)]
-struct ColumnRef {
+/// A parsed column reference: optional table qualifier plus column name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ColumnRef<'s> {
     table: Option<TableId>,
-    name: String,
+    name: &'s str,
 }
 
-impl Parser<'_> {
+impl<'s> Parser<'_, 's> {
     /// `[table '.'] column`
-    fn column_ref(&mut self) -> Result<ColumnRef, SqlError> {
+    fn column_ref(&mut self) -> Result<ColumnRef<'s>, SqlError> {
         let first = self.ident()?;
         if matches!(self.peek(), Some(Token::Dot)) {
             self.next();
             let col = self.ident()?;
-            let table = self.resolve_table(&first)?.id;
+            let table = self.resolve_table(first)?.id;
             Ok(ColumnRef {
                 table: Some(table),
                 name: col,
@@ -238,7 +245,7 @@ impl Parser<'_> {
 
     /// One predicate; returns the column ref so the caller can route it to
     /// the proper operand.
-    fn predicate(&mut self) -> Result<(ColumnRef, PredShape), SqlError> {
+    fn predicate(&mut self) -> Result<(ColumnRef<'s>, PredShape), SqlError> {
         let col = self.column_ref()?;
         if self.at_keyword("between") {
             self.next();
@@ -315,12 +322,12 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
     }
     p.expect_keyword("from")?;
     let left_name = p.ident()?;
-    let left = p.resolve_table(&left_name)?;
+    let left = p.resolve_table(left_name)?;
     // Optional JOIN clause.
     let join = if p.at_keyword("join") {
         p.next();
         let right_name = p.ident()?;
-        let right = p.resolve_table(&right_name)?;
+        let right = p.resolve_table(right_name)?;
         p.expect_keyword("on")?;
         let a = p.column_ref()?;
         match p.next() {
@@ -372,7 +379,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                                 ));
                             }
                         }
-                        Parser::resolve_column(left, &r.name)
+                        Parser::resolve_column(left, r.name)
                     })
                     .collect::<Result<Vec<_>, _>>()?
             };
@@ -387,7 +394,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                             ));
                         }
                     }
-                    Ok(shape.into_predicate(Parser::resolve_column(left, &r.name)?))
+                    Ok(shape.into_predicate(Parser::resolve_column(left, r.name)?))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             let order_by = order_ref
@@ -400,7 +407,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                             ));
                         }
                     }
-                    Parser::resolve_column(left, &r.name)
+                    Parser::resolve_column(left, r.name)
                 })
                 .transpose()?;
             Ok(Query::Unary(UnaryQuery {
@@ -423,9 +430,9 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                     ));
                 };
                 if t == left.id {
-                    Ok((true, Parser::resolve_column(left, &r.name)?))
+                    Ok((true, Parser::resolve_column(left, r.name)?))
                 } else if t == right.id {
-                    Ok((false, Parser::resolve_column(right, &r.name)?))
+                    Ok((false, Parser::resolve_column(right, r.name)?))
                 } else {
                     err(format!("{t} is not part of this join"))
                 }
@@ -690,41 +697,115 @@ mod tests {
     #[test]
     fn good_error_messages() {
         let db = db();
+        let tables = "R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12";
         let cases = [
-            ("select a1 from R99", "unknown table"),
-            ("select zz from R2", "no column"),
-            ("select a1 from R2 where a2", "comparison operator"),
-            ("select a1 from R2 where a2 between 20 and 10", "reversed"),
-            ("select a1 R2", "expected `from`"),
-            ("select a1 from R2 extra", "trailing input"),
-            ("select * from R2 join R3 on a5 = R3.a5", "qualified"),
-            ("select R4.a1 from R2 where a1 < 5", "not the FROM table"),
+            (
+                "select a1 from R99",
+                format!("unknown table `R99` (have: {tables})"),
+            ),
+            (
+                "select a1 from r07",
+                format!("unknown table `r07` (have: {tables})"),
+            ),
+            ("select zz from R2", "table R2 has no column `zz`".into()),
+            (
+                "select a1 from R2 where a2",
+                "expected a comparison operator, found None".into(),
+            ),
+            (
+                "select a1 from R2 where a2 < x",
+                r#"expected a number, found Some(Ident("x"))"#.into(),
+            ),
+            (
+                "select a1 from R2 where a2 between 20 and 10",
+                "BETWEEN bounds reversed: 20 > 10".into(),
+            ),
+            (
+                "select a1 R2",
+                r#"expected `from`, found Some(Ident("R2"))"#.into(),
+            ),
+            (
+                "select , from R2",
+                "expected an identifier, found Some(Comma)".into(),
+            ),
+            (
+                "select a1 from R2 extra",
+                r#"trailing input from token Some(Ident("extra"))"#.into(),
+            ),
+            (
+                "select * from R2 join R3 on R2.a5 < R3.a5",
+                "expected `=` in join condition, found Some(Lt)".into(),
+            ),
+            (
+                "select * from R2 join R3 on a5 = R3.a5",
+                "join queries need qualified column references (got bare `a5`)".into(),
+            ),
+            (
+                "select * from R2 join R3 on R2.a5 = R4.a5",
+                "R4 is not part of this join".into(),
+            ),
+            (
+                "select * from R2 join R3 on R2.a5 = R2.a6",
+                "join condition must reference both tables".into(),
+            ),
+            (
+                "select R4.a1 from R2 where a1 < 5",
+                "projection references R4, not the FROM table R2".into(),
+            ),
+            (
+                "select a1 from R2 where R4.a1 < 5",
+                "predicate references R4, not the FROM table R2".into(),
+            ),
+            (
+                "select * from R2 join R3 on R2.a5 = R3.a5 order by a1",
+                "ORDER BY is only supported on single-table queries".into(),
+            ),
+            (
+                "select a1 from R4 order by R2.a1",
+                "ORDER BY references R2, not the FROM table R4".into(),
+            ),
         ];
-        for (sql, needle) in cases {
+        for (sql, message) in cases {
             let e = parse_query(&db, sql).unwrap_err();
-            assert!(
-                e.message.contains(needle),
-                "`{sql}` -> `{}` (wanted `{needle}`)",
-                e.message
-            );
+            assert_eq!(e.message, message, "`{sql}`");
+            assert_eq!(e.to_string(), format!("SQL error: {message}"));
         }
     }
 
     #[test]
     fn rejects_garbage_characters() {
         let db = db();
-        assert!(parse_query(&db, "select a1 from R2 where a2 < $5").is_err());
+        for (sql, ch) in [
+            ("select a1 from R2 where a2 < $5", '$'),
+            ("select a1 from R2 where a2 < 5é", 'é'),
+        ] {
+            let e = parse_query(&db, sql).unwrap_err();
+            assert_eq!(e.message, format!("unexpected character `{ch}`"));
+        }
     }
 
     #[test]
     fn overflowing_number_is_an_error() {
         let db = db();
-        assert!(parse_query(
+        let e = parse_query(
             &db,
-            "select a1 from R2 where a2 < 99999999999999999999999999"
+            "select a1 from R2 where a2 < 99999999999999999999999999",
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(e.message, "numeric literal overflows u64");
     }
+
+    #[test]
+    fn table_names_match_case_insensitively_and_only_canonically() {
+        let db = db();
+        let upper = parse_query(&db, "select R2.a1 from R2").unwrap();
+        assert_eq!(parse_query(&db, "select r2.a1 from r2").unwrap(), upper);
+        for bad in ["R", "R02", "R_2", "R2x", "S2", "R4294967298"] {
+            let e = parse_query(&db, &format!("select a1 from {bad}")).unwrap_err();
+            assert!(e.message.starts_with("unknown table"), "{bad}: {e}");
+        }
+    }
+
     #[test]
     fn order_by_parses_and_roundtrips() {
         let db = db();

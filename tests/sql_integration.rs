@@ -112,3 +112,25 @@ fn join_sql_executes_and_classifies() {
     let exec = agent.run(&query).expect("join executes");
     assert!(exec.cost_s > 0.0);
 }
+
+#[test]
+fn generated_queries_roundtrip_through_sql() {
+    // A seeded sweep over both sites' schemas and every query class: the
+    // rendered SQL of each sampled query parses back to the same query.
+    use mdbs_core::sampling::SampleGenerator;
+    let mut checked = 0;
+    for db_seed in [42, 43] {
+        let schema = standard_database(db_seed);
+        let mut generator = SampleGenerator::new(0x5A1 ^ db_seed);
+        for class in QueryClass::all() {
+            for query in generator.generate_many(class, &schema, 220) {
+                let sql = to_sql(&schema, &query);
+                let parsed = parse_query(&schema, &sql)
+                    .unwrap_or_else(|e| panic!("`{sql}` failed to re-parse: {e}"));
+                assert_eq!(parsed, query, "sql was `{sql}`");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 2_000, "only {checked} queries swept");
+}
