@@ -121,6 +121,26 @@ echo "==> catalog snapshot store gate (round trips, delta replay, corruption)"
 # own named gate.
 cargo test -q --offline -p mdbs-bench --test catalog_store
 
+echo "==> serve (batch) --jobs 1/2/8 -> byte-identical rows through the loop engine"
+# Batch serve is a t=0 trace through the same server as --loop. The
+# committed file mixes answered lines for both sites with a no-model
+# class, a malformed line and an unknown site; every --jobs value must
+# render the same bytes, with answered and ERROR rows inline.
+BATCH_DIR="${TMPDIR:-/tmp}/mdbs-ci-batch.$$"
+mkdir -p "$BATCH_DIR"
+./target/release/mdbs-qcost derive --site all --class g1 --seed 7 \
+  --out "$BATCH_DIR/catalog.txt" > /dev/null
+for j in 1 2 8; do
+  ./target/release/mdbs-qcost serve --catalog "$BATCH_DIR/catalog.txt" \
+    --queries examples/serve_batch.queries --seed 7 --jobs "$j" \
+    > "$BATCH_DIR/out-$j.txt"
+done
+cmp "$BATCH_DIR/out-1.txt" "$BATCH_DIR/out-2.txt"
+cmp "$BATCH_DIR/out-1.txt" "$BATCH_DIR/out-8.txt"
+grep -q -- "-> estimate .* \[v[0-9]* S[0-9]*\]$" "$BATCH_DIR/out-1.txt"
+grep -q " ERROR: " "$BATCH_DIR/out-1.txt"
+rm -rf "$BATCH_DIR"
+
 echo "==> serve --loop --jobs 1/2/8 -> byte-identical report + stripped telemetry"
 SERVE_DIR="${TMPDIR:-/tmp}/mdbs-ci-serve.$$"
 mkdir -p "$SERVE_DIR"
@@ -218,31 +238,6 @@ awk -v on="$CORR_P50" -v off="$PLAIN_P50" 'BEGIN {
   printf "correction gate: corrected p50 %s < uncorrected p50 %s\n", on, off
 }'
 rm -rf "$SERVE_DIR"
-
-echo "==> bench --json smoke (serve_loop virtual metrics)"
-SERVE_BENCH_JSON="${TMPDIR:-/tmp}/mdbs-ci-serve-bench.$$.json"
-cargo bench -q --offline --bench serve_loop -- virtual --json "$SERVE_BENCH_JSON" > /dev/null
-./target/release/bench-json-check "$SERVE_BENCH_JSON"
-rm -f "$SERVE_BENCH_JSON"
-
-echo "==> bench --json smoke (serve_observability recording overhead)"
-# The bench itself asserts full recording costs zero *virtual* throughput
-# (bit-identical makespan and latency percentiles vs recording-off).
-OBS_BENCH_JSON="${TMPDIR:-/tmp}/mdbs-ci-obs-bench.$$.json"
-cargo bench -q --offline --bench serve_observability -- virtual \
-  --json "$OBS_BENCH_JSON" > /dev/null
-./target/release/bench-json-check "$OBS_BENCH_JSON"
-rm -f "$OBS_BENCH_JSON"
-
-echo "==> bench --json smoke (serve_correction overhead)"
-# The bench itself asserts the correction layer costs zero *virtual*
-# throughput (bit-identical makespan and latency percentiles vs
-# correction-off).
-CORR_BENCH_JSON="${TMPDIR:-/tmp}/mdbs-ci-corr-bench.$$.json"
-cargo bench -q --offline --bench serve_correction -- virtual \
-  --json "$CORR_BENCH_JSON" > /dev/null
-./target/release/bench-json-check "$CORR_BENCH_JSON"
-rm -f "$CORR_BENCH_JSON"
 
 echo "==> bench --json smoke (catalog_store size/speed/append criteria)"
 # The bench self-asserts the binary format's acceptance criteria: >= 3x

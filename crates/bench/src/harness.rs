@@ -151,10 +151,9 @@ impl Harness {
     }
 
     /// Records a measurement computed outside the wall-clock timer — e.g.
-    /// virtual-time latency percentiles from a deterministic replay, where
-    /// the "duration" is simulated rather than measured. `iters` is the
-    /// number of underlying samples the caller aggregated; the harness
-    /// prints and reports it exactly like a timed measurement.
+    /// a byte size. `iters` is the number of underlying samples the caller
+    /// aggregated; the harness prints and reports it exactly like a timed
+    /// measurement.
     pub fn record(&mut self, name: &str, iters: usize, median_ns: u128, p95_ns: u128) {
         assert!(iters > 0, "need at least one underlying sample");
         if !self.selected(name) {
@@ -279,7 +278,7 @@ mod tests {
     #[test]
     fn injected_measurements_report_like_timed_ones() {
         let mut h = Harness::with_filters("test", vec![]);
-        h.record("virtual/latency", 40, 1_000_000, 5_000_000);
+        h.record("size/bytes", 40, 1_000_000, 5_000_000);
         let m = &h.results()[0];
         assert_eq!((m.iters, m.median_ns, m.p95_ns), (40, 1_000_000, 5_000_000));
         let j = h.to_json();

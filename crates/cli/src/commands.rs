@@ -13,6 +13,7 @@ use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::server::{
     fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig, ServeConfigBuilder,
+    ServeReport, TraceEvent, TracedEvent,
 };
 use mdbs_core::states::{StateAlgorithm, StatesConfig};
 use mdbs_core::store::{
@@ -21,7 +22,6 @@ use mdbs_core::store::{
 use mdbs_obs::{JsonlFileSink, Telemetry};
 use mdbs_sim::sql::parse_query;
 use mdbs_sim::trace::ExecutionTrace;
-use mdbs_stats::rng::split_stream;
 
 /// A CLI-level error.
 ///
@@ -186,10 +186,11 @@ probing query.
 one site/class pair (or an explicit `--jobs N`) derives the whole batch on
 a worker pool. The derived catalog is byte-identical for every `--jobs`
 value. `serve` answers a file of queries (one `site SQL...` per line,
-`#` comments and blank lines skipped) from the catalog's in-memory model
-registry, again on `--jobs` workers with order-independent output; a
-malformed line fails inline while the rest keep being served (nonzero
-exit only when no line succeeds).
+`#` comments and blank lines skipped) with the same engine as `serve
+--loop`: the file is a trace with every request at t = 0, dispatched as
+one micro-batch on `--jobs` workers, and rows come in file order whatever
+the worker count; a malformed line fails inline while the rest keep being
+served (nonzero exit only when no line succeeds).
 
 `serve --loop` replays a timestamped trace (`@TIME request|observe|degrade
 SITE ...` per line) through a long-lived estimation server: requests enter
@@ -596,235 +597,170 @@ fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Batch estimation: answer a file of queries from the catalog's in-memory
-/// [`ModelRegistry`] on a pool of workers.
-///
-/// Each non-blank, non-`#` line of `--queries` is `SITE SQL...`. Every line
-/// probes the site's contention with its own deterministic agent (seeded
-/// from `--seed` and the line number, independent of worker count and
-/// scheduling) and prices the query through the registry, so the report is
-/// byte-identical for every `--jobs` value.
+/// The `serve` options only `--loop` accepts.
+const SERVE_LOOP_ONLY: &[&str] = &[
+    "trace",
+    "queue",
+    "batch",
+    "batch-delay",
+    "service-cost",
+    "deadline",
+    "refit",
+    "drift-window",
+    "drift-min",
+    "drift-fraction",
+    "algorithm",
+    "heartbeat",
+    "flight-recorder",
+    "report-json",
+    "correction",
+    "correction-alpha",
+    "correction-saturation",
+    "ledger-cells",
+];
+
+/// `serve`: estimation through [`EstimationServer`]. `--loop` replays a
+/// timestamped `--trace`; batch mode prices a `--queries` file of
+/// `SITE SQL...` lines as a trace with every request at t = 0. Both run
+/// through [`serve_trace`], so a batch line gets the same probe and
+/// estimate as a `@0 request` trace line with the same line number, and
+/// the report is byte-identical for every `--jobs` value.
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
     check_keys(
         args,
         &[
-            "catalog",
-            "queries",
-            "jobs",
-            "profile",
-            "seed",
-            "telemetry",
-            "loop",
-            "trace",
-            "queue",
-            "batch",
-            "batch-delay",
-            "service-cost",
-            "deadline",
-            "refit",
-            "drift-window",
-            "drift-min",
-            "drift-fraction",
-            "algorithm",
-            "heartbeat",
-            "flight-recorder",
-            "report-json",
-            "correction",
-            "correction-alpha",
-            "correction-saturation",
-            "ledger-cells",
-        ],
+            &[
+                "catalog",
+                "queries",
+                "jobs",
+                "profile",
+                "seed",
+                "telemetry",
+                "loop",
+            ][..],
+            SERVE_LOOP_ONLY,
+        ]
+        .concat(),
     )?;
     if args.flag("loop") {
         return cmd_serve_loop(args);
     }
-    for key in [
-        "trace",
-        "queue",
-        "batch",
-        "batch-delay",
-        "service-cost",
-        "deadline",
-        "refit",
-        "drift-window",
-        "drift-min",
-        "drift-fraction",
-        "algorithm",
-        "heartbeat",
-        "flight-recorder",
-        "report-json",
-        "correction",
-        "correction-alpha",
-        "correction-saturation",
-        "ledger-cells",
-    ] {
+    for key in SERVE_LOOP_ONLY {
         if args.parse_opt::<String>(key)?.is_some() {
             return Err(CliError::Invalid(format!(
                 "`--{key}` only applies to `serve --loop`"
             )));
         }
     }
-    let catalog_path = args.required("catalog")?;
     let queries_path = args.required("queries")?;
-    let jobs = args.parse_opt::<usize>("jobs")?;
-    let profile = parse_profile(args.or_default("profile", "uniform:20:125"))?;
-    let seed = args.parse_opt::<u64>("seed")?.unwrap_or(1);
-    let telemetry_path = args.parse_opt::<String>("telemetry")?;
-
-    // The span covers the whole serve — parse, dispatch and aggregation —
-    // not just the post-pool bookkeeping.
-    let mut tel = if telemetry_path.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let snapshot = load_snapshot(catalog_path, &mut tel)?;
-    let registry = ModelRegistry::from_snapshot(&snapshot);
-    let queries = std::fs::read_to_string(queries_path)
+    let text = std::fs::read_to_string(queries_path)
         .map_err(io_err(format!("cannot read `{queries_path}`")))?;
+    let trace = batch_trace(&text, queries_path);
+    // The whole file is one micro-batch dispatched at t = 0: nothing waits,
+    // so nothing is shed.
+    let n = trace.len().max(1);
+    let builder = ServeConfig::builder().queue_capacity(n).batch_max(n);
+    let (report, out) = serve_trace(
+        args,
+        "serve",
+        &format!("queries {queries_path}"),
+        &trace,
+        builder,
+    )?;
+    if report.answered + report.no_model == 0 && report.errors > 0 {
+        // Only a batch with *no* serviceable line is a hard failure.
+        return Err(CliError::Invalid(format!(
+            "serve: all {} line(s) failed:\n{}",
+            report.errors, report.rendered
+        )));
+    }
+    Ok(out)
+}
 
-    let span = tel.begin_span("serve");
-
-    // A malformed line is that line's problem, not the batch's: it becomes
-    // an inline failure row while every other line keeps being served.
-    let mut rows: Vec<(usize, Option<bool>, String)> = Vec::new();
-    let mut work: Vec<(usize, SiteName, String)> = Vec::new();
-    for (i, raw) in queries.lines().enumerate() {
+/// Turns a `--queries` file into a trace: one request per `SITE SQL...`
+/// line, all at t = 0, keyed by file line number. Malformed lines and
+/// unknown sites become trace errors located as `PATH:LINE`.
+fn batch_trace(text: &str, path: &str) -> RequestTrace {
+    let mut trace = RequestTrace::default();
+    for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let lineno = i + 1;
-        let Some((site_word, sql)) = line.split_once(char::is_whitespace) else {
-            let msg = format!("{queries_path}:{lineno}: expected `SITE SQL...`");
-            rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n")));
-            continue;
+        let request = match line.split_once(char::is_whitespace) {
+            None => Err("expected `SITE SQL...`".to_string()),
+            Some((site, sql)) => SiteName::parse(site)
+                .map(|site| TraceEvent::Request {
+                    site: site.id().into(),
+                    sql: sql.trim().to_string(),
+                })
+                .map_err(|e| e.to_string()),
         };
-        match SiteName::parse(site_word) {
-            Ok(site) => work.push((lineno, site, sql.trim().to_string())),
-            Err(e) => {
-                let msg = format!("{queries_path}:{lineno}: {e}");
-                rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n")));
-            }
+        match request {
+            Ok(event) => trace.events.push(TracedEvent {
+                at_s: 0.0,
+                lineno,
+                event,
+            }),
+            Err(msg) => trace
+                .errors
+                .push((lineno, format!("{path}:{lineno}: {msg}"))),
         }
     }
-    let total = work.len() + rows.len();
-    let workers = mdbs_core::pool::effective_workers(jobs, work.len());
-    let (answers, report) = mdbs_core::pool::run_jobs(work, workers, |_, (lineno, site, sql)| {
-        let answer = serve_query_line(&registry, &profile, queries_path, lineno, site, &sql, seed);
-        (lineno, answer)
-    });
+    trace
+}
 
-    let mut answered = 0usize;
-    let mut served = 0usize;
-    for (lineno, answer) in answers {
-        match answer {
-            Ok((hit, line)) => {
-                served += 1;
-                answered += usize::from(hit);
-                rows.push((lineno, Some(hit), line));
-            }
-            Err(msg) => rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n"))),
-        }
-    }
-    rows.sort_by_key(|&(lineno, _, _)| lineno);
-    let failed = total - served;
-
-    tel.field(span, "queries", total as u64);
-    tel.field(span, "answered", answered as u64);
-    tel.field(span, "failed", failed as u64);
-    tel.inc("pool.jobs_completed", report.jobs_completed as u64);
-    tel.inc("pool.sched.steals", report.steals);
-    tel.gauge("pool.sched.workers", report.workers as f64);
-    registry.fold_metrics(&mut tel);
-    tel.end_span(span);
-
-    if total > 0 && served == 0 {
-        // Only a batch with *no* serviceable line is a hard failure.
-        let details: String = rows.into_iter().map(|(_, _, line)| line).collect();
+/// `serve --loop`: replays a timestamped request/observation trace through
+/// [`EstimationServer`] — micro-batched estimation over registry snapshots
+/// with background maintenance (incremental refits and drift-triggered
+/// rederivations) and deterministic backpressure, all in virtual time.
+fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
+    let trace_path = args.required("trace")?;
+    let trace_text = std::fs::read_to_string(trace_path)
+        .map_err(io_err(format!("cannot read `{trace_path}`")))?;
+    let trace = RequestTrace::parse(&trace_text);
+    if trace.is_empty() && !trace.errors.is_empty() {
+        let details: String = trace
+            .errors
+            .iter()
+            .map(|(lineno, msg)| format!("  {trace_path}:{lineno}: {msg}\n"))
+            .collect();
         return Err(CliError::Invalid(format!(
-            "serve: all {total} quer(y/ies) failed:\n{details}"
+            "serve --loop: no well-formed trace line in {trace_path}:\n{details}"
         )));
     }
-
-    let mut out = format!(
-        "serve: {answered} of {total} quer(ies) answered from {catalog_path} ({} model(s))\n",
-        registry.len()
-    );
-    if failed > 0 {
-        out.push_str(&format!("  {failed} line(s) failed (reported inline)\n"));
-    }
-    for (_, _, line) in rows {
-        out.push_str(&line);
-    }
-    if let Some(path) = &telemetry_path {
-        out.push_str(&telemetry_section(&tel, None, path)?);
-    }
+    let (_, out) = serve_trace(
+        args,
+        "serve --loop",
+        &format!("trace {trace_path}"),
+        &trace,
+        ServeConfig::builder(),
+    )?;
     Ok(out)
 }
 
-/// Prices one `SITE SQL...` line against the registry (the batch `serve`
-/// worker body). `Ok((hit, row))` serves the line — `hit` false means "no
-/// model in catalog"; `Err` is a per-line failure message.
-fn serve_query_line(
-    registry: &ModelRegistry,
-    profile: &mdbs_sim::ContentionProfile,
-    queries_path: &str,
-    lineno: usize,
-    site: SiteName,
-    sql: &str,
-    seed: u64,
-) -> Result<(bool, String), String> {
-    let mut agent = site_agent(site, profile, split_stream(seed, lineno as u64));
-    let schema = agent.shared_catalog();
-    let query = parse_query(&schema, sql).map_err(|e| format!("{queries_path}:{lineno}: {e}"))?;
-    let class = classify(&schema, &query)
-        .ok_or_else(|| format!("{queries_path}:{lineno}: query cannot be classified"))?;
-    agent.tick();
-    let probe = agent.probe();
-    let site_id: SiteId = site.id().into();
-    match registry.estimate(&EstimateQuery::raw(&site_id, &schema, &query, probe)) {
-        Some(detail) => Ok((
-            true,
-            format!(
-                "  {lineno:>3} {} {}: probe {probe:.3}s -> estimate {:.2}s\n",
-                site.id(),
-                class.label(),
-                detail.estimate,
-            ),
-        )),
-        None => Ok((
-            false,
-            format!(
-                "  {lineno:>3} {} {}: no model in catalog (derive --site {} --class {})\n",
-                site.id(),
-                class.label(),
-                site.id(),
-                class_tag(class)
-            ),
-        )),
-    }
-}
-
-/// The long-lived serving loop: replays a timestamped request/observation
-/// trace through [`EstimationServer`] — micro-batched estimation over
-/// registry snapshots with background maintenance (incremental refits and
-/// drift-triggered rederivations) and deterministic backpressure, all in
-/// virtual time. Output is byte-identical for every `--jobs` value.
-fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
+/// The one serving path behind batch `serve` and `serve --loop`: loads the
+/// catalog, builds the maintainer fleet and the server, replays `trace`
+/// and renders the report. `builder` arrives preset by the caller; the
+/// `--loop` tuning flags (rejected in batch mode) override it.
+fn serve_trace(
+    args: &Args,
+    command: &str,
+    input: &str,
+    trace: &RequestTrace,
+    builder: ServeConfigBuilder,
+) -> Result<(ServeReport, String), CliError> {
     let catalog_path = args.required("catalog")?;
-    let trace_path = args.required("trace")?;
     let jobs = args.parse_opt::<usize>("jobs")?;
     let profile = parse_profile(args.or_default("profile", "uniform:20:125"))?;
     let seed = args.parse_opt::<u64>("seed")?.unwrap_or(1);
     let telemetry_path = args.parse_opt::<String>("telemetry")?;
     let algorithm = parse_algorithm(args.or_default("algorithm", "iupma"))?;
     // Every `--flag` maps onto a builder setter; unset flags keep the
-    // builder defaults, and `build()` rejects degenerate combinations with
-    // an actionable message instead of silently clamping.
-    let builder = ServeConfig::builder()
-        .workers(jobs)
-        .correction(args.flag("correction"));
+    // preset, and `build()` rejects degenerate combinations with an
+    // actionable message instead of silently clamping.
+    let builder = builder.workers(jobs).correction(args.flag("correction"));
     let builder = args.apply_opt("queue", builder, ServeConfigBuilder::queue_capacity)?;
     let builder = args.apply_opt("batch", builder, ServeConfigBuilder::batch_max)?;
     let builder = args.apply_opt("batch-delay", builder, ServeConfigBuilder::batch_delay_s)?;
@@ -849,7 +785,7 @@ fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
     )?;
     let config = builder
         .build()
-        .map_err(|e| CliError::Invalid(format!("serve --loop: {e}")))?;
+        .map_err(|e| CliError::Invalid(format!("{command}: {e}")))?;
     let flight_path = args.parse_opt::<String>("flight-recorder")?;
     let report_json_path = args.parse_opt::<String>("report-json")?;
     let mb = MaintenanceConfig::builder();
@@ -862,7 +798,7 @@ fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
     )?;
     let maintenance = mb
         .build()
-        .map_err(|e| CliError::Invalid(format!("serve --loop: {e}")))?;
+        .map_err(|e| CliError::Invalid(format!("{command}: {e}")))?;
 
     let mut ctx = if telemetry_path.is_some() {
         PipelineCtx::traced(seed)
@@ -882,22 +818,9 @@ fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
         algorithm,
         |site| SiteName::parse(&site.0).is_ok(),
     )?;
-    let trace_text = std::fs::read_to_string(trace_path)
-        .map_err(io_err(format!("cannot read `{trace_path}`")))?;
-    let trace = RequestTrace::parse(&trace_text);
-    if trace.is_empty() && !trace.errors.is_empty() {
-        let details: String = trace
-            .errors
-            .iter()
-            .map(|(lineno, msg)| format!("  {trace_path}:{lineno}: {msg}\n"))
-            .collect();
-        return Err(CliError::Invalid(format!(
-            "serve --loop: no well-formed trace line in {trace_path}:\n{details}"
-        )));
-    }
     let mut server = EstimationServer::new(registry, fleet, config);
     let report = server.run(
-        &trace,
+        trace,
         |site: &SiteId, agent_seed: u64| {
             SiteName::parse(&site.0)
                 .ok()
@@ -907,7 +830,7 @@ fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
     );
 
     let mut out = format!(
-        "serve --loop: trace {trace_path} against {catalog_path} ({} maintained model(s))\n",
+        "{command}: {input} against {catalog_path} ({} maintained model(s))\n",
         server.fleet().len()
     );
     out.push_str(&report.rendered);
@@ -935,7 +858,7 @@ fn cmd_serve_loop(args: &Args) -> Result<String, CliError> {
     if let Some(path) = &telemetry_path {
         out.push_str(&telemetry_section(&ctx.telemetry, None, path)?);
     }
-    Ok(out)
+    Ok((report, out))
 }
 
 fn cmd_run(args: &Args) -> Result<String, CliError> {
@@ -1464,24 +1387,46 @@ mod tests {
             "# batch estimation smoke\n\
              oracle select a1, a5 from R8 where a5 > 100 and a6 < 500\n\
              \n\
-             db2 select a1 from R2 where a2 < 100\n",
+             db2 select a1 from R2 where a2 < 100\n\
+             oracle select R2.a1, R3.a2 from R2 join R3 on R2.a5 = R3.a5\n\
+             teradata select a1 from R2 where a2 < 100\n",
         )
         .unwrap();
         let out = dispatch(&argv(&format!(
             "serve --catalog {cat} --queries {qf} --jobs 2"
         )))
         .unwrap();
-        assert!(out.contains("1 of 2 quer(ies) answered"), "{out}");
-        assert!(out.contains("estimate"), "{out}");
-        assert!(out.contains("no model in catalog"), "{out}");
-        let oracle_at = out.find(" oracle ").expect("oracle answer line");
-        let db2_at = out.find(" db2 ").expect("db2 answer line");
-        assert!(oracle_at < db2_at, "answers must keep input order:\n{out}");
-        let serial = dispatch(&argv(&format!(
-            "serve --catalog {cat} --queries {qf} --jobs 1"
-        )))
-        .unwrap();
-        assert_eq!(out, serial, "serve output must not depend on worker count");
+        assert!(
+            out.contains("3 request(s) — 1 answered, 2 no-model, 0 shed"),
+            "{out}"
+        );
+        assert!(out.contains("1 error line(s)"), "{out}");
+        assert!(out.contains("1 batch(es)"), "one micro-batch:\n{out}");
+        assert!(out.contains("no model in registry"), "{out}");
+        let rows: Vec<usize> = [
+            "  2 @0.000->@",
+            "  4 @0.000->@",
+            "  5 @0.000->@",
+            "  6 ERROR",
+        ]
+        .iter()
+        .map(|row| {
+            out.find(row)
+                .unwrap_or_else(|| panic!("no `{row}` row:\n{out}"))
+        })
+        .collect();
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "rows must keep input order:\n{out}"
+        );
+        assert!(out.contains(&format!("{qf}:6: unknown site")), "{out}");
+        for jobs in [1, 8] {
+            let other = dispatch(&argv(&format!(
+                "serve --catalog {cat} --queries {qf} --jobs {jobs}"
+            )))
+            .unwrap();
+            assert_eq!(out, other, "serve output must not depend on worker count");
+        }
     }
 
     #[test]
@@ -1507,15 +1452,14 @@ mod tests {
             "serve --catalog {cat} --queries {qf} --jobs 2"
         )))
         .unwrap();
-        assert!(out.contains("2 of 4 quer(ies) answered"), "{out}");
-        assert!(out.contains("2 line(s) failed"), "{out}");
-        assert!(out.contains(&format!("{qf}:2")), "bad SQL located:\n{out}");
-        assert!(out.contains("unknown site"), "{out}");
+        assert!(out.contains("2 answered"), "{out}");
+        assert!(out.contains("2 error line(s)"), "{out}");
+        assert!(out.contains(&format!("{qf}:3: unknown site")), "{out}");
         // Failure rows stay inline, in line-number order with the answers.
-        let l1 = out.find("  1 oracle").expect("line 1 answered");
+        let l1 = out.find("  1 @0.000").expect("line 1 answered");
         let l2 = out.find("  2 ERROR").expect("line 2 failed inline");
         let l3 = out.find("  3 ERROR").expect("line 3 failed inline");
-        let l4 = out.find("  4 oracle").expect("line 4 answered");
+        let l4 = out.find("  4 @0.000").expect("line 4 answered");
         assert!(
             l1 < l2 && l2 < l3 && l3 < l4,
             "rows keep input order:\n{out}"
@@ -1534,10 +1478,16 @@ mod tests {
         let qf = tmp("serve-bad-queries.txt");
         std::fs::write(&qf, "oracle\n").unwrap();
         let e = dispatch(&argv(&format!("serve --catalog {cat} --queries {qf}"))).unwrap_err();
-        assert!(e.to_string().contains(":1"), "{e}");
+        assert!(e.to_string().contains(&format!("{qf}:1")), "{e}");
+        assert_eq!(e.exit_code(), 2);
         std::fs::write(&qf, "teradata select a1 from R2\n").unwrap();
         let e = dispatch(&argv(&format!("serve --catalog {cat} --queries {qf}"))).unwrap_err();
         assert!(e.to_string().contains("unknown site"), "{e}");
+        // A line that fails only at dispatch (bad SQL) fails the batch too.
+        std::fs::write(&qf, "oracle select bogus syntax here\n").unwrap();
+        let e = dispatch(&argv(&format!("serve --catalog {cat} --queries {qf}"))).unwrap_err();
+        assert!(e.to_string().contains("  1 ERROR"), "{e}");
+        assert_eq!(e.exit_code(), 2);
     }
 
     #[test]

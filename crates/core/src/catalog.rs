@@ -206,6 +206,31 @@ mod tests {
         );
     }
 
+    /// Any probe value reaches both estimate entry points without a panic;
+    /// only NaN, which selects no contention state, prices nothing.
+    #[test]
+    fn estimate_is_total_over_probe_values() {
+        let db = standard_database(42);
+        let site: SiteId = "s1".into();
+        let mut cat = GlobalCatalog::new();
+        cat.insert_model(site.clone(), QueryClass::UnaryNoIndex, toy_model());
+        let registry = crate::registry::ModelRegistry::from_catalog(&cat);
+        let t = &db.tables()[3];
+        let q = Query::Unary(UnaryQuery {
+            table: t.id,
+            projection: vec![0],
+            predicates: vec![Predicate::lt(4, t.columns[4].domain_max / 2)],
+            order_by: None,
+        });
+        for probe in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 1e300] {
+            let query = EstimateQuery::raw(&site, &db, &q, probe);
+            let answers = [cat.estimate(&query), registry.estimate(&query)];
+            for answer in answers {
+                assert_eq!(answer.is_none(), probe.is_nan(), "probe {probe}");
+            }
+        }
+    }
+
     #[test]
     fn estimate_without_model_is_none() {
         let db = standard_database(42);

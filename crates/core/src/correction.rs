@@ -378,13 +378,16 @@ impl<'a> EstimateQuery<'a> {
 /// [`crate::catalog::GlobalCatalog::estimate`]: extract the class's
 /// Table-3 variables, project onto the model's selected subset, detect the
 /// contention state, evaluate, and apply the correction ledger (when
-/// attached and warm).
+/// attached and warm). A NaN probe selects no state, so it prices nothing.
 pub(crate) fn price_with_model(
     model: &crate::model::CostModel,
     version: u64,
     class: crate::classes::QueryClass,
     q: &EstimateQuery<'_>,
 ) -> Option<EstimateDetail> {
+    if q.probe_cost.is_nan() {
+        return None;
+    }
     let family: crate::variables::VariableFamily = class.family();
     let x = family.extract(q.schema, q.query)?;
     let x_sel: Vec<f64> = model.var_indexes.iter().map(|&i| x[i]).collect();

@@ -127,6 +127,7 @@ impl StateSet {
     /// Maps a probing cost to its state index, clamping values outside the
     /// observed range to the nearest state (a query executed in a heavier
     /// environment than ever sampled is still "highest contention").
+    /// Total over `f64`: a NaN probe maps to state 0.
     pub fn state_of(&self, probe_cost: f64) -> usize {
         let m = self.len();
         if probe_cost <= self.edges[0] {
@@ -135,14 +136,10 @@ impl StateSet {
         if probe_cost >= self.edges[m] {
             return m - 1;
         }
-        // Binary search over ascending edges.
-        match self
-            .edges
-            .binary_search_by(|e| e.partial_cmp(&probe_cost).expect("finite edges"))
-        {
-            Ok(i) => i.min(m - 1),
-            Err(i) => i - 1,
-        }
+        // Edges at or below the probe, over ascending edges.
+        self.edges
+            .partition_point(|&e| e <= probe_cost)
+            .saturating_sub(1)
     }
 
     /// Indicator encoding of a state: `m − 1` zeros/ones, `z_i = 1` iff the
@@ -217,6 +214,7 @@ mod tests {
         assert_eq!(s.state_of(9.99), 3);
         assert_eq!(s.state_of(10.0), 3);
         assert_eq!(s.state_of(99.0), 3);
+        assert_eq!(s.state_of(f64::NAN), 0);
         let mut prev = 0;
         for i in 0..1000 {
             let st = s.state_of(i as f64 * 0.011);

@@ -2,8 +2,9 @@
 //!
 //! The paper's premise is a *dynamic* multidatabase environment: contention
 //! shifts under live traffic and the cost models must be revised while
-//! estimates keep flowing. The one-shot `serve` batch answers a file and
-//! exits; this module is the persistent version (ROADMAP item 1):
+//! estimates keep flowing. This module is the one serving path: the
+//! CLI's batch `serve` is a trace with every request at t = 0, and
+//! `serve --loop` replays a timestamped trace:
 //!
 //! * an **admission queue + micro-batching front-end** — estimation
 //!   requests enter a bounded queue and are drained in small batches onto
@@ -65,16 +66,16 @@ use crate::pipeline::PipelineCtx;
 use crate::pool;
 use crate::registry::{EstimateDetail, ModelRegistry};
 use crate::validate::TestPoint;
-use crate::variables::VariableFamily;
 use mdbs_obs::json::Json;
 use mdbs_obs::metrics::percentile_sorted;
 use mdbs_obs::recorder::{AccuracyLedger, FlightRecorder, LedgerSummary};
 use mdbs_obs::Telemetry;
 use mdbs_sim::events::EnvironmentEvent;
 use mdbs_sim::sql::parse_query;
-use mdbs_sim::MdbsAgent;
+use mdbs_sim::{LocalCatalog, MdbsAgent, Query};
 use mdbs_stats::rng::split_stream;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Knobs of the serving loop. All times are virtual seconds.
 ///
@@ -374,8 +375,8 @@ pub struct TracedEvent {
 ///
 /// Malformed lines never abort the parse: they are collected in
 /// [`RequestTrace::errors`] with their line numbers and reported inline by
-/// the server, exactly like the batch `serve` command's per-line errors —
-/// one bad line must not drop the trace.
+/// the server at their file position — one bad line must not drop the
+/// trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestTrace {
     /// Well-formed events, in file order (timestamps are non-decreasing).
@@ -670,18 +671,6 @@ struct QueuedRequest {
     sql: String,
 }
 
-/// The outcome of pricing one request against a registry snapshot.
-enum ServedAnswer {
-    Estimate {
-        class: QueryClass,
-        probe: f64,
-        detail: EstimateDetail,
-    },
-    NoModel {
-        class: QueryClass,
-    },
-}
-
 /// One executed observation, before it is routed to a maintainer.
 struct ObservedSample {
     class: QueryClass,
@@ -770,7 +759,9 @@ impl EstimationServer {
         let mut queue: VecDeque<QueuedRequest> = VecDeque::new();
         let mut degradation: BTreeMap<SiteId, f64> = BTreeMap::new();
         let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); fleet.len()];
-        let mut lines: Vec<String> = Vec::new();
+        // Report rows, each tagged with the trace line that produced it.
+        let mut lines: Vec<(usize, String)> = Vec::new();
+        let mut row = |lineno: usize, text: String| lines.push((lineno, text));
         let mut latencies: Vec<f64> = Vec::new();
         let mut report = ServeReport {
             rendered: String::new(),
@@ -819,12 +810,12 @@ impl EstimationServer {
         // Consecutive queue-full sheds, for shed-burst anomaly detection.
         let mut queue_full_streak = 0usize;
 
-        // Malformed trace lines are reported up front; they carry no
-        // timestamp that survived parsing, so they cannot be interleaved.
-        for (lineno, msg) in &trace.errors {
+        // Malformed trace lines carry no timestamp that survived parsing;
+        // they are rendered in file position, before the first row of a
+        // later line.
+        for _ in &trace.errors {
             report.errors += 1;
             ctx.telemetry.inc("serve.line_errors", 1);
-            lines.push(format!("  {lineno:>3} ERROR: {msg}"));
         }
 
         let mut clock = 0.0f64;
@@ -875,12 +866,15 @@ impl EstimationServer {
                         report.shed_deadline += 1;
                         deadline_shed_now += 1;
                         ctx.telemetry.inc("serve.shed.deadline", 1);
-                        lines.push(format!(
-                            "  {:>3} @{:.3} SHED (deadline: waited {:.3}s)",
+                        row(
                             q.lineno,
-                            clock,
-                            clock - q.arrived_s
-                        ));
+                            format!(
+                                "  {:>3} @{:.3} SHED (deadline: waited {:.3}s)",
+                                q.lineno,
+                                clock,
+                                clock - q.arrived_s
+                            ),
+                        );
                         recorder.record_request(vec![
                             ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
                             ("lineno".to_string(), Json::from(q.lineno)),
@@ -931,8 +925,11 @@ impl EstimationServer {
                 let corrector = config.correction.then_some(&correction_ledger);
                 let (results, pool_report) =
                     pool::run_jobs(batch, workers, move |_, (q, factor)| {
-                        let outcome =
-                            serve_one(registry, make_agent, &q, factor, root_seed, corrector);
+                        let outcome = price_line(
+                            registry, make_agent, &q.site, &q.sql, factor, root_seed, q.lineno,
+                            corrector,
+                        )
+                        .map(|line| (line.class, line.probe, line.estimate));
                         (q, outcome)
                     });
                 pool_jobs += pool_report.jobs_completed;
@@ -958,11 +955,7 @@ impl EstimationServer {
                         ("latency_s".to_string(), Json::from(latency)),
                     ];
                     match outcome {
-                        Ok(ServedAnswer::Estimate {
-                            class,
-                            probe,
-                            detail,
-                        }) => {
+                        Ok((class, probe, Some(detail))) => {
                             report.answered += 1;
                             ctx.telemetry.inc("serve.answered", 1);
                             latencies.push(latency);
@@ -980,7 +973,7 @@ impl EstimationServer {
                             } else {
                                 format!("[v{} {}]", detail.version, detail.state_label)
                             };
-                            lines.push(format!(
+                            row(q.lineno, format!(
                                 "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: probe {:.3}s -> estimate {:.2}s {}",
                                 q.lineno,
                                 q.arrived_s,
@@ -1016,20 +1009,23 @@ impl EstimationServer {
                                 ]);
                             }
                         }
-                        Ok(ServedAnswer::NoModel { class }) => {
+                        Ok((class, _, None)) => {
                             report.no_model += 1;
                             ctx.telemetry.inc("serve.no_model", 1);
                             latencies.push(latency);
                             ctx.telemetry.observe("serve.latency_virtual_s", latency);
-                            lines.push(format!(
-                                "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: no model in registry",
+                            row(
                                 q.lineno,
-                                q.arrived_s,
-                                completion,
-                                latency,
-                                q.site,
-                                class.label()
-                            ));
+                                format!(
+                                    "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: no model in registry",
+                                    q.lineno,
+                                    q.arrived_s,
+                                    completion,
+                                    latency,
+                                    q.site,
+                                    class.label()
+                                ),
+                            );
                             record.extend([
                                 ("outcome".to_string(), Json::from("no_model")),
                                 ("class".to_string(), Json::from(class.label())),
@@ -1038,7 +1034,7 @@ impl EstimationServer {
                         Err(msg) => {
                             report.errors += 1;
                             ctx.telemetry.inc("serve.line_errors", 1);
-                            lines.push(format!("  {:>3} ERROR: {msg}", q.lineno));
+                            row(q.lineno, format!("  {:>3} ERROR: {msg}", q.lineno));
                             record.extend([
                                 ("outcome".to_string(), Json::from("error")),
                                 ("error".to_string(), Json::from(msg.as_str())),
@@ -1074,12 +1070,15 @@ impl EstimationServer {
                         report.shed_queue_full += 1;
                         queue_full_streak += 1;
                         ctx.telemetry.inc("serve.shed.queue_full", 1);
-                        lines.push(format!(
-                            "  {:>3} @{:.3} SHED (queue full at {})",
+                        row(
                             ev.lineno,
-                            ev.at_s,
-                            queue.len()
-                        ));
+                            format!(
+                                "  {:>3} @{:.3} SHED (queue full at {})",
+                                ev.lineno,
+                                ev.at_s,
+                                queue.len()
+                            ),
+                        );
                         recorder.record_request(vec![
                             ("trace_id".to_string(), Json::from(trace_id.as_str())),
                             ("lineno".to_string(), Json::from(ev.lineno)),
@@ -1124,10 +1123,13 @@ impl EstimationServer {
                     *cumulative *= factor;
                     let cumulative = *cumulative;
                     ctx.telemetry.inc("serve.degrades", 1);
-                    lines.push(format!(
-                        "  {:>3} @{:.3} degrade {} x{:.2} (cumulative x{:.2})",
-                        ev.lineno, ev.at_s, site, factor, cumulative
-                    ));
+                    row(
+                        ev.lineno,
+                        format!(
+                            "  {:>3} @{:.3} degrade {} x{:.2} (cumulative x{:.2})",
+                            ev.lineno, ev.at_s, site, factor, cumulative
+                        ),
+                    );
                     recorder.record_event(
                         "degrade",
                         vec![
@@ -1157,7 +1159,7 @@ impl EstimationServer {
                         Err(msg) => {
                             report.errors += 1;
                             ctx.telemetry.inc("serve.line_errors", 1);
-                            lines.push(format!("  {:>3} ERROR: {msg}", ev.lineno));
+                            row(ev.lineno, format!("  {:>3} ERROR: {msg}", ev.lineno));
                             continue;
                         }
                     };
@@ -1195,13 +1197,16 @@ impl EstimationServer {
                     let (Some(i), Some(detail)) = (idx, sample.estimate) else {
                         report.no_model += 1;
                         ctx.telemetry.inc("serve.no_model", 1);
-                        lines.push(format!(
-                            "  {:>3} @{:.3} observe {} {}: no maintained model",
+                        row(
                             ev.lineno,
-                            ev.at_s,
-                            site,
-                            sample.class.label()
-                        ));
+                            format!(
+                                "  {:>3} @{:.3} observe {} {}: no maintained model",
+                                ev.lineno,
+                                ev.at_s,
+                                site,
+                                sample.class.label()
+                            ),
+                        );
                         continue;
                     };
                     let estimate = detail.estimate;
@@ -1222,7 +1227,7 @@ impl EstimationServer {
                         });
                         drifted
                     };
-                    lines.push(format!(
+                    row(ev.lineno, format!(
                         "  {:>3} @{:.3} observe {} {}: observed {:.2}s vs estimate {:.2}s [v{} {}] ({})",
                         ev.lineno,
                         ev.at_s,
@@ -1272,7 +1277,7 @@ impl EstimationServer {
                                     correction_ledger.reset_site(&rebuilt_site.0);
                                     saturation_budget[j] = SATURATION_REFIT_BUDGET;
                                 }
-                                lines.push(format!(
+                                row(ev.lineno, format!(
                                     "  maintenance @{:.3}: rederived {} drifted model(s) -> registry v{}",
                                     ev.at_s,
                                     n,
@@ -1292,7 +1297,7 @@ impl EstimationServer {
                             }
                             Err(e) => {
                                 ctx.telemetry.inc("maintenance.rederive_failures", 1);
-                                lines.push(format!(
+                                row(ev.lineno, format!(
                                     "  maintenance @{:.3}: rederivation FAILED ({e}); serving continues",
                                     ev.at_s
                                 ));
@@ -1321,7 +1326,7 @@ impl EstimationServer {
                                 escalated_refit = true;
                                 report.correction_escalations += 1;
                                 ctx.telemetry.inc("serve.correction.escalations", 1);
-                                lines.push(format!(
+                                row(ev.lineno, format!(
                                     "  maintenance @{:.3}: correction saturated ({} {} bias {:+.2}) -> incremental refit",
                                     ev.at_s, site, detail.state_label, u.bias
                                 ));
@@ -1342,7 +1347,7 @@ impl EstimationServer {
                             } else if correction_ledger.suspend(&site.0, &detail.state_label) {
                                 report.correction_escalations += 1;
                                 ctx.telemetry.inc("serve.correction.escalations", 1);
-                                lines.push(format!(
+                                row(ev.lineno, format!(
                                     "  maintenance @{:.3}: correction saturated again ({} {} bias {:+.2}) -> cell suspended, raw estimates feed the drift monitor",
                                     ev.at_s, site, detail.state_label, u.bias
                                 ));
@@ -1380,7 +1385,7 @@ impl EstimationServer {
                                 Ok(published) => {
                                     report.incremental_refits += 1;
                                     let version = published.unwrap_or_else(|| registry.version());
-                                    lines.push(format!(
+                                    row(ev.lineno, format!(
                                     "  maintenance @{:.3}: incremental refit {} {} ({} obs) -> registry v{}",
                                     ev.at_s,
                                     site_id,
@@ -1404,10 +1409,13 @@ impl EstimationServer {
                                 }
                                 Err(e) => {
                                     ctx.telemetry.inc("maintenance.refit_deferred", 1);
-                                    lines.push(format!(
+                                    row(
+                                        ev.lineno,
+                                        format!(
                                     "  maintenance @{:.3}: refit deferred ({e}); serving continues",
                                     ev.at_s
-                                ));
+                                ),
+                                    );
                                     recorder.record_event(
                                         "refit_deferred",
                                         vec![
@@ -1537,9 +1545,16 @@ impl EstimationServer {
             ));
         }
         rendered.push_str(&ledger.render());
-        for line in &lines {
+        let mut errors = trace.errors.iter().peekable();
+        for (lineno, line) in &lines {
+            while let Some((e, msg)) = errors.next_if(|(e, _)| e < lineno) {
+                rendered.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
+            }
             rendered.push_str(line);
             rendered.push('\n');
+        }
+        for (e, msg) in errors {
+            rendered.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
         }
         report.rendered = rendered;
         report
@@ -1668,45 +1683,62 @@ pub fn fleet_from_snapshot(
     )
 }
 
-/// Prices one queued request against the registry. Every failure is a
+/// A trace line priced against the registry: the line's agent (ticked and
+/// probed), its parsed query, and the registry's answer.
+struct PricedLine {
+    agent: MdbsAgent,
+    schema: Arc<LocalCatalog>,
+    query: Query,
+    class: QueryClass,
+    probe: f64,
+    estimate: Option<EstimateDetail>,
+}
+
+/// The prefix shared by requests and observations: build the line's agent
+/// (seeded by `split_stream(root_seed, lineno)`), apply the site's
+/// degradation, parse, classify, tick, probe and price. Every failure is a
 /// per-line message, never a panic or an abort.
-fn serve_one<F>(
+#[allow(clippy::too_many_arguments)]
+fn price_line<F>(
     registry: &ModelRegistry,
     make_agent: &F,
-    q: &QueuedRequest,
+    site: &SiteId,
+    sql: &str,
     degrade_factor: f64,
     root_seed: u64,
+    lineno: usize,
     correction: Option<&CorrectionLedger>,
-) -> Result<ServedAnswer, String>
+) -> Result<PricedLine, String>
 where
     F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
 {
-    let mut agent = make_agent(&q.site, split_stream(root_seed, q.lineno as u64))
-        .ok_or_else(|| format!("unknown site `{}`", q.site))?;
+    let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
+        .ok_or_else(|| format!("unknown site `{site}`"))?;
     apply_degradation(&mut agent, degrade_factor)?;
     let schema = agent.shared_catalog();
-    let query = parse_query(&schema, &q.sql).map_err(|e| e.to_string())?;
+    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
     let class =
         classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
     agent.tick();
     let probe = agent.probe();
-    match registry.estimate(&EstimateQuery {
-        site: &q.site,
+    let estimate = registry.estimate(&EstimateQuery {
+        site,
         schema: &schema,
         query: &query,
         probe_cost: probe,
         correction,
-    }) {
-        Some(detail) => Ok(ServedAnswer::Estimate {
-            class,
-            probe,
-            detail,
-        }),
-        None => Ok(ServedAnswer::NoModel { class }),
-    }
+    });
+    Ok(PricedLine {
+        agent,
+        schema,
+        query,
+        class,
+        probe,
+        estimate,
+    })
 }
 
-/// Executes one observation event: estimate, run, package the feedback.
+/// Executes one observation event: price, run, package the feedback.
 #[allow(clippy::too_many_arguments)]
 fn observe_one<F>(
     registry: &ModelRegistry,
@@ -1721,32 +1753,31 @@ fn observe_one<F>(
 where
     F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
 {
-    let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
-        .ok_or_else(|| format!("unknown site `{site}`"))?;
-    apply_degradation(&mut agent, degrade_factor)?;
-    let schema = agent.shared_catalog();
-    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
-    let class =
-        classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
-    let family: VariableFamily = class.family();
-    let x = family
-        .extract(&schema, &query)
-        .ok_or_else(|| "explanatory variables cannot be extracted".to_string())?;
-    agent.tick();
-    let probe = agent.probe();
-    let estimate = registry.estimate(&EstimateQuery {
+    let mut line = price_line(
+        registry,
+        make_agent,
         site,
-        schema: &schema,
-        query: &query,
-        probe_cost: probe,
+        sql,
+        degrade_factor,
+        root_seed,
+        lineno,
         correction,
-    });
-    let observed = agent.run(&query).map_err(|e| e.to_string())?.cost_s;
+    )?;
+    let x = line
+        .class
+        .family()
+        .extract(&line.schema, &line.query)
+        .ok_or_else(|| "explanatory variables cannot be extracted".to_string())?;
+    let observed = line
+        .agent
+        .run(&line.query)
+        .map_err(|e| e.to_string())?
+        .cost_s;
     Ok(ObservedSample {
-        class,
-        probe,
+        class: line.class,
+        probe: line.probe,
         observed,
-        estimate,
+        estimate: line.estimate,
         x,
     })
 }

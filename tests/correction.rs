@@ -274,6 +274,16 @@ fn correction_beats_uncorrected_serving_on_a_drifting_site() {
     let off = run_loop(&catalog, &trace, 2, false);
 
     assert!(off.report.corrections_applied == 0);
+    // The ledger folds and applies between batches, never on the virtual
+    // clock: correction leaves answers and virtual latencies unchanged.
+    assert_eq!(on.report.answered, off.report.answered);
+    for (a, b) in [
+        (on.report.virtual_makespan_s, off.report.virtual_makespan_s),
+        (on.report.latency_p50_s, off.report.latency_p50_s),
+        (on.report.latency_p95_s, off.report.latency_p95_s),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "correction moved the clock");
+    }
     assert!(
         on.report.ledger_p50_abs_rel_err < off.report.ledger_p50_abs_rel_err,
         "correction must lower pooled p50 |rel err|: on {} vs off {}\non:\n{}\noff:\n{}",

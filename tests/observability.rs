@@ -94,7 +94,9 @@ fn scripted_trace() -> String {
     t
 }
 
-fn obs_config(workers: usize) -> ServeConfig {
+/// `recording` switches the whole observability layer (heartbeats and
+/// the flight recorder) on or off.
+fn obs_config(workers: usize, recording: bool) -> ServeConfig {
     ServeConfig::builder()
         .queue_capacity(4)
         .batch_max(2)
@@ -103,8 +105,8 @@ fn obs_config(workers: usize) -> ServeConfig {
         .deadline_s(0.5)
         .refit_threshold(20)
         .workers(Some(workers))
-        .heartbeat_s(10.0)
-        .flight_capacity(64)
+        .heartbeat_s(if recording { 10.0 } else { 0.0 })
+        .flight_capacity(if recording { 64 } else { 0 })
         .build()
         .expect("sane config")
 }
@@ -116,7 +118,12 @@ struct LoopRun {
     report: mdbs_core::server::ServeReport,
 }
 
-fn run_loop(catalog: &GlobalCatalog, trace: &RequestTrace, workers: usize) -> LoopRun {
+fn run_loop(
+    catalog: &GlobalCatalog,
+    trace: &RequestTrace,
+    workers: usize,
+    recording: bool,
+) -> LoopRun {
     let registry = ModelRegistry::from_catalog(catalog);
     let fleet = fleet_from_catalog(
         catalog,
@@ -126,8 +133,12 @@ fn run_loop(catalog: &GlobalCatalog, trace: &RequestTrace, workers: usize) -> Lo
         |site| site.0 == "oracle",
     )
     .expect("fleet builds from the catalog");
-    let mut server = EstimationServer::new(registry, fleet, obs_config(workers));
-    let mut ctx = PipelineCtx::traced(9);
+    let mut server = EstimationServer::new(registry, fleet, obs_config(workers, recording));
+    let mut ctx = if recording {
+        PipelineCtx::traced(9)
+    } else {
+        PipelineCtx::seeded(9)
+    };
     let report = server.run(
         trace,
         |site: &SiteId, seed: u64| (site.0 == "oracle").then(|| oracle_agent(seed)),
@@ -170,7 +181,7 @@ fn flight_recorder_and_heartbeats_are_worker_independent() {
     let trace = RequestTrace::parse(&scripted_trace());
     assert!(trace.errors.is_empty(), "{:?}", trace.errors);
 
-    let serial = run_loop(&catalog, &trace, 1);
+    let serial = run_loop(&catalog, &trace, 1, true);
 
     // The loop heartbeat-ed at least twice over ~40s of virtual time at
     // Δt = 10s, and each beat landed in all three streams.
@@ -201,7 +212,7 @@ fn flight_recorder_and_heartbeats_are_worker_independent() {
     // Byte-identical at any worker count: report, stripped telemetry and
     // the flight-recorder dump (flight records carry no wall-clock).
     for workers in [2, 8] {
-        let run = run_loop(&catalog, &trace, workers);
+        let run = run_loop(&catalog, &trace, workers, true);
         assert_eq!(serial.rendered, run.rendered, "report ({workers} workers)");
         assert_eq!(
             serial.telemetry, run.telemetry,
@@ -210,13 +221,30 @@ fn flight_recorder_and_heartbeats_are_worker_independent() {
         assert_eq!(serial.flight, run.flight, "flight dump ({workers} workers)");
         assert_eq!(trace_ids(&run.flight), ids, "trace ids ({workers} workers)");
     }
+
+    // Recording rides outside the virtual clock: with the whole layer off
+    // nothing is dumped, and answers and virtual latencies are unchanged.
+    let quiet = run_loop(&catalog, &trace, 1, false);
+    assert!(quiet.flight.is_empty(), "{}", quiet.flight);
+    assert_eq!(quiet.report.heartbeats, 0);
+    assert_eq!(quiet.report.answered, serial.report.answered);
+    for (off, on) in [
+        (
+            quiet.report.virtual_makespan_s,
+            serial.report.virtual_makespan_s,
+        ),
+        (quiet.report.latency_p50_s, serial.report.latency_p50_s),
+        (quiet.report.latency_p95_s, serial.report.latency_p95_s),
+    ] {
+        assert_eq!(off.to_bits(), on.to_bits(), "recording moved the clock");
+    }
 }
 
 #[test]
 fn ledger_reaches_report_rendering_and_json() {
     let catalog = seeded_catalog();
     let trace = RequestTrace::parse(&scripted_trace());
-    let run = run_loop(&catalog, &trace, 2);
+    let run = run_loop(&catalog, &trace, 2, true);
 
     // Every observation of a query the registry could price feeds the
     // ledger, keyed by the state detected at estimation time.
@@ -268,7 +296,7 @@ fn ledger_counts_match_a_three_observation_trace() {
          @2.0 observe oracle select a5 from R10 where a7 > 50\n",
     );
     assert!(trace.errors.is_empty(), "{:?}", trace.errors);
-    let run = run_loop(&catalog, &trace, 1);
+    let run = run_loop(&catalog, &trace, 1, true);
     assert_eq!(run.report.observations, 3);
     let total: u64 = run.report.ledger.iter().map(|row| row.count).sum();
     assert_eq!(total, 3, "{}", run.rendered);
