@@ -1,7 +1,6 @@
 //! Binary snapshot store vs. the text catalog format.
 //!
-//! The serving paths load the catalog at every startup; the maintenance
-//! loop persists accumulator growth continuously. This bench builds the
+//! The serving paths load the catalog at every startup. This bench builds the
 //! acceptance-criteria catalog — 2 vendors × 3 classes, every pair with
 //! its Gram accumulator — in the join-family shape (8 candidate
 //! variables including a cross product, 6 contention states, measured
@@ -14,15 +13,8 @@
 //!   measurements so the JSON report tracks them). The binary form packs
 //!   the symmetric Gram triangle and inherits accumulator shape from the
 //!   model entry, and must be ≥ 3× smaller.
-//! * `append/*` — [`CatalogStore::append_delta`] of one folded
-//!   accumulator increment onto a small (1 site × 1 class) and a large
-//!   (scaled accumulators, ~10× file bytes) catalog. Append writes (and
-//!   reads back) O(delta) bytes, so its cost must not scale with the
-//!   catalog: the large-catalog median must stay within 8× of the small
-//!   one (wide margin for fs jitter) and far under a full `store`
-//!   rewrite.
 //!
-//! All three properties are self-asserted, so CI fails if the binary
+//! Both properties are self-asserted, so CI fails if the binary
 //! format loses its edge. Run with `--json PATH` for the machine report
 //! (`BENCH_catalog.json` in the repo root is the committed reference).
 
@@ -33,9 +25,7 @@ use mdbs_core::model::{fit_cost_model, CostModel, ModelAccumulator, ModelForm};
 use mdbs_core::observation::Observation;
 use mdbs_core::probing::ProbeCostEstimator;
 use mdbs_core::qualvar::StateSet;
-use mdbs_core::store::{
-    CatalogDelta, CatalogFormat, CatalogSnapshot, CatalogStore, FileCatalogStore,
-};
+use mdbs_core::store::{CatalogFormat, CatalogSnapshot, CatalogStore, FileCatalogStore};
 use mdbs_obs::Telemetry;
 use mdbs_stats::Rng;
 use std::path::PathBuf;
@@ -162,74 +152,6 @@ fn main() {
         assert!(
             b * 5 <= t,
             "binary load must be >= 5x faster: {b}ns vs {t}ns"
-        );
-    }
-
-    // --- delta append: O(delta), independent of catalog size -------------
-    // The same one-entry increment delta is appended to a 1-site/1-class
-    // catalog and to one holding ~10x the bytes (scaled accumulators).
-    let small = snapshot(&["oracle-a"], 60, 1);
-    let large = snapshot(&["oracle-a", "db2-b"], 4_200, 1);
-    let increment = {
-        let obs = observations(10, 0xDE17A);
-        small
-            .catalog
-            .accumulator(&"oracle-a".into(), CLASSES[0])
-            .expect("accumulator stored")
-            .increment_from(&obs)
-    };
-    let mut cases = Vec::new();
-    for (tag, snap) in [("small", &small), ("large", &large)] {
-        let path = scratch(&format!("append-{tag}.mdbc"));
-        let store = FileCatalogStore::new(&path, CatalogFormat::Binary);
-        store.store(snap, &mut tel).expect("write base");
-        let base_len = std::fs::metadata(&path).expect("base file").len();
-        // Version bookkeeping is irrelevant to append cost; every frame
-        // reuses the same base so the file grows but is never reloaded.
-        let delta = {
-            let mut d = CatalogDelta::new(1, 2);
-            d.merge_accumulator("oracle-a".into(), CLASSES[0], increment.clone());
-            d
-        };
-        let name = format!("append/catalog={tag}");
-        h.bench(&name, 5, 200, || {
-            store.append_delta(&delta, &mut tel).expect("append")
-        });
-        let grown = std::fs::metadata(&path).expect("grown file").len();
-        cases.push((name, base_len, grown));
-    }
-    // Every append wrote the same O(delta) frame regardless of base size:
-    // both files grew by exactly the same bytes (5 warmup + 200 timed
-    // appends each), even though the large base is ~10x the small one.
-    if cases.iter().all(|(_, base, grown)| grown > base) {
-        let growths: Vec<u64> = cases.iter().map(|(_, base, grown)| grown - base).collect();
-        assert!(
-            growths.windows(2).all(|w| w[0] == w[1]),
-            "append growth must not depend on catalog size: {cases:?}"
-        );
-    }
-    if let (Some(s), Some(l)) = (
-        median_of(&h, "append/catalog=small"),
-        median_of(&h, "append/catalog=large"),
-    ) {
-        assert!(
-            l <= s.saturating_mul(8),
-            "append cost must not scale with catalog size: small={s}ns large={l}ns"
-        );
-    }
-    // And appending is far cheaper than rewriting the large snapshot.
-    h.bench("store_full/large", 2, 20, || {
-        FileCatalogStore::new(scratch("rewrite.mdbc"), CatalogFormat::Binary)
-            .store(&large, &mut tel)
-            .expect("rewrite")
-    });
-    if let (Some(a), Some(f)) = (
-        median_of(&h, "append/catalog=large"),
-        median_of(&h, "store_full/large"),
-    ) {
-        assert!(
-            a < f,
-            "append ({a}ns) must undercut a full snapshot rewrite ({f}ns)"
         );
     }
 

@@ -217,11 +217,10 @@ ledger), strictly re-parsing every line.
 
 `archive` snapshots a catalog into a destination file (`file:PATH` or a
 bare path; other URL schemes are rejected), by default in the compact
-binary snapshot-store format (`MDBC` magic): floats round-trip bit for
-bit, loads parse nothing, and maintenance can append per-model delta
-frames without rewriting the file. `restore` materializes an archive —
-replaying any appended delta chain — back into a catalog file, by default
-in the text interchange format; `--format` overrides either direction.
+binary snapshot-store format (`MDBC` magic, one whole snapshot per
+file): floats round-trip bit for bit and loads parse nothing. `restore`
+materializes an archive back into a catalog file, by default in the text
+interchange format; `--format` overrides either direction.
 Every catalog-reading command accepts both formats transparently.
 
 `--telemetry PATH` writes structured spans and metrics as JSONL to PATH
@@ -545,7 +544,7 @@ fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     } else {
         Telemetry::disabled()
     };
-    let catalog = load_snapshot_or_empty(catalog_path, &mut tel)?.catalog;
+    let registry = ModelRegistry::from_snapshot(&load_snapshot_or_empty(catalog_path, &mut tel)?);
     let schema = agent.shared_catalog();
     let query = parse_query(&schema, sql).map_err(|e| CliError::Invalid(e.to_string()))?;
     let class = classify(&schema, &query)
@@ -557,7 +556,7 @@ fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     let probe = agent.probe();
     tel.field(span, "probe_cost_s", probe);
     let site_id: SiteId = site.id().into();
-    let Some(detail) = catalog.estimate(&EstimateQuery::raw(&site_id, &schema, &query, probe))
+    let Some(detail) = registry.estimate(&EstimateQuery::raw(&site_id, &schema, &query, probe))
     else {
         return Err(CliError::Invalid(format!(
             "no cost model for {} at site `{}` in {catalog_path} — derive one first:\n  \
@@ -963,8 +962,8 @@ fn cmd_archive(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `restore`: materialize an archive (replaying any appended delta chain)
-/// back into a catalog file, defaulting to the text interchange format.
+/// `restore`: materialize an archive back into a catalog file,
+/// defaulting to the text interchange format.
 fn cmd_restore(args: &Args) -> Result<String, CliError> {
     check_keys(args, &["archive", "out", "format"])?;
     let archive = parse_destination(args.required("archive")?)?;

@@ -6,11 +6,9 @@
 //! probing-cost estimators of eq. (2); the global optimizer asks it for
 //! local cost estimates.
 
-use crate::classes::{classify, QueryClass};
-use crate::correction::EstimateQuery;
+use crate::classes::QueryClass;
 use crate::model::{CostModel, ModelAccumulator};
 use crate::probing::ProbeCostEstimator;
-use crate::registry::EstimateDetail;
 // Point lookups keyed by (site, class); every iteration below sorts its
 // keys before use (see `sites` / `classes_for` / `export`).
 #[allow(clippy::disallowed_types)]
@@ -91,6 +89,18 @@ impl GlobalCatalog {
         self.models.is_empty()
     }
 
+    /// Number of entries a persisted snapshot carries: every model, every
+    /// accumulator whose (site, class) has a model, and every probe
+    /// estimator. Accumulators without a model are not persisted.
+    pub(crate) fn entry_count(&self) -> usize {
+        let accumulators = self
+            .fit_accumulators
+            .keys()
+            .filter(|key| self.models.contains_key(key))
+            .count();
+        self.models.len() + accumulators + self.probe_estimators.len()
+    }
+
     /// All sites that have at least one model or probe estimator.
     pub fn sites(&self) -> Vec<SiteId> {
         let mut sites: Vec<SiteId> = self
@@ -115,30 +125,16 @@ impl GlobalCatalog {
         classes.sort();
         classes
     }
-
-    /// The unified estimation entry point: classify the query, look up
-    /// the model, extract the Table-3 variables, evaluate in the
-    /// contention state implied by the probing cost, and apply the
-    /// attached correction ledger (if any, and warm). The catalog carries
-    /// no publish history, so [`EstimateDetail::version`] is always 0 —
-    /// use a [`crate::registry::ModelRegistry`] when snapshot provenance
-    /// matters.
-    ///
-    /// Returns `None` when the query cannot be classified or no model is
-    /// stored for its class.
-    pub fn estimate(&self, q: &EstimateQuery<'_>) -> Option<EstimateDetail> {
-        let class = classify(q.schema, q.query)?;
-        let model = self.model(q.site, class)?;
-        crate::correction::price_with_model(model, 0, class, q)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correction::EstimateQuery;
     use crate::model::{fit_cost_model, ModelForm};
     use crate::observation::Observation;
     use crate::qualvar::StateSet;
+    use crate::registry::ModelRegistry;
     use mdbs_sim::datagen::standard_database;
     use mdbs_sim::query::{Predicate, Query, UnaryQuery};
 
@@ -192,10 +188,10 @@ mod tests {
             predicates: vec![Predicate::lt(4, t.columns[4].domain_max / 2)],
             order_by: None,
         });
-        let detail = cat
+        let detail = ModelRegistry::from_catalog(&cat)
             .estimate(&EstimateQuery::raw(&site, &db, &q, 1.0))
             .unwrap();
-        assert_eq!(detail.version, 0, "catalog estimates carry no history");
+        assert_eq!(detail.version, 1, "the catalog's one model, published once");
         assert!(!detail.corrected, "no ledger attached");
         assert_eq!(detail.estimate, detail.raw_estimate);
         let est = detail.estimate;
@@ -206,7 +202,7 @@ mod tests {
         );
     }
 
-    /// Any probe value reaches both estimate entry points without a panic;
+    /// Any probe value reaches the estimate entry point without a panic;
     /// only NaN, which selects no contention state, prices nothing.
     #[test]
     fn estimate_is_total_over_probe_values() {
@@ -214,7 +210,7 @@ mod tests {
         let site: SiteId = "s1".into();
         let mut cat = GlobalCatalog::new();
         cat.insert_model(site.clone(), QueryClass::UnaryNoIndex, toy_model());
-        let registry = crate::registry::ModelRegistry::from_catalog(&cat);
+        let registry = ModelRegistry::from_catalog(&cat);
         let t = &db.tables()[3];
         let q = Query::Unary(UnaryQuery {
             table: t.id,
@@ -223,18 +219,15 @@ mod tests {
             order_by: None,
         });
         for probe in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 1e300] {
-            let query = EstimateQuery::raw(&site, &db, &q, probe);
-            let answers = [cat.estimate(&query), registry.estimate(&query)];
-            for answer in answers {
-                assert_eq!(answer.is_none(), probe.is_nan(), "probe {probe}");
-            }
+            let answer = registry.estimate(&EstimateQuery::raw(&site, &db, &q, probe));
+            assert_eq!(answer.is_none(), probe.is_nan(), "probe {probe}");
         }
     }
 
     #[test]
     fn estimate_without_model_is_none() {
         let db = standard_database(42);
-        let cat = GlobalCatalog::new();
+        let registry = ModelRegistry::from_catalog(&GlobalCatalog::new());
         let t = &db.tables()[0];
         let q = Query::Unary(UnaryQuery {
             table: t.id,
@@ -242,7 +235,7 @@ mod tests {
             predicates: vec![],
             order_by: None,
         });
-        assert!(cat
+        assert!(registry
             .estimate(&EstimateQuery::raw(&"s".into(), &db, &q, 1.0))
             .is_none());
     }

@@ -55,8 +55,7 @@
 //! ## The unified estimation entry point
 //!
 //! Corrections reach estimates through one choke point:
-//! [`crate::registry::ModelRegistry::estimate`] /
-//! [`crate::catalog::GlobalCatalog::estimate`], both taking an
+//! [`crate::registry::ModelRegistry::estimate`], taking an
 //! [`EstimateQuery`] and returning an
 //! [`crate::registry::EstimateDetail`] carrying the corrected estimate,
 //! the raw model output, the applied factor, the confidence, the snapshot
@@ -329,8 +328,7 @@ impl CorrectionLedger {
 }
 
 /// The one input struct of the unified estimation entry point
-/// ([`crate::registry::ModelRegistry::estimate`] /
-/// [`crate::catalog::GlobalCatalog::estimate`]): everything the
+/// ([`crate::registry::ModelRegistry::estimate`]): everything the
 /// historical estimation trio threaded through diverging signatures,
 /// plus the optional
 /// correction ledger whose learned bias is divided out of the raw model
@@ -374,8 +372,8 @@ impl<'a> EstimateQuery<'a> {
     }
 }
 
-/// Shared pricing core of [`crate::registry::ModelRegistry::estimate`] and
-/// [`crate::catalog::GlobalCatalog::estimate`]: extract the class's
+/// Pricing core of [`crate::registry::ModelRegistry::estimate`] and of
+/// the optimizer's filter-query estimate: extract the class's
 /// Table-3 variables, project onto the model's selected subset, detect the
 /// contention state, evaluate, and apply the correction ledger (when
 /// attached and warm). A NaN probe selects no state, so it prices nothing.

@@ -98,10 +98,7 @@ pub use server::{
     EstimationServer, RequestTrace, ServeConfig, ServeConfigBuilder, ServeReport, TraceEvent,
 };
 pub use states::StateAlgorithm;
-pub use store::{
-    CatalogDelta, CatalogFormat, CatalogSnapshot, CatalogStore, DeltaEntry, FileCatalogStore,
-    StoreError,
-};
+pub use store::{CatalogFormat, CatalogSnapshot, CatalogStore, FileCatalogStore, StoreError};
 
 /// Errors produced by the cost-model derivation machinery.
 ///

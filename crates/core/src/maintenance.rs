@@ -425,51 +425,6 @@ impl ModelMaintainer {
         ctx: &mut PipelineCtx,
     ) -> Result<Option<u64>, CoreError> {
         self.accumulator.absorb(new_observations);
-        self.refit_absorbed(site, new_observations, registry, ctx)
-    }
-
-    /// Like [`Self::refit_incremental`], but records the republish as a
-    /// [`crate::store::CatalogDelta`] against `base_version` instead of
-    /// asking the caller to rewrite the whole catalog: the delta carries
-    /// the replacement model plus the accumulator *increment* (the
-    /// statistics of just `new_observations`). The maintainer's own
-    /// accumulator advances by merging that same increment — the
-    /// operation [`crate::store::CatalogSnapshot::apply_delta`] replays —
-    /// so a restore from base + delta reproduces this maintainer's
-    /// accumulator bit for bit.
-    ///
-    /// Returns the delta (advancing `base_version` → `base_version + 1`,
-    /// or to the registry-published version when a registry is given) and
-    /// the published version, if any.
-    // ctx: serial-only
-    pub fn refit_incremental_delta(
-        &mut self,
-        site: &SiteId,
-        new_observations: &[Observation],
-        registry: Option<&ModelRegistry>,
-        base_version: u64,
-        ctx: &mut PipelineCtx,
-    ) -> Result<(crate::store::CatalogDelta, Option<u64>), CoreError> {
-        let increment = self.accumulator.increment_from(new_observations);
-        self.accumulator.merge(&increment)?;
-        let published = self.refit_absorbed(site, new_observations, registry, ctx)?;
-        let version = published.unwrap_or(base_version + 1).max(base_version + 1);
-        let mut delta = crate::store::CatalogDelta::new(base_version, version);
-        delta.put_model(site.clone(), self.derived.class, self.derived.model.clone());
-        delta.merge_accumulator(site.clone(), self.derived.class, increment);
-        Ok((delta, published))
-    }
-
-    /// Shared tail of the incremental-refit paths: re-solve from the
-    /// (already advanced) accumulator, swap the model in, publish.
-    // ctx: serial-only
-    fn refit_absorbed(
-        &mut self,
-        site: &SiteId,
-        new_observations: &[Observation],
-        registry: Option<&ModelRegistry>,
-        ctx: &mut PipelineCtx,
-    ) -> Result<Option<u64>, CoreError> {
         let tel = &mut ctx.telemetry;
         let span = tel.begin_span("maintenance.refit_incremental");
         tel.field(span, "class", format!("{:?}", self.derived.class));

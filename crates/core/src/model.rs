@@ -446,40 +446,6 @@ impl ModelAccumulator {
         }
     }
 
-    /// An empty accumulator of the same shape (form, states, variables)
-    /// holding the statistics of just `observations` — the *increment* a
-    /// [`crate::store::CatalogDelta`] ships instead of the whole history.
-    pub fn increment_from(&self, observations: &[Observation]) -> ModelAccumulator {
-        let mut inc = ModelAccumulator {
-            form: self.form,
-            states: self.states.clone(),
-            var_indexes: self.var_indexes.clone(),
-            var_names: self.var_names.clone(),
-            blocks: vec![GramAccumulator::new(self.var_indexes.len() + 1); self.states.len()],
-        };
-        inc.absorb(observations);
-        inc
-    }
-
-    /// Folds another accumulator of the identical shape into this one
-    /// (per-state block addition). Both the delta producer and the
-    /// restore-side replay go through this same operation, so a replayed
-    /// chain reproduces the producer's accumulator bit for bit.
-    pub fn merge(&mut self, other: &ModelAccumulator) -> Result<(), CoreError> {
-        if self.form != other.form
-            || self.states != other.states
-            || self.var_indexes != other.var_indexes
-        {
-            return Err(CoreError::Degenerate(
-                "model accumulator merge: shape mismatch (form/states/vars differ)".into(),
-            ));
-        }
-        for (mine, theirs) in self.blocks.iter_mut().zip(&other.blocks) {
-            mine.merge(theirs)?;
-        }
-        Ok(())
-    }
-
     /// Total observations absorbed across all states.
     pub fn n(&self) -> usize {
         self.blocks.iter().map(|b| b.n()).sum()

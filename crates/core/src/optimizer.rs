@@ -146,15 +146,19 @@ impl GlobalOptimizer {
             predicates: shipped.predicates.clone(),
             order_by: None,
         });
-        let ship_prepare_cost = self
-            .catalog
-            .estimate(&crate::correction::EstimateQuery::raw(
+        let filter_class = classify(shipped_schema, &filter_query)?;
+        let ship_prepare_cost = crate::correction::price_with_model(
+            self.catalog.model(&shipped.site, filter_class)?,
+            0,
+            filter_class,
+            &crate::correction::EstimateQuery::raw(
                 &shipped.site,
                 shipped_schema,
                 &filter_query,
                 shipped_probe,
-            ))?
-            .estimate;
+            ),
+        )?
+        .estimate;
         // Component 2: the network transfer of the intermediate.
         let Query::Unary(ref u) = filter_query else {
             unreachable!("constructed as unary above");

@@ -22,8 +22,7 @@ use crate::correction::EstimateQuery;
 use crate::model::CostModel;
 use mdbs_obs::Telemetry;
 // Hash sharding is deliberate here: lookups are point reads keyed by
-// (site, class) and iteration only happens in `to_catalog`, which is
-// order-insensitive (see the waiver there).
+// (site, class); the maps are never iterated.
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,27 +210,6 @@ impl ModelRegistry {
         registry
     }
 
-    /// Snapshots the registry into a versioned
-    /// [`crate::store::CatalogSnapshot`] at the current registry version
-    /// (probe estimators are not part of the registry and come back
-    /// empty).
-    pub fn to_snapshot(&self) -> crate::store::CatalogSnapshot {
-        crate::store::CatalogSnapshot::at_version(self.to_catalog(), self.version())
-    }
-
-    /// Snapshots the registry back into a plain [`GlobalCatalog`] (probe
-    /// estimators are not part of the registry and come back empty).
-    pub fn to_catalog(&self) -> GlobalCatalog {
-        let mut catalog = GlobalCatalog::new();
-        for shard in &self.shards {
-            // lint:allow(no-unordered-iteration): insertion into the keyed catalog is order-insensitive; the catalog's own export sorts
-            for ((site, class), entry) in shard.read().expect("registry shard").iter() {
-                catalog.insert_model(site.clone(), *class, entry.model.clone());
-            }
-        }
-        catalog
-    }
-
     /// Folds the registry's access counters into a telemetry collection:
     /// `registry.publishes`, `registry.hits`, `registry.misses` (all
     /// deterministic for a deterministic access sequence) and the current
@@ -326,17 +304,19 @@ mod tests {
         catalog.insert_model("b".into(), QueryClass::JoinNoIndex, toy_model(0.03));
         let reg = ModelRegistry::from_catalog(&catalog);
         assert_eq!(reg.len(), 2);
-        let back = reg.to_catalog();
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.model(&"a".into(), QueryClass::UnaryNoIndex)
-                .unwrap()
-                .coefficients,
-            catalog
-                .model(&"a".into(), QueryClass::UnaryNoIndex)
-                .unwrap()
-                .coefficients
-        );
+        // Published in (site, class) order, one version each.
+        for (version, site, class) in [
+            (1, "a", QueryClass::UnaryNoIndex),
+            (2, "b", QueryClass::JoinNoIndex),
+        ] {
+            let entry = reg.get(&site.into(), class).unwrap();
+            assert_eq!(entry.version, version);
+            assert_eq!(
+                entry.model.coefficients,
+                catalog.model(&site.into(), class).unwrap().coefficients
+            );
+        }
+        assert!(reg.get(&"a".into(), QueryClass::JoinNoIndex).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Versioned catalog snapshot store: one [`CatalogStore`] abstraction in
-//! front of every load/store call site, a compact byte-stable binary
-//! format behind it, and per-model deltas on top.
+//! front of every load/store call site and a compact byte-stable binary
+//! format behind it. The unit of storage is a whole snapshot.
 //!
 //! The text format in [`crate::persist`] stays the human-readable
 //! interchange form; this module adds the machine form the serving paths
@@ -16,15 +16,6 @@
 //!   dropped), so coefficients and Gram blocks round-trip bit for bit —
 //!   no float formatting or parsing anywhere on the path — while
 //!   integer-valued Gram sums stay only a few bytes wide.
-//! * **Deltas.** A [`CatalogDelta`] names the base snapshot version it
-//!   applies to and carries only the entries that changed: replaced
-//!   models/estimators as full bodies, and accumulator growth as a folded
-//!   [`ModelAccumulator`] increment that replay *merges* into the stored
-//!   block — the same operation the producer used, so a replayed chain is
-//!   byte-identical to the producer's own snapshot
-//!   ([`CatalogSnapshot::apply_delta`] is the single implementation both
-//!   sides go through). Appending a delta frame writes O(delta) bytes
-//!   regardless of catalog size.
 //! * **Files.** [`FileCatalogStore`] sniffs the on-disk format (magic ⇒
 //!   binary, `mdbs-catalog` ⇒ text), loads either, and writes whichever
 //!   format it was configured with — the CLI's `archive`/`restore`
@@ -37,8 +28,6 @@ use crate::probing::ProbeCostEstimator;
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
-use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every binary catalog file.
@@ -47,21 +36,13 @@ pub const BINARY_MAGIC: [u8; 4] = *b"MDBC";
 /// Binary container format version (little-endian `u32` after the magic).
 pub const BINARY_FORMAT_VERSION: u32 = 1;
 
-/// Frame tag of a full snapshot.
+/// Frame tag of a full snapshot, the only frame kind.
 const FRAME_SNAPSHOT: u8 = b'S';
-/// Frame tag of a delta against the running snapshot.
-const FRAME_DELTA: u8 = b'D';
 
 /// Entry kinds within a snapshot frame.
 const ENTRY_MODEL: u8 = 1;
 const ENTRY_GRAM: u8 = 2;
 const ENTRY_PROBE: u8 = 3;
-
-/// Operation kinds within a delta frame.
-const OP_PUT_MODEL: u8 = 1;
-const OP_PUT_GRAM: u8 = 2;
-const OP_PUT_PROBE: u8 = 3;
-const OP_MERGE_GRAM: u8 = 4;
 
 /// Class byte reserved for entries that carry no query class (probe
 /// estimators are per-site).
@@ -122,256 +103,6 @@ impl CatalogSnapshot {
     pub fn at_version(catalog: GlobalCatalog, version: u64) -> CatalogSnapshot {
         CatalogSnapshot { version, catalog }
     }
-
-    /// Applies a delta in place. This is the **only** mutation path for
-    /// delta semantics — producers advance their own snapshot through it
-    /// before appending the delta to a store, so a restore that replays
-    /// the chain lands on bit-identical bytes by construction.
-    ///
-    /// Fails without modifying `self` when the delta's base version does
-    /// not match the snapshot's current version, or when a merge targets
-    /// a missing or shape-mismatched accumulator.
-    pub fn apply_delta(&mut self, delta: &CatalogDelta) -> Result<(), CoreError> {
-        if delta.base_version != self.version {
-            return Err(bin_err(format!(
-                "delta expects base snapshot version {} but the snapshot is at version {}",
-                delta.base_version, self.version
-            )));
-        }
-        if delta.version <= delta.base_version {
-            return Err(bin_err(format!(
-                "delta version {} does not advance past its base {}",
-                delta.version, delta.base_version
-            )));
-        }
-        // Validate merges up front so a failed apply leaves `self` intact.
-        for entry in &delta.entries {
-            if let DeltaEntry::MergeAccumulator(site, class, inc) = entry {
-                match self.catalog.accumulator(site, *class) {
-                    None => {
-                        return Err(bin_err(format!(
-                            "delta merges into missing accumulator {site}/{}",
-                            class.as_str()
-                        )))
-                    }
-                    Some(base) => check_merge_shape(base, inc, site, *class)?,
-                }
-            }
-        }
-        for entry in &delta.entries {
-            match entry {
-                DeltaEntry::PutModel(site, class, model) => {
-                    self.catalog
-                        .insert_model(site.clone(), *class, model.clone());
-                }
-                DeltaEntry::PutAccumulator(site, class, acc) => {
-                    self.catalog
-                        .insert_accumulator(site.clone(), *class, acc.clone());
-                }
-                DeltaEntry::PutProbeEstimator(site, est) => {
-                    self.catalog
-                        .insert_probe_estimator(site.clone(), est.clone());
-                }
-                DeltaEntry::MergeAccumulator(site, class, inc) => {
-                    let mut merged = self
-                        .catalog
-                        .accumulator(site, *class)
-                        .expect("validated above")
-                        .clone();
-                    merged.merge(inc)?;
-                    self.catalog
-                        .insert_accumulator(site.clone(), *class, merged);
-                }
-            }
-        }
-        self.version = delta.version;
-        Ok(())
-    }
-}
-
-fn check_merge_shape(
-    base: &ModelAccumulator,
-    inc: &ModelAccumulator,
-    site: &SiteId,
-    class: QueryClass,
-) -> Result<(), CoreError> {
-    if base.form() != inc.form()
-        || base.states() != inc.states()
-        || base.var_indexes() != inc.var_indexes()
-    {
-        return Err(bin_err(format!(
-            "delta merge increment shape does not match stored accumulator {site}/{}",
-            class.as_str()
-        )));
-    }
-    Ok(())
-}
-
-/// One change within a [`CatalogDelta`].
-#[derive(Debug, Clone)]
-pub enum DeltaEntry {
-    /// Replace (or add) the model for a site/class pair.
-    PutModel(SiteId, QueryClass, CostModel),
-    /// Replace (or add) the full accumulator for a site/class pair.
-    PutAccumulator(SiteId, QueryClass, ModelAccumulator),
-    /// Replace (or add) a site's probe estimator.
-    PutProbeEstimator(SiteId, ProbeCostEstimator),
-    /// Fold an accumulator increment (the statistics of just the new
-    /// observations) into the stored accumulator via
-    /// [`ModelAccumulator::merge`].
-    MergeAccumulator(SiteId, QueryClass, ModelAccumulator),
-}
-
-/// A set of changes that advances a snapshot from `base_version` to
-/// `version`. Removals are not representable: the catalog only ever grows
-/// or replaces entries, and [`CatalogDelta::between`] rejects a shrinking
-/// pair outright.
-#[derive(Debug, Clone, Default)]
-pub struct CatalogDelta {
-    /// The snapshot version this delta applies on top of.
-    pub base_version: u64,
-    /// The snapshot version after applying this delta.
-    pub version: u64,
-    /// The changes, in application order.
-    pub entries: Vec<DeltaEntry>,
-}
-
-impl CatalogDelta {
-    /// An empty delta advancing `base_version` → `version`.
-    pub fn new(base_version: u64, version: u64) -> CatalogDelta {
-        CatalogDelta {
-            base_version,
-            version,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Records a model replacement.
-    pub fn put_model(&mut self, site: SiteId, class: QueryClass, model: CostModel) {
-        self.entries.push(DeltaEntry::PutModel(site, class, model));
-    }
-
-    /// Records a full accumulator replacement.
-    pub fn put_accumulator(&mut self, site: SiteId, class: QueryClass, acc: ModelAccumulator) {
-        self.entries
-            .push(DeltaEntry::PutAccumulator(site, class, acc));
-    }
-
-    /// Records a probe-estimator replacement.
-    pub fn put_probe_estimator(&mut self, site: SiteId, est: ProbeCostEstimator) {
-        self.entries.push(DeltaEntry::PutProbeEstimator(site, est));
-    }
-
-    /// Records an accumulator increment to merge on apply.
-    pub fn merge_accumulator(&mut self, site: SiteId, class: QueryClass, inc: ModelAccumulator) {
-        self.entries
-            .push(DeltaEntry::MergeAccumulator(site, class, inc));
-    }
-
-    /// Number of recorded changes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Diffs two snapshots into a delta: every entry of `next` whose
-    /// encoded bytes differ from (or are absent in) `base` becomes a
-    /// `Put`. Entries present in `base` but missing from `next` are an
-    /// error — the delta encoding has no removals.
-    pub fn between(
-        base: &CatalogSnapshot,
-        next: &CatalogSnapshot,
-    ) -> Result<CatalogDelta, CoreError> {
-        if next.version <= base.version {
-            return Err(bin_err(format!(
-                "cannot delta from version {} back to {}",
-                base.version, next.version
-            )));
-        }
-        let base_entries: BTreeMap<EntryKey, Vec<u8>> =
-            enumerate_entries(&base.catalog).into_iter().collect();
-        let mut delta = CatalogDelta::new(base.version, next.version);
-        let mut next_keys: Vec<EntryKey> = Vec::new();
-        for (key, body) in enumerate_entries(&next.catalog) {
-            next_keys.push(key.clone());
-            if base_entries.get(&key).map(Vec::as_slice) == Some(body.as_slice()) {
-                continue;
-            }
-            let (kind, site, class) = (&key.0, SiteId(key.1.clone()), key.2);
-            match *kind {
-                ENTRY_MODEL => {
-                    let class = class_from_code(class)?;
-                    let model = next
-                        .catalog
-                        .model(&site, class)
-                        .expect("enumerated")
-                        .clone();
-                    delta.put_model(site, class, model);
-                }
-                ENTRY_GRAM => {
-                    let class = class_from_code(class)?;
-                    let acc = next
-                        .catalog
-                        .accumulator(&site, class)
-                        .expect("enumerated")
-                        .clone();
-                    delta.put_accumulator(site, class, acc);
-                }
-                ENTRY_PROBE => {
-                    let est = next
-                        .catalog
-                        .probe_estimator(&site)
-                        .expect("enumerated")
-                        .clone();
-                    delta.put_probe_estimator(site, est);
-                }
-                _ => unreachable!("enumerate_entries emits known kinds"),
-            }
-        }
-        for key in base_entries.keys() {
-            if !next_keys.contains(key) {
-                return Err(bin_err(format!(
-                    "entry {} disappeared between snapshots; deltas cannot encode removals",
-                    key.1
-                )));
-            }
-        }
-        Ok(delta)
-    }
-}
-
-/// Sort/diff key of a catalog entry: `(kind, site name, class code)`.
-type EntryKey = (u8, String, u8);
-
-/// Enumerates a catalog's entries in the canonical (site, class) order —
-/// the same order [`GlobalCatalog::export`] writes — as `(key, encoded
-/// body)` pairs. Accumulators without a model, like in the text format,
-/// are not enumerated.
-fn enumerate_entries(catalog: &GlobalCatalog) -> Vec<(EntryKey, Vec<u8>)> {
-    let mut out = Vec::new();
-    for site in catalog.sites() {
-        for class in catalog.classes_for(&site) {
-            let model = catalog.model(&site, class).expect("class listed for site");
-            out.push((
-                (ENTRY_MODEL, site.0.clone(), class_code(class)),
-                encode_model(model),
-            ));
-            if let Some(acc) = catalog.accumulator(&site, class) {
-                out.push((
-                    (ENTRY_GRAM, site.0.clone(), class_code(class)),
-                    encode_accumulator(acc),
-                ));
-            }
-        }
-        if let Some(est) = catalog.probe_estimator(&site) {
-            out.push(((ENTRY_PROBE, site.0.clone(), NO_CLASS), encode_probe(est)));
-        }
-    }
-    out
 }
 
 fn form_code(form: ModelForm) -> u8 {
@@ -595,31 +326,19 @@ fn decode_model(bytes: &[u8]) -> Result<CostModel, CoreError> {
     })
 }
 
-/// Accumulator shape layout flags: `SHAPE_SELF` carries its own
-/// form/states/vars (context-free — the layout deltas and diffing use);
-/// `SHAPE_FROM_MODEL` inherits all three from the model entry of the same
-/// (site, class) — the text format writes them twice per pair, the binary
-/// snapshot needn't.
+/// Accumulator shape layout flags: `SHAPE_FROM_MODEL` inherits
+/// form/states/vars from the model entry of the same (site, class) — the
+/// text format writes them twice per pair, the binary snapshot needn't;
+/// `SHAPE_SELF` carries its own, the fallback for an accumulator whose
+/// shape differs from its model's.
 const SHAPE_SELF: u8 = 0;
 const SHAPE_FROM_MODEL: u8 = 1;
-
-/// Context-free accumulator encoding (`SHAPE_SELF`). Used for delta
-/// entries and for diffing, where body bytes must identify the value
-/// without reference to a surrounding snapshot.
-fn encode_accumulator(acc: &ModelAccumulator) -> Vec<u8> {
-    let mut out = vec![SHAPE_SELF];
-    out.push(form_code(acc.form()));
-    put_f64s(&mut out, acc.states().edges());
-    put_vars(&mut out, acc.var_indexes(), acc.var_names());
-    put_blocks(&mut out, acc);
-    out
-}
 
 /// Snapshot-frame accumulator encoding: when the accumulator's shape is
 /// bit-exactly the model's (the invariant every producer maintains), emit
 /// `SHAPE_FROM_MODEL` and only the Gram blocks; otherwise fall back to
-/// the context-free layout.
-fn encode_accumulator_with(model: &CostModel, acc: &ModelAccumulator) -> Vec<u8> {
+/// `SHAPE_SELF`.
+fn encode_accumulator(model: &CostModel, acc: &ModelAccumulator) -> Vec<u8> {
     let same_states = acc.states().edges().len() == model.states.edges().len()
         && acc
             .states()
@@ -636,7 +355,12 @@ fn encode_accumulator_with(model: &CostModel, acc: &ModelAccumulator) -> Vec<u8>
         put_blocks(&mut out, acc);
         return out;
     }
-    encode_accumulator(acc)
+    let mut out = vec![SHAPE_SELF];
+    out.push(form_code(acc.form()));
+    put_f64s(&mut out, acc.states().edges());
+    put_vars(&mut out, acc.var_indexes(), acc.var_names());
+    put_blocks(&mut out, acc);
+    out
 }
 
 fn put_blocks(out: &mut Vec<u8>, acc: &ModelAccumulator) {
@@ -649,7 +373,8 @@ fn put_blocks(out: &mut Vec<u8>, acc: &ModelAccumulator) {
 }
 
 /// Decodes either accumulator layout. `model` provides the shape for
-/// `SHAPE_FROM_MODEL` bodies; `None` (the delta path) rejects them.
+/// `SHAPE_FROM_MODEL` bodies; `None` (no model entry precedes the
+/// accumulator) rejects them.
 fn decode_accumulator(
     bytes: &[u8],
     model: Option<&CostModel>,
@@ -724,35 +449,30 @@ fn encode_entry(out: &mut Vec<u8>, kind: u8, site: &str, class: u8, body: &[u8])
     out.extend_from_slice(body);
 }
 
+/// Entries go in the canonical (site, class) order — the order
+/// [`GlobalCatalog::export`] writes — so the model entry of a (site, class)
+/// always precedes its accumulator. Accumulators without a model, like in
+/// the text format, are not written.
 fn encode_snapshot_frame(snap: &CatalogSnapshot) -> Vec<u8> {
-    // Mirrors [`enumerate_entries`]' order, but gram entries use the
-    // model-inherited shape layout — within a snapshot frame the model
-    // entry of the same (site, class) always precedes its accumulator.
     let catalog = &snap.catalog;
-    let mut entries: Vec<(EntryKey, Vec<u8>)> = Vec::new();
+    let mut payload = Vec::new();
+    put_u64(&mut payload, snap.version);
+    put_u32(&mut payload, catalog.entry_count() as u32);
     for site in catalog.sites() {
         for class in catalog.classes_for(&site) {
             let model = catalog.model(&site, class).expect("class listed for site");
-            entries.push((
-                (ENTRY_MODEL, site.0.clone(), class_code(class)),
-                encode_model(model),
-            ));
+            let code = class_code(class);
+            let body = encode_model(model);
+            encode_entry(&mut payload, ENTRY_MODEL, &site.0, code, &body);
             if let Some(acc) = catalog.accumulator(&site, class) {
-                entries.push((
-                    (ENTRY_GRAM, site.0.clone(), class_code(class)),
-                    encode_accumulator_with(model, acc),
-                ));
+                let body = encode_accumulator(model, acc);
+                encode_entry(&mut payload, ENTRY_GRAM, &site.0, code, &body);
             }
         }
         if let Some(est) = catalog.probe_estimator(&site) {
-            entries.push(((ENTRY_PROBE, site.0.clone(), NO_CLASS), encode_probe(est)));
+            let body = encode_probe(est);
+            encode_entry(&mut payload, ENTRY_PROBE, &site.0, NO_CLASS, &body);
         }
-    }
-    let mut payload = Vec::new();
-    put_u64(&mut payload, snap.version);
-    put_u32(&mut payload, entries.len() as u32);
-    for ((kind, site, class), body) in &entries {
-        encode_entry(&mut payload, *kind, site, *class, body);
     }
     payload
 }
@@ -790,91 +510,6 @@ fn decode_snapshot_frame(payload: &[u8]) -> Result<CatalogSnapshot, CoreError> {
     Ok(CatalogSnapshot { version, catalog })
 }
 
-fn encode_delta_frame(delta: &CatalogDelta) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, delta.base_version);
-    put_u64(&mut payload, delta.version);
-    put_u32(&mut payload, delta.entries.len() as u32);
-    for entry in &delta.entries {
-        match entry {
-            DeltaEntry::PutModel(site, class, model) => {
-                encode_entry(
-                    &mut payload,
-                    OP_PUT_MODEL,
-                    &site.0,
-                    class_code(*class),
-                    &encode_model(model),
-                );
-            }
-            DeltaEntry::PutAccumulator(site, class, acc) => {
-                encode_entry(
-                    &mut payload,
-                    OP_PUT_GRAM,
-                    &site.0,
-                    class_code(*class),
-                    &encode_accumulator(acc),
-                );
-            }
-            DeltaEntry::PutProbeEstimator(site, est) => {
-                encode_entry(
-                    &mut payload,
-                    OP_PUT_PROBE,
-                    &site.0,
-                    NO_CLASS,
-                    &encode_probe(est),
-                );
-            }
-            DeltaEntry::MergeAccumulator(site, class, inc) => {
-                encode_entry(
-                    &mut payload,
-                    OP_MERGE_GRAM,
-                    &site.0,
-                    class_code(*class),
-                    &encode_accumulator(inc),
-                );
-            }
-        }
-    }
-    payload
-}
-
-fn decode_delta_frame(payload: &[u8]) -> Result<CatalogDelta, CoreError> {
-    let mut r = BinReader::new(payload);
-    let base_version = r.u64()?;
-    let version = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut delta = CatalogDelta::new(base_version, version);
-    for _ in 0..count {
-        let op = r.u8()?;
-        let site = SiteId(r.str()?);
-        let class = r.u8()?;
-        let len = r.u32()? as usize;
-        let body = r.take(len)?;
-        match op {
-            OP_PUT_MODEL => delta.put_model(site, class_from_code(class)?, decode_model(body)?),
-            OP_PUT_GRAM => delta.put_accumulator(
-                site,
-                class_from_code(class)?,
-                decode_accumulator(body, None)?,
-            ),
-            OP_PUT_PROBE => {
-                if class != NO_CLASS {
-                    return Err(bin_err("probe op carries a class byte"));
-                }
-                delta.put_probe_estimator(site, decode_probe(body)?);
-            }
-            OP_MERGE_GRAM => delta.merge_accumulator(
-                site,
-                class_from_code(class)?,
-                decode_accumulator(body, None)?,
-            ),
-            other => return Err(bin_err(format!("unknown delta op {other}"))),
-        }
-    }
-    r.finish()?;
-    Ok(delta)
-}
-
 fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 9);
     out.push(kind);
@@ -884,9 +519,7 @@ fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Serializes a snapshot to complete binary-file bytes: magic, container
-/// version, one snapshot frame. A catalog restored by replaying a base
-/// snapshot plus its delta chain serializes to exactly these bytes —
-/// that is the round-trip identity ci.sh gates on.
+/// version, one snapshot frame.
 pub fn snapshot_to_bytes(snap: &CatalogSnapshot) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&BINARY_MAGIC);
@@ -896,16 +529,11 @@ pub fn snapshot_to_bytes(snap: &CatalogSnapshot) -> Vec<u8> {
     out
 }
 
-/// Serializes a delta to an appendable binary frame (no file header).
-pub fn delta_to_frame_bytes(delta: &CatalogDelta) -> Vec<u8> {
-    encode_frame(FRAME_DELTA, &encode_delta_frame(delta))
-}
-
 /// Parses complete binary-file bytes: checks the magic and container
-/// version, decodes the leading snapshot frame, then replays every delta
-/// frame in order. Returns the final snapshot plus the number of deltas
-/// applied and the total delta entries replayed (for telemetry).
-pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<(CatalogSnapshot, u64, u64), CoreError> {
+/// version and decodes the one snapshot frame. Any other frame — a second
+/// snapshot, or a kind this version does not know — makes the file
+/// corrupt.
+pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<CatalogSnapshot, CoreError> {
     let mut r = BinReader::new(bytes);
     let magic = r.take(4)?;
     if magic != BINARY_MAGIC {
@@ -918,33 +546,19 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<(CatalogSnapshot, u64, u64), 
         )));
     }
     let mut snap: Option<CatalogSnapshot> = None;
-    let mut deltas_applied = 0u64;
-    let mut delta_entries = 0u64;
     while !r.is_empty() {
         let kind = r.u8()?;
         let len = r.u64()? as usize;
         let payload = r.take(len)?;
-        match (kind, &mut snap) {
-            (FRAME_SNAPSHOT, None) => {
-                snap = Some(decode_snapshot_frame(payload)?);
-            }
+        match (kind, &snap) {
+            (FRAME_SNAPSHOT, None) => snap = Some(decode_snapshot_frame(payload)?),
             (FRAME_SNAPSHOT, Some(_)) => {
                 return Err(bin_err("second snapshot frame in one file"));
-            }
-            (FRAME_DELTA, Some(s)) => {
-                let delta = decode_delta_frame(payload)?;
-                delta_entries += delta.len() as u64;
-                deltas_applied += 1;
-                s.apply_delta(&delta)?;
-            }
-            (FRAME_DELTA, None) => {
-                return Err(bin_err("delta frame before any snapshot frame"));
             }
             (other, _) => return Err(bin_err(format!("unknown frame kind {other}"))),
         }
     }
-    let snap = snap.ok_or_else(|| bin_err("no snapshot frame in file"))?;
-    Ok((snap, deltas_applied, delta_entries))
+    snap.ok_or_else(|| bin_err("no snapshot frame in file"))
 }
 
 // ---- the store abstraction ------------------------------------------------
@@ -990,12 +604,10 @@ impl From<CoreError> for StoreError {
 }
 
 /// The persistence abstraction every catalog load/store call site goes
-/// through: load a versioned snapshot, store one whole, or append a delta
-/// frame in O(delta) bytes.
+/// through: load a whole versioned snapshot, or store one whole.
 pub trait CatalogStore {
-    /// Loads and fully materializes the snapshot (replaying any delta
-    /// chain). Emits `catalog.load_bytes` / `catalog.load_entries` /
-    /// `catalog.delta.applied` / `catalog.delta.entries` counters and the
+    /// Loads and fully materializes the snapshot. Emits
+    /// `catalog.load_bytes` / `catalog.load_entries` counters and the
     /// `catalog.format` gauge.
     fn load(&self, tel: &mut Telemetry) -> Result<CatalogSnapshot, StoreError>;
 
@@ -1003,12 +615,6 @@ pub trait CatalogStore {
     /// `catalog.store_bytes` / `catalog.store_entries` and
     /// `catalog.format`.
     fn store(&self, snap: &CatalogSnapshot, tel: &mut Telemetry) -> Result<(), StoreError>;
-
-    /// Appends a delta frame without rewriting existing content. Only the
-    /// binary format supports this; the write cost is proportional to the
-    /// delta, not the catalog. Emits `catalog.delta.appended` and
-    /// `catalog.store_bytes`.
-    fn append_delta(&self, delta: &CatalogDelta, tel: &mut Telemetry) -> Result<(), StoreError>;
 
     /// The format [`CatalogStore::store`] would write.
     fn format(&self) -> CatalogFormat;
@@ -1094,29 +700,16 @@ fn format_gauge(tel: &mut Telemetry, format: CatalogFormat) {
 impl CatalogStore for FileCatalogStore {
     fn load(&self, tel: &mut Telemetry) -> Result<CatalogSnapshot, StoreError> {
         let bytes = std::fs::read(&self.path).map_err(|e| self.io_err("read", e))?;
-        let (snap, format, deltas, delta_entries) = if bytes.starts_with(&BINARY_MAGIC) {
-            let (snap, deltas, entries) = snapshot_from_bytes(&bytes)?;
-            (snap, CatalogFormat::Binary, deltas, entries)
+        let (snap, format) = if bytes.starts_with(&BINARY_MAGIC) {
+            (snapshot_from_bytes(&bytes)?, CatalogFormat::Binary)
         } else {
             let text = String::from_utf8(bytes.clone())
                 .map_err(|_| StoreError::Corrupt(bin_err("neither binary magic nor UTF-8 text")))?;
             let (catalog, version) = GlobalCatalog::import_versioned(&text)?;
-            (
-                CatalogSnapshot { version, catalog },
-                CatalogFormat::Text,
-                0,
-                0,
-            )
+            (CatalogSnapshot { version, catalog }, CatalogFormat::Text)
         };
         tel.inc("catalog.load_bytes", bytes.len() as u64);
-        tel.inc(
-            "catalog.load_entries",
-            enumerate_entries(&snap.catalog).len() as u64,
-        );
-        if deltas > 0 {
-            tel.inc("catalog.delta.applied", deltas);
-            tel.inc("catalog.delta.entries", delta_entries);
-        }
+        tel.inc("catalog.load_entries", snap.catalog.entry_count() as u64);
         format_gauge(tel, format);
         Ok(snap)
     }
@@ -1129,35 +722,8 @@ impl CatalogStore for FileCatalogStore {
         };
         std::fs::write(&self.path, &bytes).map_err(|e| self.io_err("write", e))?;
         tel.inc("catalog.store_bytes", bytes.len() as u64);
-        tel.inc(
-            "catalog.store_entries",
-            enumerate_entries(&snap.catalog).len() as u64,
-        );
+        tel.inc("catalog.store_entries", snap.catalog.entry_count() as u64);
         format_gauge(tel, format);
-        Ok(())
-    }
-
-    fn append_delta(&self, delta: &CatalogDelta, tel: &mut Telemetry) -> Result<(), StoreError> {
-        // Only the magic is read back, so append cost stays O(delta)
-        // no matter how large the catalog file has grown.
-        let mut head = [0u8; 4];
-        std::fs::File::open(&self.path)
-            .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut head))
-            .map_err(|e| self.io_err("read", e))?;
-        if head != BINARY_MAGIC {
-            return Err(StoreError::Corrupt(bin_err(
-                "delta append requires a binary catalog file (archive it first)",
-            )));
-        }
-        let frame = delta_to_frame_bytes(delta);
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| self.io_err("append to", e))?;
-        file.write_all(&frame)
-            .map_err(|e| self.io_err("append to", e))?;
-        tel.inc("catalog.delta.appended", 1);
-        tel.inc("catalog.store_bytes", frame.len() as u64);
         Ok(())
     }
 
@@ -1250,8 +816,7 @@ mod tests {
     fn binary_roundtrip_bit_exact() {
         let snap = sample_snapshot(7);
         let bytes = snapshot_to_bytes(&snap);
-        let (back, deltas, _) = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(deltas, 0);
+        let back = snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(back.version, 7);
         // Text export of both catalogs is byte-identical (the text format
         // is already bit-exact, so this proves the binary one is too).
@@ -1283,83 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_between_and_apply() {
-        let base = sample_snapshot(3);
-        let mut next = base.clone();
-        next.version = 5;
-        next.catalog
-            .insert_model("site-c".into(), QueryClass::JoinIndexed, sample_model(2));
-        let delta = CatalogDelta::between(&base, &next).unwrap();
-        assert_eq!(delta.len(), 1, "only the new entry is carried");
-        let mut replayed = base.clone();
-        replayed.apply_delta(&delta).unwrap();
-        assert_eq!(replayed.version, 5);
-        assert_eq!(
-            snapshot_to_bytes(&replayed),
-            snapshot_to_bytes(&next),
-            "replay lands on identical bytes"
-        );
-    }
-
-    #[test]
-    fn delta_rejects_mismatched_base() {
-        let base = sample_snapshot(3);
-        let mut delta = CatalogDelta::new(9, 10);
-        delta.put_model("site-z".into(), QueryClass::JoinIndexed, sample_model(1));
-        let mut snap = base.clone();
-        let err = snap.apply_delta(&delta).unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("base snapshot version 9"), "{msg}");
-        assert_eq!(snap.version, 3, "failed apply leaves the snapshot intact");
-    }
-
-    #[test]
-    fn delta_rejects_removals() {
-        let base = sample_snapshot(3);
-        let mut next = CatalogSnapshot::at_version(GlobalCatalog::new(), 4);
-        next.catalog
-            .insert_model("site-a".into(), QueryClass::UnaryNoIndex, sample_model(3));
-        assert!(CatalogDelta::between(&base, &next).is_err());
-    }
-
-    #[test]
-    fn merge_delta_replay_is_bit_exact() {
-        // Producer: advance the accumulator through apply_delta (the
-        // sanctioned path), appending increments.
-        let mut producer = sample_snapshot(3);
-        let increment = {
-            let acc = producer
-                .catalog
-                .accumulator(&"site-a".into(), QueryClass::UnaryNoIndex)
-                .unwrap();
-            acc.increment_from(&sample_obs(3, 9, 17))
-        };
-        let mut delta = CatalogDelta::new(3, 4);
-        delta.merge_accumulator("site-a".into(), QueryClass::UnaryNoIndex, increment);
-        producer.apply_delta(&delta).unwrap();
-
-        // Restore: replay base + delta from encoded bytes.
-        let mut restored = sample_snapshot(3);
-        let frame = delta_to_frame_bytes(&delta);
-        let mut r = BinReader::new(&frame);
-        assert_eq!(r.u8().unwrap(), FRAME_DELTA);
-        let len = r.u64().unwrap() as usize;
-        let decoded = decode_delta_frame(r.take(len).unwrap()).unwrap();
-        restored.apply_delta(&decoded).unwrap();
-        assert_eq!(snapshot_to_bytes(&restored), snapshot_to_bytes(&producer));
-    }
-
-    #[test]
-    fn merge_into_missing_accumulator_is_an_error() {
-        let mut snap = sample_snapshot(3);
-        let inc = ModelAccumulator::from_observations(&sample_model(2), &[]);
-        let mut delta = CatalogDelta::new(3, 4);
-        delta.merge_accumulator("site-b".into(), QueryClass::UnaryClusteredIndex, inc);
-        let msg = format!("{}", snap.apply_delta(&delta).unwrap_err());
-        assert!(msg.contains("missing accumulator"), "{msg}");
-    }
-
-    #[test]
     fn file_store_roundtrip_both_formats() {
         let dir = std::env::temp_dir().join("mdbs-store-test-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1386,34 +874,27 @@ mod tests {
     }
 
     #[test]
-    fn file_store_append_delta_and_reload() {
-        let dir = std::env::temp_dir().join("mdbs-store-test-append");
+    fn store_and_load_count_persisted_entries() {
+        let dir = std::env::temp_dir().join("mdbs-store-test-entry-counts");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cat.mdbc");
-        let store = FileCatalogStore::new(&path, CatalogFormat::Binary);
-        let mut tel = Telemetry::enabled();
-        let mut snap = sample_snapshot(3);
-        store.store(&snap, &mut tel).unwrap();
-        let mut delta = CatalogDelta::new(3, 4);
-        delta.put_model("site-d".into(), QueryClass::JoinNoIndex, sample_model(2));
-        snap.apply_delta(&delta).unwrap();
-        store.append_delta(&delta, &mut tel).unwrap();
-        let back = store.load(&mut tel).unwrap();
-        assert_eq!(back.version, 4);
-        assert_eq!(snapshot_to_bytes(&back), snapshot_to_bytes(&snap));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn append_delta_to_text_file_is_an_error() {
-        let dir = std::env::temp_dir().join("mdbs-store-test-append-text");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cat.txt");
-        let store = FileCatalogStore::new(&path, CatalogFormat::Text);
-        let mut tel = Telemetry::disabled();
-        store.store(&sample_snapshot(1), &mut tel).unwrap();
-        let delta = CatalogDelta::new(1, 2);
-        assert!(store.append_delta(&delta, &mut tel).is_err());
+        // 3 models + 2 accumulators + 1 probe estimator. An accumulator
+        // without a model is not persisted, so it is not counted.
+        let mut snap = sample_snapshot(4);
+        let orphan = ModelAccumulator::from_observations(&sample_model(1), &[]);
+        snap.catalog
+            .insert_accumulator("site-c".into(), QueryClass::JoinIndexed, orphan);
+        for format in [CatalogFormat::Text, CatalogFormat::Binary] {
+            let store = FileCatalogStore::new(dir.join(format.as_str()), format);
+            let mut tel = Telemetry::enabled();
+            store.store(&snap, &mut tel).unwrap();
+            store.load(&mut tel).unwrap();
+            assert_eq!(
+                tel.metrics.counter("catalog.store_entries"),
+                6,
+                "{format:?}"
+            );
+            assert_eq!(tel.metrics.counter("catalog.load_entries"), 6, "{format:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,5 +1,6 @@
-//! The MDBS global catalog with genuinely derived models: classification →
-//! model lookup → variable extraction → state-aware estimation, end to end.
+//! The MDBS global catalog with genuinely derived models, priced through
+//! the model registry: classification → model lookup → variable
+//! extraction → state-aware estimation, end to end.
 
 use mdbs_core::catalog::{GlobalCatalog, SiteId};
 use mdbs_core::classes::{classify, QueryClass};
@@ -7,6 +8,7 @@ use mdbs_core::correction::EstimateQuery;
 use mdbs_core::derive::{derive_cost_model, DerivationConfig};
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::probing::ProbeCostEstimator;
+use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
 use mdbs_core::states::StateAlgorithm;
 use mdbs_sim::contention::Load;
@@ -49,6 +51,7 @@ fn catalog_estimates_match_observations_reasonably() {
     assert_eq!(catalog.len(), 2);
     assert_eq!(catalog.classes_for(&site).len(), 2);
 
+    let registry = ModelRegistry::from_catalog(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(77);
     let mut good = 0;
@@ -57,7 +60,7 @@ fn catalog_estimates_match_observations_reasonably() {
         let query = generator.generate(QueryClass::UnaryNoIndex, &schema);
         agent.tick();
         let probe = agent.probe();
-        let est = catalog
+        let est = registry
             .estimate(&EstimateQuery::raw(&site, &schema, &query, probe))
             .expect("model available for the class")
             .estimate;
@@ -76,19 +79,20 @@ fn catalog_estimates_match_observations_reasonably() {
 #[test]
 fn catalog_dispatches_by_class() {
     let (catalog, agent, site) = populated_catalog();
+    let registry = ModelRegistry::from_catalog(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(78);
     // Queries of both stored classes estimate; join queries (no model) do not.
     let unary = generator.generate(QueryClass::UnaryNoIndex, &schema);
     let indexed = generator.generate(QueryClass::UnaryNonClusteredIndex, &schema);
     let join = generator.generate(QueryClass::JoinNoIndex, &schema);
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &unary, 1.0))
         .is_some());
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &indexed, 1.0))
         .is_some());
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &join, 1.0))
         .is_none());
     // And the classification the catalog relied on is consistent.
@@ -105,15 +109,16 @@ fn catalog_survives_export_import_with_identical_estimates() {
     assert!(restored.probe_estimator(&site).is_some());
 
     // Every estimate must be bit-identical after the round trip.
+    let before = ModelRegistry::from_catalog(&catalog);
+    let after = ModelRegistry::from_catalog(&restored);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(81);
     for _ in 0..20 {
         let q = generator.generate(QueryClass::UnaryNoIndex, &schema);
         agent.tick();
         let probe = agent.probe();
-        let a = catalog.estimate(&EstimateQuery::raw(&site, &schema, &q, probe));
-        let b = restored.estimate(&EstimateQuery::raw(&site, &schema, &q, probe));
-        assert_eq!(a, b);
+        let query = EstimateQuery::raw(&site, &schema, &q, probe);
+        assert_eq!(before.estimate(&query), after.estimate(&query));
     }
     // And a second export is byte-identical (canonical form).
     assert_eq!(restored.export(), text);

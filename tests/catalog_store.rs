@@ -1,19 +1,17 @@
 //! The versioned snapshot store end to end: a genuinely derived
 //! multi-vendor, multi-class catalog (with accumulators) survives
-//! text → binary → text byte-identically, a restore that replays
-//! base + deltas lands on the exact bytes of the producer's snapshot,
-//! and corrupt or version-skewed files fail cleanly.
+//! text → binary → text byte-identically, and corrupt files fail cleanly
+//! with a typed error.
 
 use mdbs_core::catalog::{GlobalCatalog, SiteId};
 use mdbs_core::classes::QueryClass;
 use mdbs_core::derive::{derive_cost_model, DerivationConfig};
 use mdbs_core::model::ModelAccumulator;
-use mdbs_core::observation::Observation;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::states::StateAlgorithm;
 use mdbs_core::store::{
-    snapshot_to_bytes, CatalogDelta, CatalogFormat, CatalogSnapshot, CatalogStore,
-    FileCatalogStore, BINARY_MAGIC,
+    snapshot_to_bytes, CatalogFormat, CatalogSnapshot, CatalogStore, FileCatalogStore, StoreError,
+    BINARY_MAGIC,
 };
 use mdbs_obs::Telemetry;
 use mdbs_sim::datagen::standard_database;
@@ -29,11 +27,8 @@ const CLASSES: [QueryClass; 3] = [
 /// Two vendors × three classes, every pair carrying its accumulator, one
 /// probe estimator per site — the catalog shape the acceptance criteria
 /// name, populated by real derivations rather than hand-built models.
-fn derived_snapshot(
-    version: u64,
-) -> (CatalogSnapshot, Vec<(SiteId, QueryClass, Vec<Observation>)>) {
+fn derived_snapshot(version: u64) -> CatalogSnapshot {
     let mut catalog = GlobalCatalog::new();
-    let mut held_out = Vec::new();
     for (site_name, profile, seed) in [
         ("oracle-a", VendorProfile::oracle8(), 42),
         ("db2-b", VendorProfile::db2v5(), 43),
@@ -58,12 +53,7 @@ fn derived_snapshot(
                 &mut PipelineCtx::seeded(seed + 7),
             )
             .expect("derivation succeeds");
-            // Seed the accumulator with most observations and keep the
-            // tail back so delta tests have genuine new data to fold in.
-            let split = derived.observations.len() - 10;
-            let acc =
-                ModelAccumulator::from_observations(&derived.model, &derived.observations[..split]);
-            held_out.push((site.clone(), class, derived.observations[split..].to_vec()));
+            let acc = ModelAccumulator::from_observations(&derived.model, &derived.observations);
             if let Some(est) = derived.probe_estimator.clone() {
                 catalog.insert_probe_estimator(site.clone(), est);
             }
@@ -71,7 +61,7 @@ fn derived_snapshot(
             catalog.insert_accumulator(site.clone(), class, acc);
         }
     }
-    (CatalogSnapshot::at_version(catalog, version), held_out)
+    CatalogSnapshot::at_version(catalog, version)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -83,7 +73,7 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn text_binary_text_round_trip_preserves_catalog_bytes() {
-    let (snap, _) = derived_snapshot(9);
+    let snap = derived_snapshot(9);
     let mut tel = Telemetry::enabled();
 
     let text_path = scratch("roundtrip.txt");
@@ -127,52 +117,8 @@ fn text_binary_text_round_trip_preserves_catalog_bytes() {
 }
 
 #[test]
-fn restore_of_base_plus_deltas_matches_full_snapshot_bytes() {
-    let (mut producer, held_out) = derived_snapshot(3);
-    let path = scratch("chain.mdbc");
-    let store = FileCatalogStore::new(&path, CatalogFormat::Binary);
-    let mut tel = Telemetry::enabled();
-    store.store(&producer, &mut tel).unwrap();
-    let base_len = std::fs::read(&path).unwrap().len();
-
-    // The producer folds held-out observations in one (site, class) at a
-    // time, appending each advance as a delta frame.
-    for (site, class, obs) in &held_out {
-        let increment = producer
-            .catalog
-            .accumulator(site, *class)
-            .expect("accumulator stored")
-            .increment_from(obs);
-        let base = producer.version;
-        let mut delta = CatalogDelta::new(base, base + 1);
-        delta.merge_accumulator(site.clone(), *class, increment);
-        producer.apply_delta(&delta).unwrap();
-        store.append_delta(&delta, &mut tel).unwrap();
-    }
-    assert_eq!(producer.version, 3 + held_out.len() as u64);
-
-    // Restore replays base + chain and lands on the producer's bytes.
-    let restored = store.load(&mut tel).unwrap();
-    assert_eq!(restored.version, producer.version);
-    assert_eq!(
-        snapshot_to_bytes(&restored),
-        snapshot_to_bytes(&producer),
-        "restore(base + deltas) must be byte-identical to the full snapshot"
-    );
-
-    // Each append wrote O(delta) bytes: far below the base snapshot,
-    // which carries the whole catalog.
-    let grown = std::fs::read(&path).unwrap().len();
-    let per_delta = (grown - base_len) / held_out.len();
-    assert!(
-        per_delta * 4 < base_len,
-        "delta frames should be a small fraction of the snapshot: {per_delta} vs {base_len}"
-    );
-}
-
-#[test]
 fn corrupt_files_fail_cleanly() {
-    let (snap, _) = derived_snapshot(1);
+    let snap = derived_snapshot(1);
     let path = scratch("corrupt.mdbc");
     let mut tel = Telemetry::enabled();
     let store = FileCatalogStore::new(&path, CatalogFormat::Binary);
@@ -196,33 +142,39 @@ fn corrupt_files_fail_cleanly() {
     std::fs::write(&path, &bad).unwrap();
     let msg = format!("{}", store.load(&mut tel).unwrap_err());
     assert!(msg.contains("format version"), "{msg}");
-}
 
-#[test]
-fn version_skewed_delta_chain_is_rejected() {
-    let (mut producer, held_out) = derived_snapshot(5);
-    let path = scratch("skew.mdbc");
-    let store = FileCatalogStore::new(&path, CatalogFormat::Binary);
-    let mut tel = Telemetry::enabled();
-    store.store(&producer, &mut tel).unwrap();
-
-    // A delta whose base version does not match the stored snapshot.
-    let (site, class, obs) = &held_out[0];
-    let increment = producer
-        .catalog
-        .accumulator(site, *class)
-        .unwrap()
-        .increment_from(obs);
-    let mut skewed = CatalogDelta::new(99, 100);
-    skewed.merge_accumulator(site.clone(), *class, increment.clone());
-    store.append_delta(&skewed, &mut tel).unwrap();
-    let msg = format!("{}", store.load(&mut tel).unwrap_err());
-    assert!(msg.contains("base snapshot version 99"), "{msg}");
-
-    // And the same delta rejected in memory leaves the snapshot intact.
-    let err = producer.apply_delta(&skewed).unwrap_err();
-    assert!(format!("{err}").contains("base snapshot version 99"));
-    assert_eq!(producer.version, 5);
+    // Frames this version does not accept: a delta frame after the
+    // snapshot, a second snapshot frame, and an unknown kind in place of
+    // the snapshot. Each is a typed corruption error, never a panic.
+    let frame = |kind: u8, payload: &[u8]| {
+        let mut out = vec![kind];
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    };
+    let header = &good[..8];
+    let snapshot_frame = &good[8..];
+    let cases = [
+        (
+            [&good[..], &frame(b'D', &[0; 20])].concat(),
+            "unknown frame kind 68",
+        ),
+        (
+            [&good[..], snapshot_frame].concat(),
+            "second snapshot frame",
+        ),
+        (
+            [header, &frame(b'Z', &[])].concat(),
+            "unknown frame kind 90",
+        ),
+    ];
+    for (bytes, expected) in cases {
+        std::fs::write(&path, &bytes).unwrap();
+        match store.load(&mut tel) {
+            Err(StoreError::Corrupt(e)) => assert!(e.to_string().contains(expected), "{e}"),
+            other => panic!("expected a corruption error ({expected}), got {other:?}"),
+        }
+    }
 }
 
 #[test]

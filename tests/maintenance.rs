@@ -272,71 +272,8 @@ fn incremental_refit_resumes_from_persisted_accumulator() {
         "shape mismatch accepted"
     );
 }
-/// The delta-recording refit path: a republish yields a `CatalogDelta`
-/// (replacement model + accumulator *increment*) instead of a rewritten
-/// catalog, and replaying base + delta reproduces the maintainer's state
-/// bit for bit — the store's append path and the maintainer advance
-/// through the same merge operation.
-#[test]
-fn incremental_refit_delta_replays_bit_exact() {
-    let mut agent = dynamic_agent(75);
-    let mut m = maintainer(&mut agent);
-    let site = mdbs_core::catalog::SiteId::from("site-1");
 
-    // Base snapshot: exactly what an archive taken before the refit holds.
-    let mut catalog = GlobalCatalog::new();
-    catalog.insert_model(site.clone(), m.class(), m.derived.model.clone());
-    catalog.insert_accumulator(site.clone(), m.class(), m.accumulator().clone());
-    let mut snapshot = mdbs_core::CatalogSnapshot::at_version(catalog, 7);
-
-    let fresh = fresh_observations(&mut agent, 40, 76);
-    let (delta, published) = m
-        .refit_incremental_delta(&site, &fresh, None, 7, &mut PipelineCtx::default())
-        .expect("delta refit succeeds");
-    assert!(published.is_none(), "no registry was attached");
-    assert_eq!((delta.base_version, delta.version), (7, 8));
-    assert_eq!(delta.len(), 2, "one model put + one accumulator increment");
-
-    snapshot
-        .apply_delta(&delta)
-        .expect("delta applies to its base");
-    assert_eq!(snapshot.version, 8);
-    assert_eq!(
-        snapshot.catalog.model(&site, m.class()),
-        Some(&m.derived.model)
-    );
-    assert_eq!(
-        snapshot.catalog.accumulator(&site, m.class()),
-        Some(m.accumulator()),
-        "replayed increment must be bit-exact with the live accumulator"
-    );
-
-    // A registry-published version wins over base + 1 when it is larger.
-    let registry = ModelRegistry::new();
-    for _ in 0..11 {
-        registry.publish(site.clone(), m.class(), m.derived.model.clone());
-    }
-    let fresh = fresh_observations(&mut agent, 20, 77);
-    let (delta, published) = m
-        .refit_incremental_delta(
-            &site,
-            &fresh,
-            Some(&registry),
-            8,
-            &mut PipelineCtx::default(),
-        )
-        .expect("delta refit succeeds");
-    let v = published.expect("registry publish ran");
-    assert!(v > 9, "test premise: registry version outruns base + 1");
-    assert_eq!((delta.base_version, delta.version), (8, v));
-    snapshot.apply_delta(&delta).expect("chained delta applies");
-    assert_eq!(
-        snapshot.catalog.accumulator(&site, m.class()),
-        Some(m.accumulator()),
-        "second replayed increment must stay bit-exact"
-    );
-}
-
+/// A site migration — the site moves to much faster storage
 /// *and* gets physically reorganized (tables re-clustered on the hot
 /// predicate column a2) — re-routes the *existing* production workload
 /// from sequential scans to clustered-index scans on cheap storage. The

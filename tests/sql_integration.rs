@@ -50,6 +50,7 @@ fn sql_estimate_then_execute_roundtrip() {
     let mut catalog = GlobalCatalog::new();
     let site: SiteId = "s".into();
     catalog.insert_model(site.clone(), QueryClass::UnaryNoIndex, derived.model);
+    let registry = mdbs_core::ModelRegistry::from_catalog(&catalog);
 
     // A batch of hand-written SQL queries of the derived class.
     let sqls = [
@@ -69,7 +70,7 @@ fn sql_estimate_then_execute_roundtrip() {
         );
         agent.tick();
         let probe = agent.probe();
-        let est = catalog
+        let est = registry
             .estimate(&mdbs_core::correction::EstimateQuery::raw(
                 &site, &schema, &query, probe,
             ))
