@@ -237,7 +237,27 @@ awk -v on="$CORR_P50" -v off="$PLAIN_P50" 'BEGIN {
   }
   printf "correction gate: corrected p50 %s < uncorrected p50 %s\n", on, off
 }'
+
+echo "==> serve --loop heartbeat coalescing (far-future trace, bounded output)"
+# Two requests a million virtual seconds apart at a 1s heartbeat: the loop
+# beats at most once per clock advance, so this finishes at once with a
+# handful of heartbeats instead of one per crossed tick.
+printf '@0 request oracle select a1 from R2 where a2 < 100\n@1000000 request oracle select a1 from R2 where a2 < 100\n' \
+  > "$SERVE_DIR/far.trace"
+timeout 20 ./target/release/mdbs-qcost serve --loop --catalog "$SERVE_DIR/catalog.txt" \
+  --trace "$SERVE_DIR/far.trace" --heartbeat 1 \
+  --flight-recorder "$SERVE_DIR/far-flight.jsonl" > /dev/null
+FAR_BEATS=$(grep -c '"kind":"heartbeat"' "$SERVE_DIR/far-flight.jsonl" || true)
+FAR_ANSWERED=$(grep -c '"outcome":"answered"' "$SERVE_DIR/far-flight.jsonl" || true)
+test "$FAR_BEATS" -le 3
+test "$FAR_ANSWERED" -eq 2
 rm -rf "$SERVE_DIR"
+
+echo "==> trace fuzz gate (seeded trace mutations, release build)"
+# Redundant with the workspace test run by design: no trace input may
+# panic the parser or the serving loop, and every request line must end
+# in exactly one outcome, so the sweep keeps its own named gate.
+cargo test -q --offline --release -p mdbs-bench --test trace_fuzz
 
 echo "==> bench --json smoke (catalog_store size/load criteria)"
 # The bench self-asserts the binary format's acceptance criteria: >= 3x

@@ -187,33 +187,34 @@ one site/class pair (or an explicit `--jobs N`) derives the whole batch on
 a worker pool. The derived catalog is byte-identical for every `--jobs`
 value. `serve` answers a file of queries (one `site SQL...` per line,
 `#` comments and blank lines skipped) with the same engine as `serve
---loop`: the file is a trace with every request at t = 0, dispatched as
-one micro-batch on `--jobs` workers, and rows come in file order whatever
-the worker count; a malformed line fails inline while the rest keep being
-served (nonzero exit only when no line succeeds).
+--loop`: the file is a trace with every request at t = 0, priced as one
+micro-batch on the loop thread (`--jobs` is accepted and has no effect),
+and rows come in file order; a malformed line fails inline while the rest
+keep being served (nonzero exit only when no line succeeds).
 
 `serve --loop` replays a timestamped trace (`@TIME request|observe|degrade
 SITE ...` per line) through a long-lived estimation server: requests enter
 a bounded admission queue (capacity `--queue`), drain in micro-batches of
-up to `--batch` onto the worker pool against immutable registry snapshots,
-and `observe` lines feed the drift monitors — enough evidence triggers an
-incremental refit (every `--refit` observations) or a full rederivation
-(when the good-estimate fraction over the `--drift-window` falls below
-`--drift-fraction`, default 0.5), republished without blocking readers. Queued requests older than
+up to `--batch`, priced on the loop thread against immutable registry
+snapshots, and `observe` lines feed the drift monitors — enough evidence
+triggers an incremental refit (every `--refit` observations) or a full
+rederivation (when the good-estimate fraction over the `--drift-window`
+falls below `--drift-fraction`, default 0.5) on `--jobs` worker threads,
+republished without blocking readers. Queued requests older than
 `--deadline` and arrivals beyond the queue capacity are shed. The loop
 runs in virtual time: the report and stripped telemetry are byte-identical
 for every `--jobs` value.
 
 `serve --loop` observability: `--heartbeat S` emits a snapshot record
 (queue depth, shed counters, registry version, accuracy-ledger totals)
-every S seconds of *virtual* time; `--flight-recorder PATH` dumps the
-flight recorder — the last N request lifecycles (trace id, queue wait,
-batch, model version, detected state, outcome) plus every maintenance
-event and anomaly — as JSONL; `--report-json PATH` writes the
-machine-readable report (all counters, latency percentiles and the
-per-site/per-state accuracy ledger). `stats FILE` renders a telemetry or
-flight-recorder JSONL back into tables (heartbeat time series, accuracy
-ledger), strictly re-parsing every line.
+every S seconds of *virtual* time, at most one per clock advance;
+`--flight-recorder PATH` dumps the flight recorder — the last N request
+lifecycles (trace id, queue wait, batch, model version, detected state,
+outcome) plus every maintenance event and anomaly — as JSONL;
+`--report-json PATH` writes the machine-readable report (all counters,
+latency percentiles and the per-site/per-state accuracy ledger). `stats
+FILE` renders a telemetry or flight-recorder JSONL back into tables
+(heartbeat time series, accuracy ledger), strictly re-parsing every line.
 
 `archive` snapshots a catalog into a destination file (`file:PATH` or a
 bare path; other URL schemes are rejected), by default in the compact
@@ -1592,6 +1593,7 @@ mod tests {
              @1.0 observe oracle select a1 from R2 where a2 < 100\n\
              @2.0 request oracle select a3 from R4 where a4 > 200\n\
              @3.0 observe oracle select a3 from R4 where a4 > 200\n\
+             @5.0 request oracle select a3 from R4 where a4 > 200\n\
              @9.0 request oracle select a1 from R2 where a2 < 100\n",
         )
         .unwrap();
@@ -1616,6 +1618,8 @@ mod tests {
             "report json must carry a non-empty ledger: {}",
             rep.render()
         );
+        // One beat per clock advance that crosses a tick: @5 crosses 4s
+        // and @9 crosses 8s.
         assert!(rep.get("heartbeats").and_then(Json::as_i64).unwrap_or(0) >= 2);
 
         // `stats` renders both emitted files back into tables.

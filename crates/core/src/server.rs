@@ -7,14 +7,15 @@
 //! `serve --loop` replays a timestamped trace:
 //!
 //! * an **admission queue + micro-batching front-end** — estimation
-//!   requests enter a bounded queue and are drained in small batches onto
-//!   the scoped-thread [`pool`], each request priced against an immutable
-//!   [`ModelRegistry`] `Arc` snapshot, so serving never blocks behind
-//!   maintenance;
+//!   requests enter a bounded queue and are drained in small batches,
+//!   priced inline on the loop thread against an immutable
+//!   [`ModelRegistry`] `Arc` snapshot (one request costs a few µs, less
+//!   than handing it to another thread);
 //! * a **background maintenance loop** — observed execution costs are
 //!   folded through [`ModelMaintainer::observe`]; enough fresh evidence
 //!   triggers [`ModelMaintainer::refit_incremental`] (O(k³), no rescan) and
-//!   a tripped drift monitor triggers [`rederive_drifted`] on the pool —
+//!   a tripped drift monitor triggers [`rederive_drifted`] on the
+//!   [`crate::pool`] (`ServeConfig::workers` threads) —
 //!   either way the fresh model is *published* as a new registry snapshot
 //!   and readers switch over atomically;
 //! * explicit **backpressure** — the queue is bounded (arrivals beyond
@@ -29,9 +30,10 @@
 //! [`RequestTrace`], and all queueing/batching/shedding decisions are pure
 //! functions of those timestamps and the [`ServeConfig`] — no wall clock on
 //! any decision path (per the `mdbs-lint` policy). A scripted trace
-//! therefore replays **byte-identically at any worker count**: batches go
-//! to the pool, but the pool returns results in job order and every
-//! per-line agent is seeded by `split_stream(seed, lineno)`. Latency is
+//! therefore replays **byte-identically at any worker count**: requests
+//! are priced in trace order, every per-line agent is seeded by
+//! `split_stream(seed, lineno)`, and rederivations merge their pool
+//! results in job order. Latency is
 //! measured in virtual seconds (completion minus arrival), which makes tail
 //! latency itself reproducible.
 //!
@@ -63,13 +65,12 @@ use crate::correction::{CellUpdate, CorrectionConfig, CorrectionLedger, Estimate
 use crate::maintenance::{rederive_drifted, ModelMaintainer};
 use crate::observation::Observation;
 use crate::pipeline::PipelineCtx;
-use crate::pool;
 use crate::registry::{EstimateDetail, ModelRegistry};
 use crate::validate::TestPoint;
 use mdbs_obs::json::Json;
 use mdbs_obs::metrics::percentile_sorted;
 use mdbs_obs::recorder::{AccuracyLedger, FlightRecorder, LedgerSummary};
-use mdbs_obs::Telemetry;
+use mdbs_obs::SpanId;
 use mdbs_sim::events::EnvironmentEvent;
 use mdbs_sim::sql::parse_query;
 use mdbs_sim::{LocalCatalog, MdbsAgent, Query};
@@ -87,7 +88,7 @@ use std::sync::Arc;
 pub struct ServeConfig {
     /// Admission-queue capacity; arrivals beyond it are shed (queue-full).
     pub queue_capacity: usize,
-    /// Largest micro-batch dispatched to the pool at once.
+    /// Largest micro-batch dispatched at once.
     pub batch_max: usize,
     /// How long a non-full batch waits for more arrivals before dispatch.
     pub batch_delay_s: f64,
@@ -98,8 +99,9 @@ pub struct ServeConfig {
     pub deadline_s: f64,
     /// Pending observations per model before an incremental refit runs.
     pub refit_threshold: usize,
-    /// Worker threads per dispatched batch (`None` → available
-    /// parallelism). Never affects the report or stripped telemetry.
+    /// Worker threads for rederivations; pricing runs on the loop thread
+    /// (`None` → available parallelism). Never affects the report or
+    /// stripped telemetry.
     pub workers: Option<usize>,
     /// Virtual-time heartbeat interval in seconds; `0` disables
     /// heartbeats.
@@ -244,8 +246,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Worker threads per dispatched batch (`None` → available
-    /// parallelism).
+    /// Worker threads for rederivations; pricing runs on the loop thread
+    /// (`None` → available parallelism).
     pub fn workers(mut self, v: Option<usize>) -> Self {
         self.cfg.workers = v;
         self
@@ -501,7 +503,7 @@ fn parse_trace_line(line: &str, last_at: f64) -> Result<(f64, TraceEvent), Strin
 }
 
 /// What one trace replay did, with the deterministic rendered report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// The full human-readable report (summary + per-line outcomes), a pure
     /// function of trace, seed and config — byte-identical at any worker
@@ -583,74 +585,60 @@ impl ServeReport {
     /// virtual-time latency summary and the accuracy ledger. A pure
     /// function of (trace, seed, config) like the rendered text.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("requests".to_string(), Json::from(self.requests)),
-            ("answered".to_string(), Json::from(self.answered)),
-            ("no_model".to_string(), Json::from(self.no_model)),
-            ("errors".to_string(), Json::from(self.errors)),
+        Json::Obj(fields([
+            ("requests", Json::from(self.requests)),
+            ("answered", Json::from(self.answered)),
+            ("no_model", Json::from(self.no_model)),
+            ("errors", Json::from(self.errors)),
+            ("shed_queue_full", Json::from(self.shed_queue_full)),
+            ("shed_deadline", Json::from(self.shed_deadline)),
+            ("shed_fraction", Json::from(self.shed_fraction())),
+            ("batches", Json::from(self.batches)),
+            ("max_queue_depth", Json::from(self.max_queue_depth)),
+            ("observations", Json::from(self.observations)),
+            ("incremental_refits", Json::from(self.incremental_refits)),
+            ("rederivations", Json::from(self.rederivations)),
+            ("virtual_makespan_s", Json::from(self.virtual_makespan_s)),
+            ("latency_p50_s", Json::from(self.latency_p50_s)),
+            ("latency_p95_s", Json::from(self.latency_p95_s)),
+            ("latency_p99_s", Json::from(self.latency_p99_s)),
             (
-                "shed_queue_full".to_string(),
-                Json::from(self.shed_queue_full),
-            ),
-            ("shed_deadline".to_string(), Json::from(self.shed_deadline)),
-            (
-                "shed_fraction".to_string(),
-                Json::from(self.shed_fraction()),
-            ),
-            ("batches".to_string(), Json::from(self.batches)),
-            (
-                "max_queue_depth".to_string(),
-                Json::from(self.max_queue_depth),
-            ),
-            ("observations".to_string(), Json::from(self.observations)),
-            (
-                "incremental_refits".to_string(),
-                Json::from(self.incremental_refits),
-            ),
-            ("rederivations".to_string(), Json::from(self.rederivations)),
-            (
-                "virtual_makespan_s".to_string(),
-                Json::from(self.virtual_makespan_s),
-            ),
-            ("latency_p50_s".to_string(), Json::from(self.latency_p50_s)),
-            ("latency_p95_s".to_string(), Json::from(self.latency_p95_s)),
-            ("latency_p99_s".to_string(), Json::from(self.latency_p99_s)),
-            (
-                "throughput_per_virtual_s".to_string(),
+                "throughput_per_virtual_s",
                 Json::from(self.throughput_per_virtual_s()),
             ),
-            ("heartbeats".to_string(), Json::from(self.heartbeats)),
+            ("heartbeats", Json::from(self.heartbeats)),
+            ("corrections_applied", Json::from(self.corrections_applied)),
             (
-                "corrections_applied".to_string(),
-                Json::from(self.corrections_applied),
-            ),
-            (
-                "correction_escalations".to_string(),
+                "correction_escalations",
                 Json::from(self.correction_escalations),
             ),
             (
-                "ledger_p50_abs_rel_err".to_string(),
+                "ledger_p50_abs_rel_err",
                 Json::from(self.ledger_p50_abs_rel_err),
             ),
             (
-                "ledger_p95_abs_rel_err".to_string(),
+                "ledger_p95_abs_rel_err",
                 Json::from(self.ledger_p95_abs_rel_err),
             ),
+            ("ledger_evictions", Json::from(self.ledger_evictions)),
             (
-                "ledger_evictions".to_string(),
-                Json::from(self.ledger_evictions),
-            ),
-            (
-                "ledger".to_string(),
+                "ledger",
                 Json::Arr(self.ledger.iter().map(LedgerSummary::to_json).collect()),
             ),
-        ])
+        ]))
     }
 }
 
 /// Stream salt for trace-id tags, so ids never collide with the per-line
 /// agent seed stream.
 const TRACE_ID_STREAM: u64 = 0x7472_6163_655f_6964; // "trace_id"
+
+/// Per-fleet-member saturation-refit budget: the first saturation of a
+/// model's correction escalates to an incremental refit; once spent,
+/// further saturation suspends the cell instead, so raw estimate quality
+/// reaches the drift monitor and the heavy rung can fire. Restored by a
+/// rederivation.
+const SATURATION_REFIT_BUDGET: usize = 1;
 
 /// Deterministic request trace id, minted at admission: the 1-based trace
 /// line number (hex) plus a seed-derived tag. Unique per line by
@@ -659,6 +647,11 @@ const TRACE_ID_STREAM: u64 = 0x7472_6163_655f_6964; // "trace_id"
 fn mint_trace_id(root_seed: u64, lineno: usize) -> String {
     let tag = split_stream(root_seed ^ TRACE_ID_STREAM, lineno as u64);
     format!("{lineno:04x}-{:012x}", tag & 0xffff_ffff_ffff)
+}
+
+/// JSON object fields (flight records, the report) from borrowed keys.
+fn fields<const N: usize>(pairs: [(&str, Json); N]) -> Vec<(String, Json)> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 /// A request sitting in the admission queue.
@@ -671,6 +664,19 @@ struct QueuedRequest {
     sql: String,
 }
 
+impl QueuedRequest {
+    /// The lifecycle-record prefix shared by every outcome of the request.
+    fn lifecycle(&self) -> Vec<(String, Json)> {
+        fields([
+            ("trace_id", Json::from(self.trace_id.as_str())),
+            ("lineno", Json::from(self.lineno)),
+            ("site", Json::from(self.site.0.as_str())),
+            ("sql", Json::from(self.sql.as_str())),
+            ("arrived_s", Json::from(self.arrived_s)),
+        ])
+    }
+}
+
 /// One executed observation, before it is routed to a maintainer.
 struct ObservedSample {
     class: QueryClass,
@@ -678,6 +684,17 @@ struct ObservedSample {
     observed: f64,
     estimate: Option<EstimateDetail>,
     x: Vec<f64>,
+}
+
+/// A trace line priced against the registry: the line's agent (ticked and
+/// probed), its parsed query, and the registry's answer.
+struct PricedLine {
+    agent: MdbsAgent,
+    schema: Arc<LocalCatalog>,
+    query: Query,
+    class: QueryClass,
+    probe: f64,
+    estimate: Option<EstimateDetail>,
 }
 
 /// The long-lived estimation server: a registry serving the hot path, a
@@ -742,895 +759,880 @@ impl EstimationServer {
     where
         F: Fn(&SiteId, u64) -> Option<MdbsAgent> + Sync,
     {
+        let span = ctx.telemetry.begin_span("serve.loop");
+        ctx.telemetry
+            .field(span, "events", trace.events.len() as u64);
+        ctx.telemetry.field(span, "fleet", self.fleet.len() as u64);
+        let mut state = ServeLoop::new(self, &make_agent, ctx);
+        // Malformed trace lines carry no timestamp that survived parsing;
+        // `render` places them in file position.
+        for _ in &trace.errors {
+            state.report.errors += 1;
+            state.ctx.telemetry.inc("serve.line_errors", 1);
+        }
+        let mut events = trace.events.iter().peekable();
+        loop {
+            // Dispatch when the batch trigger fires no later than the next
+            // arrival (ties dispatch first); otherwise admit the arrival.
+            match (state.batch_trigger(), events.peek().map(|ev| ev.at_s)) {
+                (Some(t_batch), None) => state.dispatch(t_batch),
+                (Some(t_batch), Some(t_event)) if t_batch <= t_event => state.dispatch(t_batch),
+                (_, Some(_)) => {
+                    let ev = events.next().expect("peeked");
+                    state.advance(ev.at_s);
+                    match &ev.event {
+                        TraceEvent::Request { site, sql } => state.admit(ev, site, sql),
+                        TraceEvent::Degrade { site, factor } => state.degrade(ev, site, *factor),
+                        TraceEvent::Observe { site, sql } => state.observe(ev, site, sql),
+                    }
+                }
+                (None, None) => break,
+            }
+        }
+        state.finish(trace, span)
+    }
+}
+
+/// A site agent factory: `(site, seed)` to a fresh agent, `None` for a
+/// site it cannot build.
+type AgentFactory<'a> = dyn Fn(&SiteId, u64) -> Option<MdbsAgent> + Sync + 'a;
+
+/// The state of one [`EstimationServer::run`] replay, with one method per
+/// event kind. Everything here is mutated only on the loop thread, in
+/// trace order, which is what makes a replay a pure function of
+/// `(trace, seed, config)`.
+struct ServeLoop<'a> {
+    registry: &'a ModelRegistry,
+    fleet: &'a mut [(SiteId, ModelMaintainer)],
+    config: &'a ServeConfig,
+    recorder: &'a mut FlightRecorder,
+    make_agent: &'a AgentFactory<'a>,
+    ctx: &'a mut PipelineCtx,
+    root_seed: u64,
+    queue: VecDeque<QueuedRequest>,
+    /// Cumulative durable I/O degradation factor per site.
+    degradation: BTreeMap<SiteId, f64>,
+    /// Per fleet member: observations not yet folded by a refit.
+    pending: Vec<Vec<Observation>>,
+    /// Report rows, each tagged with the trace line that produced it.
+    rows: Vec<(usize, String)>,
+    latencies: Vec<f64>,
+    report: ServeReport,
+    /// Judges the *served* (corrected) estimates.
+    ledger: AccuracyLedger,
+    /// Learns from the *raw* model output, so a working correction never
+    /// erases its own evidence.
+    correction: CorrectionLedger,
+    saturation_budget: Vec<usize>,
+    /// The next virtual-time heartbeat tick, or never.
+    next_hb: f64,
+    /// Consecutive queue-full sheds, for shed-burst anomaly detection.
+    queue_full_streak: usize,
+    /// Requests dispatched so far: the heartbeat `pool_jobs` field and the
+    /// loop's `pool.jobs_completed` increment.
+    dispatched: usize,
+    clock: f64,
+    /// Virtual completion time of the last dispatched batch.
+    busy_until: f64,
+}
+
+impl<'a> ServeLoop<'a> {
+    fn new(
+        server: &'a mut EstimationServer,
+        make_agent: &'a AgentFactory<'a>,
+        ctx: &'a mut PipelineCtx,
+    ) -> Self {
         let EstimationServer {
             registry,
             fleet,
             config,
             recorder,
-        } = self;
-        let registry: &ModelRegistry = registry;
-        let config = config.clone();
-        let root_seed = ctx.seed;
-        let span = ctx.telemetry.begin_span("serve.loop");
-        ctx.telemetry
-            .field(span, "events", trace.events.len() as u64);
-        ctx.telemetry.field(span, "fleet", fleet.len() as u64);
-
-        let mut queue: VecDeque<QueuedRequest> = VecDeque::new();
-        let mut degradation: BTreeMap<SiteId, f64> = BTreeMap::new();
-        let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); fleet.len()];
-        // Report rows, each tagged with the trace line that produced it.
-        let mut lines: Vec<(usize, String)> = Vec::new();
-        let mut row = |lineno: usize, text: String| lines.push((lineno, text));
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut report = ServeReport {
-            rendered: String::new(),
-            requests: 0,
-            answered: 0,
-            no_model: 0,
-            errors: 0,
-            shed_queue_full: 0,
-            shed_deadline: 0,
-            batches: 0,
-            max_queue_depth: 0,
-            observations: 0,
-            incremental_refits: 0,
-            rederivations: 0,
-            virtual_makespan_s: 0.0,
-            latency_p50_s: 0.0,
-            latency_p95_s: 0.0,
-            latency_p99_s: 0.0,
-            heartbeats: 0,
-            corrections_applied: 0,
-            correction_escalations: 0,
-            ledger_p50_abs_rel_err: 0.0,
-            ledger_p95_abs_rel_err: 0.0,
-            ledger_evictions: 0,
-            ledger: Vec::new(),
-        };
-        let (mut pool_jobs, mut pool_steals, mut pool_workers) = (0usize, 0u64, 0usize);
-        let mut ledger = AccuracyLedger::bounded(config.ledger_max_cells);
-        // The correction layer's state. Mutated only here in the serial
-        // event loop; pool workers read it through a shared reference, so
-        // every corrected estimate is worker-count-independent.
-        let mut correction_ledger = CorrectionLedger::new(config.correction_config());
-        // Per-fleet-member saturation-refit budget: the first saturation
-        // of a model's correction escalates to an incremental refit; once
-        // spent, further saturation suspends the cell instead, so raw
-        // estimate quality reaches the drift monitor and the heavy rung
-        // can fire. Restored by a rederivation.
-        const SATURATION_REFIT_BUDGET: usize = 1;
-        let mut saturation_budget: Vec<usize> = vec![SATURATION_REFIT_BUDGET; fleet.len()];
-        // Virtual-time heartbeat schedule: the next tick, or never.
-        let mut next_hb = if config.heartbeat_s > 0.0 {
-            config.heartbeat_s
-        } else {
-            f64::INFINITY
-        };
-        // Consecutive queue-full sheds, for shed-burst anomaly detection.
-        let mut queue_full_streak = 0usize;
-
-        // Malformed trace lines carry no timestamp that survived parsing;
-        // they are rendered in file position, before the first row of a
-        // later line.
-        for _ in &trace.errors {
-            report.errors += 1;
-            ctx.telemetry.inc("serve.line_errors", 1);
-        }
-
-        let mut clock = 0.0f64;
-        let mut busy_until = 0.0f64;
-        let mut events = trace.events.iter().peekable();
-        loop {
-            // When could the server next start a batch?
-            let trigger = if queue.is_empty() {
-                None
-            } else if queue.len() >= config.batch_max {
-                Some(busy_until.max(clock))
+        } = server;
+        ServeLoop {
+            registry,
+            make_agent,
+            root_seed: ctx.seed,
+            ctx,
+            queue: VecDeque::new(),
+            degradation: BTreeMap::new(),
+            pending: vec![Vec::new(); fleet.len()],
+            rows: Vec::new(),
+            latencies: Vec::new(),
+            report: ServeReport::default(),
+            ledger: AccuracyLedger::bounded(config.ledger_max_cells),
+            correction: CorrectionLedger::new(config.correction_config()),
+            saturation_budget: vec![SATURATION_REFIT_BUDGET; fleet.len()],
+            next_hb: if config.heartbeat_s > 0.0 {
+                config.heartbeat_s
             } else {
-                let head_arrived = queue.front().expect("non-empty").arrived_s;
-                Some(busy_until.max(head_arrived + config.batch_delay_s))
-            };
-            let next_event_at = events.peek().map(|e| e.at_s);
-            // Dispatch when the batch trigger fires no later than the next
-            // arrival (ties dispatch first); otherwise admit the arrival.
-            let dispatch = match (trigger, next_event_at) {
-                (Some(t_batch), Some(t_event)) => t_batch <= t_event,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if dispatch {
-                let t_batch = trigger.expect("dispatch implies a trigger");
-                while next_hb <= t_batch {
-                    emit_heartbeat(
-                        next_hb,
-                        queue.len(),
-                        &mut report,
-                        registry.version(),
-                        &ledger,
-                        config.correction.then_some(&correction_ledger),
-                        pool_jobs,
-                        &mut ctx.telemetry,
-                        recorder,
-                    );
-                    next_hb += config.heartbeat_s;
-                }
-                clock = clock.max(t_batch);
-                // Deadline shed: queued requests that out-waited their
-                // deadline are answered with a shed, not served late.
-                let mut deadline_shed_now = 0usize;
-                while let Some(front) = queue.front() {
-                    if clock - front.arrived_s > config.deadline_s {
-                        let q = queue.pop_front().expect("front exists");
-                        report.shed_deadline += 1;
-                        deadline_shed_now += 1;
-                        ctx.telemetry.inc("serve.shed.deadline", 1);
-                        row(
-                            q.lineno,
-                            format!(
-                                "  {:>3} @{:.3} SHED (deadline: waited {:.3}s)",
-                                q.lineno,
-                                clock,
-                                clock - q.arrived_s
-                            ),
-                        );
-                        recorder.record_request(vec![
-                            ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
-                            ("lineno".to_string(), Json::from(q.lineno)),
-                            ("site".to_string(), Json::from(q.site.0.as_str())),
-                            ("sql".to_string(), Json::from(q.sql.as_str())),
-                            ("arrived_s".to_string(), Json::from(q.arrived_s)),
-                            ("shed_s".to_string(), Json::from(clock)),
-                            ("waited_s".to_string(), Json::from(clock - q.arrived_s)),
-                            ("outcome".to_string(), Json::from("shed_deadline")),
-                        ]);
-                    } else {
-                        break;
-                    }
-                }
-                // A whole batch's worth of deadline sheds in one dispatch
-                // is a shed burst: dump-worthy.
-                if deadline_shed_now >= config.batch_max {
-                    recorder.record_event(
-                        "anomaly",
-                        vec![
-                            ("what".to_string(), Json::from("shed_burst")),
-                            ("at_s".to_string(), Json::from(clock)),
-                            ("shed_deadline".to_string(), Json::from(deadline_shed_now)),
-                        ],
-                    );
-                }
-                let n = queue.len().min(config.batch_max);
-                if n == 0 {
-                    continue;
-                }
-                let batch: Vec<(QueuedRequest, f64)> = queue
-                    .drain(..n)
-                    .map(|q| {
-                        let factor = degradation.get(&q.site).copied().unwrap_or(1.0);
-                        (q, factor)
-                    })
-                    .collect();
-                let completion = clock + config.service_cost_s * batch.len() as f64;
-                let dispatched_s = clock;
-                busy_until = completion;
-                report.batches += 1;
-                let batch_id = report.batches;
-                ctx.telemetry.inc("serve.batches", 1);
-                ctx.telemetry
-                    .observe("serve.batch_size", batch.len() as f64);
-                let workers = pool::effective_workers(config.workers, batch.len());
-                let make_agent = &make_agent;
-                let corrector = config.correction.then_some(&correction_ledger);
-                let (results, pool_report) =
-                    pool::run_jobs(batch, workers, move |_, (q, factor)| {
-                        let outcome = price_line(
-                            registry, make_agent, &q.site, &q.sql, factor, root_seed, q.lineno,
-                            corrector,
-                        )
-                        .map(|line| (line.class, line.probe, line.estimate));
-                        (q, outcome)
-                    });
-                pool_jobs += pool_report.jobs_completed;
-                pool_steals += pool_report.steals;
-                pool_workers = pool_workers.max(pool_report.workers);
-                for (q, outcome) in results {
-                    let latency = completion - q.arrived_s;
-                    // Lifecycle prefix shared by every outcome of this
-                    // dispatched request.
-                    let mut record = vec![
-                        ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
-                        ("lineno".to_string(), Json::from(q.lineno)),
-                        ("site".to_string(), Json::from(q.site.0.as_str())),
-                        ("sql".to_string(), Json::from(q.sql.as_str())),
-                        ("arrived_s".to_string(), Json::from(q.arrived_s)),
-                        (
-                            "queue_wait_s".to_string(),
-                            Json::from(dispatched_s - q.arrived_s),
-                        ),
-                        ("batch".to_string(), Json::from(batch_id)),
-                        ("dispatched_s".to_string(), Json::from(dispatched_s)),
-                        ("completed_s".to_string(), Json::from(completion)),
-                        ("latency_s".to_string(), Json::from(latency)),
-                    ];
-                    match outcome {
-                        Ok((class, probe, Some(detail))) => {
-                            report.answered += 1;
-                            ctx.telemetry.inc("serve.answered", 1);
-                            latencies.push(latency);
-                            ctx.telemetry.observe("serve.latency_virtual_s", latency);
-                            // Corrected answers carry the `±` residual
-                            // confidence; uncorrected ones render exactly
-                            // as before the correction layer existed.
-                            let provenance = if detail.corrected {
-                                format!(
-                                    "[v{} {} ±{:.0}%]",
-                                    detail.version,
-                                    detail.state_label,
-                                    detail.confidence * 100.0
-                                )
-                            } else {
-                                format!("[v{} {}]", detail.version, detail.state_label)
-                            };
-                            row(q.lineno, format!(
-                                "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: probe {:.3}s -> estimate {:.2}s {}",
-                                q.lineno,
-                                q.arrived_s,
-                                completion,
-                                latency,
-                                q.site,
-                                class.label(),
-                                probe,
-                                detail.estimate,
-                                provenance
-                            ));
-                            record.extend([
-                                ("outcome".to_string(), Json::from("answered")),
-                                ("class".to_string(), Json::from(class.label())),
-                                ("probe_s".to_string(), Json::from(probe)),
-                                ("estimate_s".to_string(), Json::from(detail.estimate)),
-                                ("model_version".to_string(), Json::from(detail.version)),
-                                ("state".to_string(), Json::from(detail.state_label.as_str())),
-                            ]);
-                            if detail.corrected {
-                                report.corrections_applied += 1;
-                                ctx.telemetry.inc("serve.correction.applied", 1);
-                                record.extend([
-                                    (
-                                        "raw_estimate_s".to_string(),
-                                        Json::from(detail.raw_estimate),
-                                    ),
-                                    (
-                                        "correction_factor".to_string(),
-                                        Json::from(detail.correction),
-                                    ),
-                                    ("confidence".to_string(), Json::from(detail.confidence)),
-                                ]);
-                            }
-                        }
-                        Ok((class, _, None)) => {
-                            report.no_model += 1;
-                            ctx.telemetry.inc("serve.no_model", 1);
-                            latencies.push(latency);
-                            ctx.telemetry.observe("serve.latency_virtual_s", latency);
-                            row(
-                                q.lineno,
-                                format!(
-                                    "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: no model in registry",
-                                    q.lineno,
-                                    q.arrived_s,
-                                    completion,
-                                    latency,
-                                    q.site,
-                                    class.label()
-                                ),
-                            );
-                            record.extend([
-                                ("outcome".to_string(), Json::from("no_model")),
-                                ("class".to_string(), Json::from(class.label())),
-                            ]);
-                        }
-                        Err(msg) => {
-                            report.errors += 1;
-                            ctx.telemetry.inc("serve.line_errors", 1);
-                            row(q.lineno, format!("  {:>3} ERROR: {msg}", q.lineno));
-                            record.extend([
-                                ("outcome".to_string(), Json::from("error")),
-                                ("error".to_string(), Json::from(msg.as_str())),
-                            ]);
-                        }
-                    }
-                    recorder.record_request(record);
-                }
-                continue;
-            }
-            let ev = events.next().expect("peeked");
-            while next_hb <= ev.at_s {
-                emit_heartbeat(
-                    next_hb,
-                    queue.len(),
-                    &mut report,
-                    registry.version(),
-                    &ledger,
-                    config.correction.then_some(&correction_ledger),
-                    pool_jobs,
-                    &mut ctx.telemetry,
-                    recorder,
-                );
-                next_hb += config.heartbeat_s;
-            }
-            clock = clock.max(ev.at_s);
-            match &ev.event {
-                TraceEvent::Request { site, sql } => {
-                    report.requests += 1;
-                    ctx.telemetry.inc("serve.requests", 1);
-                    let trace_id = mint_trace_id(root_seed, ev.lineno);
-                    if queue.len() >= config.queue_capacity {
-                        report.shed_queue_full += 1;
-                        queue_full_streak += 1;
-                        ctx.telemetry.inc("serve.shed.queue_full", 1);
-                        row(
-                            ev.lineno,
-                            format!(
-                                "  {:>3} @{:.3} SHED (queue full at {})",
-                                ev.lineno,
-                                ev.at_s,
-                                queue.len()
-                            ),
-                        );
-                        recorder.record_request(vec![
-                            ("trace_id".to_string(), Json::from(trace_id.as_str())),
-                            ("lineno".to_string(), Json::from(ev.lineno)),
-                            ("site".to_string(), Json::from(site.0.as_str())),
-                            ("sql".to_string(), Json::from(sql.as_str())),
-                            ("arrived_s".to_string(), Json::from(ev.at_s)),
-                            ("queue_depth".to_string(), Json::from(queue.len())),
-                            ("outcome".to_string(), Json::from("shed_queue_full")),
-                        ]);
-                        // A batch's worth of consecutive arrivals bounced
-                        // off a full queue: record the burst once, when
-                        // the streak crosses the threshold.
-                        if queue_full_streak == config.batch_max {
-                            recorder.record_event(
-                                "anomaly",
-                                vec![
-                                    ("what".to_string(), Json::from("shed_burst")),
-                                    ("at_s".to_string(), Json::from(ev.at_s)),
-                                    (
-                                        "consecutive_queue_full".to_string(),
-                                        Json::from(queue_full_streak),
-                                    ),
-                                ],
-                            );
-                        }
-                    } else {
-                        queue_full_streak = 0;
-                        queue.push_back(QueuedRequest {
-                            trace_id,
-                            lineno: ev.lineno,
-                            arrived_s: ev.at_s,
-                            site: site.clone(),
-                            sql: sql.clone(),
-                        });
-                        report.max_queue_depth = report.max_queue_depth.max(queue.len());
-                        ctx.telemetry
-                            .observe("serve.queue_depth", queue.len() as f64);
-                    }
-                }
-                TraceEvent::Degrade { site, factor } => {
-                    let cumulative = degradation.entry(site.clone()).or_insert(1.0);
-                    *cumulative *= factor;
-                    let cumulative = *cumulative;
-                    ctx.telemetry.inc("serve.degrades", 1);
-                    row(
-                        ev.lineno,
-                        format!(
-                            "  {:>3} @{:.3} degrade {} x{:.2} (cumulative x{:.2})",
-                            ev.lineno, ev.at_s, site, factor, cumulative
-                        ),
-                    );
-                    recorder.record_event(
-                        "degrade",
-                        vec![
-                            ("at_s".to_string(), Json::from(ev.at_s)),
-                            ("site".to_string(), Json::from(site.0.as_str())),
-                            ("factor".to_string(), Json::from(*factor)),
-                            ("cumulative".to_string(), Json::from(cumulative)),
-                        ],
-                    );
-                }
-                TraceEvent::Observe { site, sql } => {
-                    report.observations += 1;
-                    ctx.telemetry.inc("serve.observations", 1);
-                    let factor = degradation.get(site).copied().unwrap_or(1.0);
-                    let sample = observe_one(
-                        registry,
-                        &make_agent,
-                        site,
-                        sql,
-                        factor,
-                        root_seed,
-                        ev.lineno,
-                        config.correction.then_some(&correction_ledger),
-                    );
-                    let sample = match sample {
-                        Ok(s) => s,
-                        Err(msg) => {
-                            report.errors += 1;
-                            ctx.telemetry.inc("serve.line_errors", 1);
-                            row(ev.lineno, format!("  {:>3} ERROR: {msg}", ev.lineno));
-                            continue;
-                        }
-                    };
-                    // Every observed cost with a previously-served estimate
-                    // feeds the accuracy ledger, keyed by the contention
-                    // state the estimate was made in. The accuracy ledger
-                    // judges the *served* (corrected) estimate; the
-                    // correction ledger learns from the *raw* model output,
-                    // so a working correction never erases its own
-                    // evidence.
-                    let mut update: Option<CellUpdate> = None;
-                    if let Some(detail) = &sample.estimate {
-                        ledger.record(
-                            &site.0,
-                            &detail.state_label,
-                            detail.estimate,
-                            sample.observed,
-                        );
-                        if detail.corrected {
-                            report.corrections_applied += 1;
-                            ctx.telemetry.inc("serve.correction.applied", 1);
-                        }
-                        if config.correction {
-                            update = Some(correction_ledger.observe(
-                                &site.0,
-                                &detail.state_label,
-                                detail.raw_estimate,
-                                sample.observed,
-                            ));
-                        }
-                    }
-                    let idx = fleet
-                        .iter()
-                        .position(|(s, m)| s == site && m.class() == sample.class);
-                    let (Some(i), Some(detail)) = (idx, sample.estimate) else {
-                        report.no_model += 1;
-                        ctx.telemetry.inc("serve.no_model", 1);
-                        row(
-                            ev.lineno,
-                            format!(
-                                "  {:>3} @{:.3} observe {} {}: no maintained model",
-                                ev.lineno,
-                                ev.at_s,
-                                site,
-                                sample.class.label()
-                            ),
-                        );
-                        continue;
-                    };
-                    let estimate = detail.estimate;
-                    let good = TestPoint {
-                        observed: sample.observed,
-                        estimated: estimate,
-                        result_card: 0,
-                        probe_cost: sample.probe,
-                    }
-                    .is_good();
-                    let drifted = {
-                        let (_, maintainer) = &mut fleet[i];
-                        let drifted = maintainer.observe(sample.observed, estimate, ctx);
-                        pending[i].push(Observation {
-                            x: sample.x,
-                            cost: sample.observed,
-                            probe_cost: sample.probe,
-                        });
-                        drifted
-                    };
-                    row(ev.lineno, format!(
-                        "  {:>3} @{:.3} observe {} {}: observed {:.2}s vs estimate {:.2}s [v{} {}] ({})",
-                        ev.lineno,
-                        ev.at_s,
-                        site,
-                        sample.class.label(),
-                        sample.observed,
-                        estimate,
-                        detail.version,
-                        detail.state_label,
-                        if good { "good" } else { "off" }
-                    ));
-                    if drifted {
-                        // Rebuild every currently-drifted fleet member on
-                        // the pool and publish the fresh snapshots; stale
-                        // pending observations predate the new models.
-                        let drifted_idx: Vec<usize> = fleet
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, (_, m))| m.monitor.drifted())
-                            .map(|(j, _)| j)
-                            .collect();
-                        let degradation = &degradation;
-                        let make_agent = &make_agent;
-                        let rebuilt = rederive_drifted(
-                            fleet,
-                            config.workers,
-                            |site, _class, env_seed| {
-                                let mut agent = make_agent(site, env_seed)
-                                    .expect("fleet sites are agent-constructible");
-                                let factor = degradation.get(site).copied().unwrap_or(1.0);
-                                apply_degradation(&mut agent, factor)
-                                    .expect("degrade factors are validated at parse");
-                                agent
-                            },
-                            Some(registry),
-                            ctx,
-                        );
-                        match rebuilt {
-                            Ok(n) => {
-                                report.rederivations += n;
-                                for &j in &drifted_idx {
-                                    pending[j].clear();
-                                    // The fresh model starts the ladder
-                                    // over: cold correction cells, budget
-                                    // restored.
-                                    let rebuilt_site = fleet[j].0.clone();
-                                    correction_ledger.reset_site(&rebuilt_site.0);
-                                    saturation_budget[j] = SATURATION_REFIT_BUDGET;
-                                }
-                                row(ev.lineno, format!(
-                                    "  maintenance @{:.3}: rederived {} drifted model(s) -> registry v{}",
-                                    ev.at_s,
-                                    n,
-                                    registry.version()
-                                ));
-                                recorder.record_event(
-                                    "rederive",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("rebuilt".to_string(), Json::from(n)),
-                                        (
-                                            "registry_version".to_string(),
-                                            Json::from(registry.version()),
-                                        ),
-                                    ],
-                                );
-                            }
-                            Err(e) => {
-                                ctx.telemetry.inc("maintenance.rederive_failures", 1);
-                                row(ev.lineno, format!(
-                                    "  maintenance @{:.3}: rederivation FAILED ({e}); serving continues",
-                                    ev.at_s
-                                ));
-                                recorder.record_event(
-                                    "anomaly",
-                                    vec![
-                                        ("what".to_string(), Json::from("rederive_failed")),
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("error".to_string(), Json::from(e.to_string().as_str())),
-                                    ],
-                                );
-                            }
-                        }
-                    } else {
-                        // Escalation ladder, middle rung: a saturated
-                        // correction means the model itself is biased
-                        // beyond what the cheap rung should paper over.
-                        // The first saturation per model spends its refit
-                        // budget; once exhausted, the cell is suspended so
-                        // raw estimate quality reaches the drift monitor
-                        // and the heavy rung (rederivation) can trip.
-                        let mut escalated_refit = false;
-                        if let Some(u) = update.filter(|u| u.saturated) {
-                            if saturation_budget[i] > 0 {
-                                saturation_budget[i] -= 1;
-                                escalated_refit = true;
-                                report.correction_escalations += 1;
-                                ctx.telemetry.inc("serve.correction.escalations", 1);
-                                row(ev.lineno, format!(
-                                    "  maintenance @{:.3}: correction saturated ({} {} bias {:+.2}) -> incremental refit",
-                                    ev.at_s, site, detail.state_label, u.bias
-                                ));
-                                recorder.record_event(
-                                    "escalate",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("site".to_string(), Json::from(site.0.as_str())),
-                                        (
-                                            "state".to_string(),
-                                            Json::from(detail.state_label.as_str()),
-                                        ),
-                                        ("level".to_string(), Json::from("refit")),
-                                        ("bias".to_string(), Json::from(u.bias)),
-                                        ("samples".to_string(), Json::from(u.samples)),
-                                    ],
-                                );
-                            } else if correction_ledger.suspend(&site.0, &detail.state_label) {
-                                report.correction_escalations += 1;
-                                ctx.telemetry.inc("serve.correction.escalations", 1);
-                                row(ev.lineno, format!(
-                                    "  maintenance @{:.3}: correction saturated again ({} {} bias {:+.2}) -> cell suspended, raw estimates feed the drift monitor",
-                                    ev.at_s, site, detail.state_label, u.bias
-                                ));
-                                recorder.record_event(
-                                    "escalate",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("site".to_string(), Json::from(site.0.as_str())),
-                                        (
-                                            "state".to_string(),
-                                            Json::from(detail.state_label.as_str()),
-                                        ),
-                                        ("level".to_string(), Json::from("suspend")),
-                                        ("bias".to_string(), Json::from(u.bias)),
-                                        ("samples".to_string(), Json::from(u.samples)),
-                                    ],
-                                );
-                            }
-                        }
-                        if escalated_refit || pending[i].len() >= config.refit_threshold {
-                            // Cheap path: fold the fresh evidence into the
-                            // model's sufficient statistics and republish.
-                            // Either way the pending batch is consumed — the
-                            // accumulator absorbs it even when the re-solve is
-                            // deferred for lack of per-state evidence.
-                            let batch = std::mem::take(&mut pending[i]);
-                            let (site_id, maintainer) = &mut fleet[i];
-                            let site_id = site_id.clone();
-                            match maintainer.refit_incremental(
-                                &site_id,
-                                &batch,
-                                Some(registry),
-                                ctx,
-                            ) {
-                                Ok(published) => {
-                                    report.incremental_refits += 1;
-                                    let version = published.unwrap_or_else(|| registry.version());
-                                    row(ev.lineno, format!(
-                                    "  maintenance @{:.3}: incremental refit {} {} ({} obs) -> registry v{}",
-                                    ev.at_s,
-                                    site_id,
-                                    sample.class.label(),
-                                    batch.len(),
-                                    version
-                                ));
-                                    recorder.record_event(
-                                        "refit",
-                                        vec![
-                                            ("at_s".to_string(), Json::from(ev.at_s)),
-                                            ("site".to_string(), Json::from(site_id.0.as_str())),
-                                            ("class".to_string(), Json::from(sample.class.label())),
-                                            ("absorbed".to_string(), Json::from(batch.len())),
-                                            ("registry_version".to_string(), Json::from(version)),
-                                        ],
-                                    );
-                                    // The republished model invalidates the
-                                    // learned bias: its cells start cold.
-                                    correction_ledger.reset_site(&site_id.0);
-                                }
-                                Err(e) => {
-                                    ctx.telemetry.inc("maintenance.refit_deferred", 1);
-                                    row(
-                                        ev.lineno,
-                                        format!(
-                                    "  maintenance @{:.3}: refit deferred ({e}); serving continues",
-                                    ev.at_s
-                                ),
-                                    );
-                                    recorder.record_event(
-                                        "refit_deferred",
-                                        vec![
-                                            ("at_s".to_string(), Json::from(ev.at_s)),
-                                            ("site".to_string(), Json::from(site_id.0.as_str())),
-                                            (
-                                                "error".to_string(),
-                                                Json::from(e.to_string().as_str()),
-                                            ),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+                f64::INFINITY
+            },
+            queue_full_streak: 0,
+            dispatched: 0,
+            clock: 0.0,
+            busy_until: 0.0,
+            fleet,
+            config,
+            recorder,
         }
+    }
 
-        report.virtual_makespan_s = clock.max(busy_until);
-        // Trailing heartbeats: the schedule runs to the end of the replay
-        // even when the last stretch is pure service time.
-        while next_hb <= report.virtual_makespan_s {
-            emit_heartbeat(
-                next_hb,
-                queue.len(),
-                &mut report,
-                registry.version(),
-                &ledger,
-                config.correction.then_some(&correction_ledger),
-                pool_jobs,
-                &mut ctx.telemetry,
-                recorder,
-            );
-            next_hb += config.heartbeat_s;
+    fn row(&mut self, lineno: usize, text: String) {
+        self.rows.push((lineno, text));
+    }
+
+    /// A per-line failure: counted, and rendered as an `ERROR` row.
+    fn line_error(&mut self, lineno: usize, msg: &str) {
+        self.report.errors += 1;
+        self.ctx.telemetry.inc("serve.line_errors", 1);
+        self.row(lineno, format!("  {lineno:>3} ERROR: {msg}"));
+    }
+
+    /// The correction ledger, when the layer is on.
+    fn corrector(&self) -> Option<&CorrectionLedger> {
+        self.config.correction.then_some(&self.correction)
+    }
+
+    /// When the server could next start a batch, if anything is queued.
+    fn batch_trigger(&self) -> Option<f64> {
+        let head = self.queue.front()?;
+        Some(if self.queue.len() >= self.config.batch_max {
+            self.busy_until.max(self.clock)
+        } else {
+            self.busy_until
+                .max(head.arrived_s + self.config.batch_delay_s)
+        })
+    }
+
+    /// Moves the clock to `t`, beating for the heartbeat ticks crossed.
+    fn advance(&mut self, t: f64) {
+        self.heartbeat(t);
+        self.clock = self.clock.max(t);
+    }
+
+    /// Emits at most one heartbeat for the ticks up to virtual second `t`,
+    /// stamped at the first tick crossed, then moves the schedule past
+    /// `t`. Nothing changes between two loop points, so the records of the
+    /// skipped ticks would differ only in `at_s`.
+    fn heartbeat(&mut self, t: f64) {
+        // An infinite `next_hb` means heartbeats are off or the schedule
+        // ran past an infinite time.
+        let due = self.next_hb <= t && self.next_hb.is_finite();
+        if !due {
+            return;
         }
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        report.latency_p50_s = percentile_sorted(&latencies, 0.50);
-        report.latency_p95_s = percentile_sorted(&latencies, 0.95);
-        report.latency_p99_s = percentile_sorted(&latencies, 0.99);
-        ledger.fold_metrics(&mut ctx.telemetry);
-        report.ledger = ledger.summaries();
-        let (pooled_p50, pooled_p95) = ledger.pooled_abs_rel_percentiles();
-        report.ledger_p50_abs_rel_err = pooled_p50;
-        report.ledger_p95_abs_rel_err = pooled_p95;
-        report.ledger_evictions = ledger.evictions();
-        if config.correction {
-            correction_ledger.fold_metrics(&mut ctx.telemetry);
-            ctx.telemetry.field(
+        self.emit_heartbeat(self.next_hb);
+        let h = self.config.heartbeat_s;
+        self.next_hb += h;
+        if self.next_hb <= t {
+            self.next_hb += (((t - self.next_hb) / h).floor() + 1.0) * h;
+            if self.next_hb <= t {
+                // `h` is below the float resolution at `t`.
+                self.next_hb = if t.is_finite() {
+                    f64::from_bits(t.to_bits() + 1)
+                } else {
+                    f64::INFINITY
+                };
+            }
+        }
+    }
+
+    /// One virtual-time heartbeat: a `serve.heartbeat` telemetry span and
+    /// a flight-recorder event, both carrying the same snapshot of the
+    /// serving state at virtual second `at_s`. Every field is seed-pure.
+    fn emit_heartbeat(&mut self, at_s: f64) {
+        self.report.heartbeats += 1;
+        self.ctx.telemetry.inc("serve.heartbeats", 1);
+        let r = &self.report;
+        let mut snapshot = fields([
+            ("at_s", Json::from(at_s)),
+            ("queue_depth", Json::from(self.queue.len())),
+            ("requests", Json::from(r.requests)),
+            ("answered", Json::from(r.answered)),
+            ("shed_queue_full", Json::from(r.shed_queue_full)),
+            ("shed_deadline", Json::from(r.shed_deadline)),
+            ("batches", Json::from(r.batches)),
+            ("observations", Json::from(r.observations)),
+            ("incremental_refits", Json::from(r.incremental_refits)),
+            ("rederivations", Json::from(r.rederivations)),
+            ("registry_version", Json::from(self.registry.version())),
+            ("ledger_cells", Json::from(self.ledger.len())),
+            ("ledger_samples", Json::from(self.ledger.samples())),
+            ("ledger_evictions", Json::from(self.ledger.evictions())),
+            ("pool_jobs", Json::from(self.dispatched)),
+        ]);
+        // Correction state rides along only when the layer is on, so
+        // correction-off heartbeats keep their historical shape.
+        if let Some(correction) = self.corrector() {
+            snapshot.extend(fields([
+                ("correction_cells", Json::from(correction.len())),
+                ("correction_applied", Json::from(r.corrections_applied)),
+                ("correction_max_bias", Json::from(correction.max_abs_bias())),
+            ]));
+        }
+        let span = self.ctx.telemetry.begin_span("serve.heartbeat");
+        for (key, value) in &snapshot {
+            self.ctx.telemetry.field(span, key, value.clone());
+        }
+        self.ctx.telemetry.end_span(span);
+        self.recorder.record_event("heartbeat", snapshot);
+    }
+
+    /// A request arrives: queue it, or shed it when the queue is full.
+    fn admit(&mut self, ev: &TracedEvent, site: &SiteId, sql: &str) {
+        self.report.requests += 1;
+        self.ctx.telemetry.inc("serve.requests", 1);
+        let q = QueuedRequest {
+            trace_id: mint_trace_id(self.root_seed, ev.lineno),
+            lineno: ev.lineno,
+            arrived_s: ev.at_s,
+            site: site.clone(),
+            sql: sql.to_string(),
+        };
+        let depth = self.queue.len();
+        if depth < self.config.queue_capacity {
+            self.queue_full_streak = 0;
+            self.queue.push_back(q);
+            self.report.max_queue_depth = self.report.max_queue_depth.max(depth + 1);
+            self.ctx
+                .telemetry
+                .observe("serve.queue_depth", (depth + 1) as f64);
+            return;
+        }
+        self.report.shed_queue_full += 1;
+        self.queue_full_streak += 1;
+        self.ctx.telemetry.inc("serve.shed.queue_full", 1);
+        self.row(
+            ev.lineno,
+            format!(
+                "  {:>3} @{:.3} SHED (queue full at {depth})",
+                ev.lineno, ev.at_s
+            ),
+        );
+        let mut record = q.lifecycle();
+        record.extend(fields([
+            ("queue_depth", Json::from(depth)),
+            ("outcome", Json::from("shed_queue_full")),
+        ]));
+        self.recorder.record_request(record);
+        // A batch's worth of consecutive arrivals bounced off a full queue:
+        // record the burst once, when the streak crosses the threshold.
+        if self.queue_full_streak == self.config.batch_max {
+            self.recorder.record_event(
+                "anomaly",
+                fields([
+                    ("what", Json::from("shed_burst")),
+                    ("at_s", Json::from(ev.at_s)),
+                    ("consecutive_queue_full", Json::from(self.queue_full_streak)),
+                ]),
+            );
+        }
+    }
+
+    /// The batch trigger fires at `t`: shed what out-waited its deadline,
+    /// then price up to `batch_max` queued requests inline. A request
+    /// costs a few µs, far less than handing a batch to threads.
+    fn dispatch(&mut self, t: f64) {
+        self.advance(t);
+        self.shed_expired();
+        let n = self.queue.len().min(self.config.batch_max);
+        if n == 0 {
+            return;
+        }
+        let dispatched_s = self.clock;
+        let completion = dispatched_s + self.config.service_cost_s * n as f64;
+        self.busy_until = completion;
+        self.report.batches += 1;
+        let batch = self.report.batches;
+        self.ctx.telemetry.inc("serve.batches", 1);
+        self.ctx.telemetry.observe("serve.batch_size", n as f64);
+        for q in self.queue.drain(..n).collect::<Vec<_>>() {
+            let outcome = self.price_line(&q.site, &q.sql, q.lineno);
+            self.dispatched += 1;
+            let latency = completion - q.arrived_s;
+            let mut record = q.lifecycle();
+            record.extend(fields([
+                ("queue_wait_s", Json::from(dispatched_s - q.arrived_s)),
+                ("batch", Json::from(batch)),
+                ("dispatched_s", Json::from(dispatched_s)),
+                ("completed_s", Json::from(completion)),
+                ("latency_s", Json::from(latency)),
+            ]));
+            let prefix = format!(
+                "  {:>3} @{:.3}->@{:.3} ({:.3}s) {}",
+                q.lineno, q.arrived_s, completion, latency, q.site
+            );
+            let served = match outcome {
+                Ok(PricedLine {
+                    class,
+                    probe,
+                    estimate: Some(detail),
+                    ..
+                }) => {
+                    self.report.answered += 1;
+                    self.ctx.telemetry.inc("serve.answered", 1);
+                    // Corrected answers carry the `±` residual confidence.
+                    let mut provenance = format!("[v{} {}", detail.version, detail.state_label);
+                    if detail.corrected {
+                        provenance.push_str(&format!(" ±{:.0}%", detail.confidence * 100.0));
+                    }
+                    record.extend(fields([
+                        ("outcome", Json::from("answered")),
+                        ("class", Json::from(class.label())),
+                        ("probe_s", Json::from(probe)),
+                        ("estimate_s", Json::from(detail.estimate)),
+                        ("model_version", Json::from(detail.version)),
+                        ("state", Json::from(detail.state_label.as_str())),
+                    ]));
+                    if detail.corrected {
+                        self.report.corrections_applied += 1;
+                        self.ctx.telemetry.inc("serve.correction.applied", 1);
+                        record.extend(fields([
+                            ("raw_estimate_s", Json::from(detail.raw_estimate)),
+                            ("correction_factor", Json::from(detail.correction)),
+                            ("confidence", Json::from(detail.confidence)),
+                        ]));
+                    }
+                    let text = format!(
+                        "{prefix} {}: probe {probe:.3}s -> estimate {:.2}s {provenance}]",
+                        class.label(),
+                        detail.estimate
+                    );
+                    Some(text)
+                }
+                Ok(PricedLine { class, .. }) => {
+                    self.report.no_model += 1;
+                    self.ctx.telemetry.inc("serve.no_model", 1);
+                    record.extend(fields([
+                        ("outcome", Json::from("no_model")),
+                        ("class", Json::from(class.label())),
+                    ]));
+                    Some(format!("{prefix} {}: no model in registry", class.label()))
+                }
+                Err(msg) => {
+                    self.line_error(q.lineno, &msg);
+                    record.extend(fields([
+                        ("outcome", Json::from("error")),
+                        ("error", Json::from(msg.as_str())),
+                    ]));
+                    None
+                }
+            };
+            if let Some(text) = served {
+                self.latencies.push(latency);
+                self.ctx
+                    .telemetry
+                    .observe("serve.latency_virtual_s", latency);
+                self.row(q.lineno, text);
+            }
+            self.recorder.record_request(record);
+        }
+    }
+
+    /// Deadline shed: queued requests that out-waited their deadline are
+    /// answered with a shed, not served late.
+    fn shed_expired(&mut self) {
+        let mut shed_now = 0usize;
+        while self
+            .queue
+            .front()
+            .is_some_and(|q| self.clock - q.arrived_s > self.config.deadline_s)
+        {
+            let q = self.queue.pop_front().expect("the head expired");
+            let waited = self.clock - q.arrived_s;
+            self.report.shed_deadline += 1;
+            shed_now += 1;
+            self.ctx.telemetry.inc("serve.shed.deadline", 1);
+            self.row(
+                q.lineno,
+                format!(
+                    "  {:>3} @{:.3} SHED (deadline: waited {waited:.3}s)",
+                    q.lineno, self.clock
+                ),
+            );
+            let mut record = q.lifecycle();
+            record.extend(fields([
+                ("shed_s", Json::from(self.clock)),
+                ("waited_s", Json::from(waited)),
+                ("outcome", Json::from("shed_deadline")),
+            ]));
+            self.recorder.record_request(record);
+        }
+        // A whole batch's worth of deadline sheds in one dispatch is a shed
+        // burst: dump-worthy.
+        if shed_now >= self.config.batch_max {
+            self.recorder.record_event(
+                "anomaly",
+                fields([
+                    ("what", Json::from("shed_burst")),
+                    ("at_s", Json::from(self.clock)),
+                    ("shed_deadline", Json::from(shed_now)),
+                ]),
+            );
+        }
+    }
+
+    /// A durable I/O degradation at `site`. A step that would leave the
+    /// site's cumulative factor non-finite or non-positive is a per-line
+    /// error and leaves the factor as it was, so every factor the loop
+    /// applies to an agent is valid.
+    fn degrade(&mut self, ev: &TracedEvent, site: &SiteId, factor: f64) {
+        let cumulative = self.degradation.get(site).copied().unwrap_or(1.0) * factor;
+        if !(cumulative.is_finite() && cumulative > 0.0) {
+            let msg = format!(
+                "degrade x{factor:e} would take the cumulative factor of `{site}` to {cumulative:e}; it must stay finite and > 0"
+            );
+            return self.line_error(ev.lineno, &msg);
+        }
+        self.degradation.insert(site.clone(), cumulative);
+        self.ctx.telemetry.inc("serve.degrades", 1);
+        self.row(
+            ev.lineno,
+            format!(
+                "  {:>3} @{:.3} degrade {site} x{factor:.2} (cumulative x{cumulative:.2})",
+                ev.lineno, ev.at_s
+            ),
+        );
+        self.recorder.record_event(
+            "degrade",
+            fields([
+                ("at_s", Json::from(ev.at_s)),
+                ("site", Json::from(site.0.as_str())),
+                ("factor", Json::from(factor)),
+                ("cumulative", Json::from(cumulative)),
+            ]),
+        );
+    }
+
+    /// Execution feedback: run the query, score the served estimate,
+    /// feed both ledgers and the model's maintainer, then maintain —
+    /// rederive on drift, otherwise escalate a saturated correction or
+    /// refit once enough evidence is pending.
+    fn observe(&mut self, ev: &TracedEvent, site: &SiteId, sql: &str) {
+        self.report.observations += 1;
+        self.ctx.telemetry.inc("serve.observations", 1);
+        let sample = match self.observe_one(site, sql, ev.lineno) {
+            Ok(s) => s,
+            Err(msg) => return self.line_error(ev.lineno, &msg),
+        };
+        // Every observed cost with a served estimate feeds the accuracy
+        // ledger, keyed by the contention state the estimate was made in.
+        let mut update: Option<CellUpdate> = None;
+        if let Some(detail) = &sample.estimate {
+            let state = detail.state_label.as_str();
+            self.ledger
+                .record(&site.0, state, detail.estimate, sample.observed);
+            if detail.corrected {
+                self.report.corrections_applied += 1;
+                self.ctx.telemetry.inc("serve.correction.applied", 1);
+            }
+            if self.config.correction {
+                update = Some(self.correction.observe(
+                    &site.0,
+                    state,
+                    detail.raw_estimate,
+                    sample.observed,
+                ));
+            }
+        }
+        let idx = self
+            .fleet
+            .iter()
+            .position(|(s, m)| s == site && m.class() == sample.class);
+        let (Some(i), Some(detail)) = (idx, sample.estimate) else {
+            self.report.no_model += 1;
+            self.ctx.telemetry.inc("serve.no_model", 1);
+            let text = format!(
+                "  {:>3} @{:.3} observe {site} {}: no maintained model",
+                ev.lineno,
+                ev.at_s,
+                sample.class.label()
+            );
+            return self.row(ev.lineno, text);
+        };
+        let good = TestPoint {
+            observed: sample.observed,
+            estimated: detail.estimate,
+            result_card: 0,
+            probe_cost: sample.probe,
+        }
+        .is_good();
+        let drifted = self.fleet[i]
+            .1
+            .observe(sample.observed, detail.estimate, self.ctx);
+        self.pending[i].push(Observation {
+            x: sample.x,
+            cost: sample.observed,
+            probe_cost: sample.probe,
+        });
+        self.row(
+            ev.lineno,
+            format!(
+            "  {:>3} @{:.3} observe {site} {}: observed {:.2}s vs estimate {:.2}s [v{} {}] ({})",
+            ev.lineno,
+            ev.at_s,
+            sample.class.label(),
+            sample.observed,
+            detail.estimate,
+            detail.version,
+            detail.state_label,
+            if good { "good" } else { "off" }
+        ),
+        );
+        if drifted {
+            return self.rederive(ev);
+        }
+        let escalated_refit = match update {
+            Some(u) if u.saturated => self.escalate(ev, i, &detail.state_label, &u),
+            _ => false,
+        };
+        if escalated_refit || self.pending[i].len() >= self.config.refit_threshold {
+            self.refit(ev, i, sample.class);
+        }
+    }
+
+    /// Escalation ladder, middle rung: a saturated correction means the
+    /// model itself is biased beyond what the cheap rung should paper
+    /// over. The first saturation per model spends its refit budget; once
+    /// exhausted, the cell is suspended so raw estimate quality reaches
+    /// the drift monitor and the heavy rung (rederivation) can trip.
+    /// Returns whether fleet member `i` escalated to a refit.
+    fn escalate(&mut self, ev: &TracedEvent, i: usize, state: &str, u: &CellUpdate) -> bool {
+        let site = &self.fleet[i].0;
+        let refit = self.saturation_budget[i] > 0;
+        if refit {
+            self.saturation_budget[i] -= 1;
+        } else if !self.correction.suspend(&site.0, state) {
+            return false;
+        }
+        self.report.correction_escalations += 1;
+        self.ctx.telemetry.inc("serve.correction.escalations", 1);
+        let (again, action, level) = if refit {
+            ("", "incremental refit", "refit")
+        } else {
+            (
+                " again",
+                "cell suspended, raw estimates feed the drift monitor",
+                "suspend",
+            )
+        };
+        let text = format!(
+            "  maintenance @{:.3}: correction saturated{again} ({site} {state} bias {:+.2}) -> {action}",
+            ev.at_s, u.bias
+        );
+        let record = fields([
+            ("at_s", Json::from(ev.at_s)),
+            ("site", Json::from(site.0.as_str())),
+            ("state", Json::from(state)),
+            ("level", Json::from(level)),
+            ("bias", Json::from(u.bias)),
+            ("samples", Json::from(u.samples)),
+        ]);
+        self.row(ev.lineno, text);
+        self.recorder.record_event("escalate", record);
+        refit
+    }
+
+    /// Cheap path: fold fleet member `i`'s pending evidence into its
+    /// sufficient statistics and republish. Either way the pending batch
+    /// is consumed — the accumulator absorbs it even when the re-solve is
+    /// deferred for lack of per-state evidence.
+    fn refit(&mut self, ev: &TracedEvent, i: usize, class: QueryClass) {
+        let batch = std::mem::take(&mut self.pending[i]);
+        let (site, maintainer) = &mut self.fleet[i];
+        let site = site.clone();
+        match maintainer.refit_incremental(&site, &batch, Some(self.registry), self.ctx) {
+            Ok(published) => {
+                self.report.incremental_refits += 1;
+                let version = published.unwrap_or_else(|| self.registry.version());
+                self.row(
+                    ev.lineno,
+                    format!(
+                        "  maintenance @{:.3}: incremental refit {site} {} ({} obs) -> registry v{version}",
+                        ev.at_s,
+                        class.label(),
+                        batch.len()
+                    ),
+                );
+                self.recorder.record_event(
+                    "refit",
+                    fields([
+                        ("at_s", Json::from(ev.at_s)),
+                        ("site", Json::from(site.0.as_str())),
+                        ("class", Json::from(class.label())),
+                        ("absorbed", Json::from(batch.len())),
+                        ("registry_version", Json::from(version)),
+                    ]),
+                );
+                // The republished model invalidates the learned bias: its
+                // cells start cold.
+                self.correction.reset_site(&site.0);
+            }
+            Err(e) => {
+                self.ctx.telemetry.inc("maintenance.refit_deferred", 1);
+                self.row(
+                    ev.lineno,
+                    format!(
+                        "  maintenance @{:.3}: refit deferred ({e}); serving continues",
+                        ev.at_s
+                    ),
+                );
+                self.recorder.record_event(
+                    "refit_deferred",
+                    fields([
+                        ("at_s", Json::from(ev.at_s)),
+                        ("site", Json::from(site.0.as_str())),
+                        ("error", Json::from(e.to_string().as_str())),
+                    ]),
+                );
+            }
+        }
+    }
+
+    /// Heavy path: rebuild every currently drifted fleet member on the
+    /// pool and publish the fresh snapshots; their pending observations
+    /// predate the new models.
+    fn rederive(&mut self, ev: &TracedEvent) {
+        let drifted: Vec<usize> = (0..self.fleet.len())
+            .filter(|&j| self.fleet[j].1.monitor.drifted())
+            .collect();
+        let (degradation, make_agent) = (&self.degradation, self.make_agent);
+        let rebuilt = rederive_drifted(
+            self.fleet,
+            self.config.workers,
+            |site, _class, env_seed| {
+                let mut agent =
+                    make_agent(site, env_seed).expect("fleet sites are agent-constructible");
+                let factor = degradation.get(site).copied().unwrap_or(1.0);
+                apply_degradation(&mut agent, factor)
+                    .expect("`degrade` keeps every cumulative factor finite and > 0");
+                agent
+            },
+            Some(self.registry),
+            self.ctx,
+        );
+        let n = match rebuilt {
+            Ok(n) => n,
+            Err(e) => {
+                self.ctx.telemetry.inc("maintenance.rederive_failures", 1);
+                self.row(
+                    ev.lineno,
+                    format!(
+                        "  maintenance @{:.3}: rederivation FAILED ({e}); serving continues",
+                        ev.at_s
+                    ),
+                );
+                return self.recorder.record_event(
+                    "anomaly",
+                    fields([
+                        ("what", Json::from("rederive_failed")),
+                        ("at_s", Json::from(ev.at_s)),
+                        ("error", Json::from(e.to_string().as_str())),
+                    ]),
+                );
+            }
+        };
+        self.report.rederivations += n;
+        for j in drifted {
+            self.pending[j].clear();
+            // The fresh model starts the ladder over: cold correction
+            // cells, budget restored.
+            self.correction.reset_site(&self.fleet[j].0 .0);
+            self.saturation_budget[j] = SATURATION_REFIT_BUDGET;
+        }
+        let version = self.registry.version();
+        self.row(
+            ev.lineno,
+            format!(
+                "  maintenance @{:.3}: rederived {n} drifted model(s) -> registry v{version}",
+                ev.at_s
+            ),
+        );
+        self.recorder.record_event(
+            "rederive",
+            fields([
+                ("at_s", Json::from(ev.at_s)),
+                ("rebuilt", Json::from(n)),
+                ("registry_version", Json::from(version)),
+            ]),
+        );
+    }
+
+    /// The prefix shared by requests and observations: build the line's
+    /// agent (seeded by `split_stream(root_seed, lineno)`), apply the
+    /// site's degradation, parse, classify, tick, probe and price. Every
+    /// failure is a per-line message, never a panic or an abort.
+    fn price_line(&self, site: &SiteId, sql: &str, lineno: usize) -> Result<PricedLine, String> {
+        let mut agent = (self.make_agent)(site, split_stream(self.root_seed, lineno as u64))
+            .ok_or_else(|| format!("unknown site `{site}`"))?;
+        let factor = self.degradation.get(site).copied().unwrap_or(1.0);
+        apply_degradation(&mut agent, factor)?;
+        let schema = agent.shared_catalog();
+        let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
+        let class =
+            classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
+        agent.tick();
+        let probe = agent.probe();
+        let estimate = self.registry.estimate(&EstimateQuery {
+            site,
+            schema: &schema,
+            query: &query,
+            probe_cost: probe,
+            correction: self.corrector(),
+        });
+        Ok(PricedLine {
+            agent,
+            schema,
+            query,
+            class,
+            probe,
+            estimate,
+        })
+    }
+
+    /// Executes one observation event: price, run, package the feedback.
+    fn observe_one(
+        &self,
+        site: &SiteId,
+        sql: &str,
+        lineno: usize,
+    ) -> Result<ObservedSample, String> {
+        let mut line = self.price_line(site, sql, lineno)?;
+        let x = line
+            .class
+            .family()
+            .extract(&line.schema, &line.query)
+            .ok_or_else(|| "explanatory variables cannot be extracted".to_string())?;
+        let observed = line
+            .agent
+            .run(&line.query)
+            .map_err(|e| e.to_string())?
+            .cost_s;
+        // A non-finite cost would poison the ledgers, the drift monitor
+        // and the refit accumulator.
+        let estimates = line.estimate.as_ref().map(|d| [d.estimate, d.raw_estimate]);
+        if !observed.is_finite() || !estimates.map_or(true, |e| e.iter().all(|v| v.is_finite())) {
+            return Err(format!(
+                "observed cost {observed} or its estimate is not finite"
+            ));
+        }
+        Ok(ObservedSample {
+            class: line.class,
+            probe: line.probe,
+            observed,
+            estimate: line.estimate,
+            x,
+        })
+    }
+
+    /// End of trace: trailing heartbeats, latency percentiles, ledger
+    /// summaries, the loop span's fields and metrics, and the rendering.
+    fn finish(mut self, trace: &RequestTrace, span: SpanId) -> ServeReport {
+        self.report.virtual_makespan_s = self.clock.max(self.busy_until);
+        // The heartbeat schedule runs to the end of the replay even when
+        // the last stretch is pure service time.
+        self.heartbeat(self.report.virtual_makespan_s);
+        self.latencies.sort_by(f64::total_cmp);
+        let (report, tel) = (&mut self.report, &mut self.ctx.telemetry);
+        report.latency_p50_s = percentile_sorted(&self.latencies, 0.50);
+        report.latency_p95_s = percentile_sorted(&self.latencies, 0.95);
+        report.latency_p99_s = percentile_sorted(&self.latencies, 0.99);
+        self.ledger.fold_metrics(tel);
+        report.ledger = self.ledger.summaries();
+        (report.ledger_p50_abs_rel_err, report.ledger_p95_abs_rel_err) =
+            self.ledger.pooled_abs_rel_percentiles();
+        report.ledger_evictions = self.ledger.evictions();
+        if self.config.correction {
+            self.correction.fold_metrics(tel);
+            tel.field(
                 span,
                 "corrections_applied",
                 report.corrections_applied as u64,
             );
-            ctx.telemetry.field(
+            tel.field(
                 span,
                 "correction_escalations",
                 report.correction_escalations as u64,
             );
         }
-        ctx.telemetry
-            .field(span, "requests", report.requests as u64);
-        ctx.telemetry
-            .field(span, "answered", report.answered as u64);
-        ctx.telemetry.field(
-            span,
-            "shed",
-            (report.shed_queue_full + report.shed_deadline) as u64,
-        );
-        ctx.telemetry
-            .field(span, "observations", report.observations as u64);
-        ctx.telemetry
-            .field(span, "incremental_refits", report.incremental_refits as u64);
-        ctx.telemetry
-            .field(span, "rederivations", report.rederivations as u64);
-        ctx.telemetry
-            .field(span, "heartbeats", report.heartbeats as u64);
-        ctx.telemetry
-            .field(span, "ledger_cells", report.ledger.len() as u64);
-        ctx.telemetry
-            .gauge("serve.virtual_makespan_s", report.virtual_makespan_s);
-        ctx.telemetry
-            .gauge("serve.max_queue_depth", report.max_queue_depth as f64);
-        ctx.telemetry.inc("pool.jobs_completed", pool_jobs as u64);
-        ctx.telemetry.inc("pool.sched.steals", pool_steals);
-        ctx.telemetry
-            .gauge("pool.sched.workers", pool_workers as f64);
-        registry.fold_metrics(&mut ctx.telemetry);
-        ctx.telemetry.end_span(span);
+        for (key, value) in [
+            ("requests", report.requests),
+            ("answered", report.answered),
+            ("shed", report.shed_queue_full + report.shed_deadline),
+            ("observations", report.observations),
+            ("incremental_refits", report.incremental_refits),
+            ("rederivations", report.rederivations),
+            ("heartbeats", report.heartbeats),
+            ("ledger_cells", report.ledger.len()),
+        ] {
+            tel.field(span, key, value as u64);
+        }
+        tel.gauge("serve.virtual_makespan_s", report.virtual_makespan_s);
+        tel.gauge("serve.max_queue_depth", report.max_queue_depth as f64);
+        tel.inc("pool.jobs_completed", self.dispatched as u64);
+        self.registry.fold_metrics(tel);
+        tel.end_span(span);
+        self.report.rendered = self.render(trace);
+        self.report
+    }
 
-        let mut rendered = format!(
+    /// The human-readable report: summary lines, the accuracy ledger, then
+    /// every row in trace-line order with malformed lines in place.
+    fn render(&self, trace: &RequestTrace) -> String {
+        let r = &self.report;
+        let mut out = format!(
             "serve loop: {} request(s) — {} answered, {} no-model, {} shed ({} queue-full, {} deadline; {:.1}% of requests), {} error line(s)\n",
-            report.requests,
-            report.answered,
-            report.no_model,
-            report.shed_queue_full + report.shed_deadline,
-            report.shed_queue_full,
-            report.shed_deadline,
-            report.shed_fraction() * 100.0,
-            report.errors
+            r.requests,
+            r.answered,
+            r.no_model,
+            r.shed_queue_full + r.shed_deadline,
+            r.shed_queue_full,
+            r.shed_deadline,
+            r.shed_fraction() * 100.0,
+            r.errors
         );
-        rendered.push_str(&format!(
+        out.push_str(&format!(
             "maintenance: {} observation(s), {} incremental refit(s), {} rederivation(s); registry v{} ({} model(s))\n",
-            report.observations,
-            report.incremental_refits,
-            report.rederivations,
-            registry.version(),
-            registry.len()
+            r.observations,
+            r.incremental_refits,
+            r.rederivations,
+            self.registry.version(),
+            self.registry.len()
         ));
-        rendered.push_str(&format!(
+        out.push_str(&format!(
             "virtual time: makespan {:.3}s, latency p50 {:.3}s p95 {:.3}s p99 {:.3}s, peak queue {}, {} batch(es), {} heartbeat(s)\n",
-            report.virtual_makespan_s,
-            report.latency_p50_s,
-            report.latency_p95_s,
-            report.latency_p99_s,
-            report.max_queue_depth,
-            report.batches,
-            report.heartbeats
+            r.virtual_makespan_s,
+            r.latency_p50_s,
+            r.latency_p95_s,
+            r.latency_p99_s,
+            r.max_queue_depth,
+            r.batches,
+            r.heartbeats
         ));
-        if config.correction {
-            rendered.push_str(&format!(
+        if self.config.correction {
+            out.push_str(&format!(
                 "correction: {} applied, {} escalation(s), {} live cell(s), pooled |rel err| p50 {:.3} p95 {:.3}\n",
-                report.corrections_applied,
-                report.correction_escalations,
-                correction_ledger.len(),
-                report.ledger_p50_abs_rel_err,
-                report.ledger_p95_abs_rel_err
+                r.corrections_applied,
+                r.correction_escalations,
+                self.correction.len(),
+                r.ledger_p50_abs_rel_err,
+                r.ledger_p95_abs_rel_err
             ));
         }
-        rendered.push_str(&ledger.render());
+        out.push_str(&self.ledger.render());
         let mut errors = trace.errors.iter().peekable();
-        for (lineno, line) in &lines {
+        for (lineno, line) in &self.rows {
             while let Some((e, msg)) = errors.next_if(|(e, _)| e < lineno) {
-                rendered.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
+                out.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
             }
-            rendered.push_str(line);
-            rendered.push('\n');
+            out.push_str(line);
+            out.push('\n');
         }
         for (e, msg) in errors {
-            rendered.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
+            out.push_str(&format!("  {e:>3} ERROR: {msg}\n"));
         }
-        report.rendered = rendered;
-        report
+        out
     }
-}
-
-/// Emits one virtual-time heartbeat: a `serve.heartbeat` telemetry span
-/// and a flight-recorder event, both carrying the same snapshot of the
-/// serving state at virtual second `at_s`. Every field is seed-pure.
-#[allow(clippy::too_many_arguments)]
-fn emit_heartbeat(
-    at_s: f64,
-    queue_depth: usize,
-    report: &mut ServeReport,
-    registry_version: u64,
-    ledger: &AccuracyLedger,
-    correction: Option<&CorrectionLedger>,
-    pool_jobs: usize,
-    telemetry: &mut Telemetry,
-    recorder: &mut FlightRecorder,
-) {
-    report.heartbeats += 1;
-    telemetry.inc("serve.heartbeats", 1);
-    let mut snapshot: Vec<(String, Json)> = vec![
-        ("at_s".to_string(), Json::from(at_s)),
-        ("queue_depth".to_string(), Json::from(queue_depth)),
-        ("requests".to_string(), Json::from(report.requests)),
-        ("answered".to_string(), Json::from(report.answered)),
-        (
-            "shed_queue_full".to_string(),
-            Json::from(report.shed_queue_full),
-        ),
-        (
-            "shed_deadline".to_string(),
-            Json::from(report.shed_deadline),
-        ),
-        ("batches".to_string(), Json::from(report.batches)),
-        ("observations".to_string(), Json::from(report.observations)),
-        (
-            "incremental_refits".to_string(),
-            Json::from(report.incremental_refits),
-        ),
-        (
-            "rederivations".to_string(),
-            Json::from(report.rederivations),
-        ),
-        ("registry_version".to_string(), Json::from(registry_version)),
-        ("ledger_cells".to_string(), Json::from(ledger.len())),
-        ("ledger_samples".to_string(), Json::from(ledger.samples())),
-        (
-            "ledger_evictions".to_string(),
-            Json::from(ledger.evictions()),
-        ),
-        ("pool_jobs".to_string(), Json::from(pool_jobs)),
-    ];
-    // Correction state rides along only when the layer is on, so
-    // correction-off heartbeats keep their historical shape.
-    if let Some(correction) = correction {
-        snapshot.extend([
-            ("correction_cells".to_string(), Json::from(correction.len())),
-            (
-                "correction_applied".to_string(),
-                Json::from(report.corrections_applied),
-            ),
-            (
-                "correction_max_bias".to_string(),
-                Json::from(correction.max_abs_bias()),
-            ),
-        ]);
-    }
-    let span = telemetry.begin_span("serve.heartbeat");
-    for (key, value) in &snapshot {
-        telemetry.field(span, key, value.clone());
-    }
-    telemetry.end_span(span);
-    recorder.record_event("heartbeat", snapshot);
 }
 
 /// Builds the maintainer fleet for every catalog model whose site passes
@@ -1681,105 +1683,6 @@ pub fn fleet_from_snapshot(
         algorithm,
         site_filter,
     )
-}
-
-/// A trace line priced against the registry: the line's agent (ticked and
-/// probed), its parsed query, and the registry's answer.
-struct PricedLine {
-    agent: MdbsAgent,
-    schema: Arc<LocalCatalog>,
-    query: Query,
-    class: QueryClass,
-    probe: f64,
-    estimate: Option<EstimateDetail>,
-}
-
-/// The prefix shared by requests and observations: build the line's agent
-/// (seeded by `split_stream(root_seed, lineno)`), apply the site's
-/// degradation, parse, classify, tick, probe and price. Every failure is a
-/// per-line message, never a panic or an abort.
-#[allow(clippy::too_many_arguments)]
-fn price_line<F>(
-    registry: &ModelRegistry,
-    make_agent: &F,
-    site: &SiteId,
-    sql: &str,
-    degrade_factor: f64,
-    root_seed: u64,
-    lineno: usize,
-    correction: Option<&CorrectionLedger>,
-) -> Result<PricedLine, String>
-where
-    F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
-{
-    let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
-        .ok_or_else(|| format!("unknown site `{site}`"))?;
-    apply_degradation(&mut agent, degrade_factor)?;
-    let schema = agent.shared_catalog();
-    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
-    let class =
-        classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
-    agent.tick();
-    let probe = agent.probe();
-    let estimate = registry.estimate(&EstimateQuery {
-        site,
-        schema: &schema,
-        query: &query,
-        probe_cost: probe,
-        correction,
-    });
-    Ok(PricedLine {
-        agent,
-        schema,
-        query,
-        class,
-        probe,
-        estimate,
-    })
-}
-
-/// Executes one observation event: price, run, package the feedback.
-#[allow(clippy::too_many_arguments)]
-fn observe_one<F>(
-    registry: &ModelRegistry,
-    make_agent: &F,
-    site: &SiteId,
-    sql: &str,
-    degrade_factor: f64,
-    root_seed: u64,
-    lineno: usize,
-    correction: Option<&CorrectionLedger>,
-) -> Result<ObservedSample, String>
-where
-    F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
-{
-    let mut line = price_line(
-        registry,
-        make_agent,
-        site,
-        sql,
-        degrade_factor,
-        root_seed,
-        lineno,
-        correction,
-    )?;
-    let x = line
-        .class
-        .family()
-        .extract(&line.schema, &line.query)
-        .ok_or_else(|| "explanatory variables cannot be extracted".to_string())?;
-    let observed = line
-        .agent
-        .run(&line.query)
-        .map_err(|e| e.to_string())?
-        .cost_s;
-    Ok(ObservedSample {
-        class: line.class,
-        probe: line.probe,
-        observed,
-        estimate: line.estimate,
-        x,
-    })
 }
 
 /// Applies a site's cumulative durable I/O degradation to a fresh agent.
@@ -1959,31 +1862,7 @@ mod tests {
 
     #[test]
     fn empty_report_json_is_well_formed() {
-        let report = ServeReport {
-            rendered: String::new(),
-            requests: 0,
-            answered: 0,
-            no_model: 0,
-            errors: 0,
-            shed_queue_full: 0,
-            shed_deadline: 0,
-            batches: 0,
-            max_queue_depth: 0,
-            observations: 0,
-            incremental_refits: 0,
-            rederivations: 0,
-            virtual_makespan_s: 0.0,
-            latency_p50_s: 0.0,
-            latency_p95_s: 0.0,
-            latency_p99_s: 0.0,
-            heartbeats: 0,
-            corrections_applied: 0,
-            correction_escalations: 0,
-            ledger_p50_abs_rel_err: 0.0,
-            ledger_p95_abs_rel_err: 0.0,
-            ledger_evictions: 0,
-            ledger: Vec::new(),
-        };
+        let report = ServeReport::default();
         assert_eq!(report.shed_fraction(), 0.0);
         let rendered = report.to_json().render();
         let parsed = mdbs_obs::json::parse(&rendered).expect("report json parses");

@@ -312,7 +312,7 @@ impl AccuracyLedger {
             .values()
             .flat_map(|e| e.abs_rel.iter().copied())
             .collect();
-        pooled.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+        pooled.sort_by(f64::total_cmp);
         (
             percentile_sorted(&pooled, 0.50),
             percentile_sorted(&pooled, 0.95),
@@ -340,7 +340,7 @@ impl AccuracyLedger {
             .iter()
             .map(|((site, state), entry)| {
                 let mut sorted = entry.abs_rel.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+                sorted.sort_by(f64::total_cmp);
                 let n = entry.count as f64;
                 let mean_rel = entry.sum_signed_rel / n;
                 let mean_abs_rel = sorted.iter().sum::<f64>() / n;

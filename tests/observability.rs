@@ -95,8 +95,9 @@ fn scripted_trace() -> String {
 }
 
 /// `recording` switches the whole observability layer (heartbeats and
-/// the flight recorder) on or off.
-fn obs_config(workers: usize, recording: bool) -> ServeConfig {
+/// the flight recorder) on or off; the recorder is sized to keep every
+/// one of the trace's `events` lifecycles.
+fn obs_config(workers: usize, recording: bool, events: usize) -> ServeConfig {
     ServeConfig::builder()
         .queue_capacity(4)
         .batch_max(2)
@@ -106,7 +107,7 @@ fn obs_config(workers: usize, recording: bool) -> ServeConfig {
         .refit_threshold(20)
         .workers(Some(workers))
         .heartbeat_s(if recording { 10.0 } else { 0.0 })
-        .flight_capacity(if recording { 64 } else { 0 })
+        .flight_capacity(if recording { events } else { 0 })
         .build()
         .expect("sane config")
 }
@@ -133,7 +134,8 @@ fn run_loop(
         |site| site.0 == "oracle",
     )
     .expect("fleet builds from the catalog");
-    let mut server = EstimationServer::new(registry, fleet, obs_config(workers, recording));
+    let mut server =
+        EstimationServer::new(registry, fleet, obs_config(workers, recording, trace.len()));
     let mut ctx = if recording {
         PipelineCtx::traced(9)
     } else {
@@ -202,6 +204,32 @@ fn flight_recorder_and_heartbeats_are_worker_independent() {
         .filter(|l| l.contains("\"kind\":\"heartbeat\""))
         .count();
     assert_eq!(flight_beats, serial.report.heartbeats, "{}", serial.flight);
+
+    // A heartbeat's `pool_jobs` counts the requests dispatched before it:
+    // with every lifecycle retained, it equals the request records whose
+    // `dispatched_s` is at or before the beat.
+    let records: Vec<Json> = serial
+        .flight
+        .lines()
+        .map(|l| mdbs_obs::json::parse(l).expect("flight record parses"))
+        .collect();
+    let kind = |r: &Json, k: &str| r.get("kind").and_then(Json::as_str) == Some(k);
+    let f64_of = |r: &Json, key: &str| r.get(key).and_then(Json::as_f64);
+    let dispatched: Vec<f64> = records
+        .iter()
+        .filter(|r| kind(r, "request"))
+        .filter_map(|r| f64_of(r, "dispatched_s"))
+        .collect();
+    assert!(!dispatched.is_empty(), "{}", serial.flight);
+    for beat in records.iter().filter(|r| kind(r, "heartbeat")) {
+        let at_s = f64_of(beat, "at_s").expect("heartbeat at_s");
+        let expected = dispatched.iter().filter(|&&d| d <= at_s).count();
+        assert_eq!(
+            beat.get("pool_jobs").and_then(Json::as_i64),
+            Some(expected as i64),
+            "heartbeat at {at_s}"
+        );
+    }
 
     // Trace ids: one per recorded request lifecycle, all distinct.
     let ids = trace_ids(&serial.flight);

@@ -17,7 +17,10 @@ use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{
+    fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig, ServeReport, TraceEvent,
+    TracedEvent,
+};
 use mdbs_core::states::StateAlgorithm;
 use mdbs_core::variables::VariableFamily;
 use mdbs_core::Observation;
@@ -159,7 +162,19 @@ fn run_loop(
     catalog: &GlobalCatalog,
     trace: &RequestTrace,
     workers: usize,
-) -> (String, String, mdbs_core::server::ServeReport) {
+) -> (String, String, ServeReport) {
+    let mut ctx = PipelineCtx::traced(9);
+    let report = replay(catalog, trace, loop_config(workers), &mut ctx);
+    let stripped = strip_wall_clock(&ctx.telemetry.render_jsonl());
+    (report.rendered.clone(), stripped, report)
+}
+
+fn replay(
+    catalog: &GlobalCatalog,
+    trace: &RequestTrace,
+    config: ServeConfig,
+    ctx: &mut PipelineCtx,
+) -> ServeReport {
     let registry = ModelRegistry::from_catalog(catalog);
     let fleet = fleet_from_catalog(
         catalog,
@@ -169,15 +184,12 @@ fn run_loop(
         |site| site.0 == "oracle",
     )
     .expect("fleet builds from the catalog");
-    let mut server = EstimationServer::new(registry, fleet, loop_config(workers));
-    let mut ctx = PipelineCtx::traced(9);
-    let report = server.run(
+    let mut server = EstimationServer::new(registry, fleet, config);
+    server.run(
         trace,
         |site: &SiteId, seed: u64| (site.0 == "oracle").then(|| oracle_agent(seed)),
-        &mut ctx,
-    );
-    let stripped = strip_wall_clock(&ctx.telemetry.render_jsonl());
-    (report.rendered.clone(), stripped, report)
+        ctx,
+    )
 }
 
 #[test]
@@ -282,6 +294,77 @@ fn one_bad_trace_line_does_not_drop_the_replay() {
     );
     assert!(out.contains("ERROR"), "{out}");
     assert!(out.contains("unknown site"), "{out}");
+}
+
+/// A long idle gap crosses a million heartbeat ticks. Nothing changes
+/// between two loop points, so the loop beats once per clock advance
+/// (stamped at the first tick crossed) instead of once per tick; an
+/// interval below the float resolution at the arrival still terminates.
+#[test]
+fn heartbeats_coalesce_across_a_long_idle_gap() {
+    let catalog = seeded_catalog();
+    let trace = RequestTrace::parse(
+        "@0 request oracle select a1 from R2 where a2 < 100\n\
+         @1000000 request oracle select a1 from R2 where a2 < 100\n",
+    );
+    for (interval, max_beats) in [(1.0, 3), (1e-12, 4)] {
+        let config = ServeConfig::builder()
+            .heartbeat_s(interval)
+            .build()
+            .expect("sane config");
+        let report = replay(&catalog, &trace, config, &mut PipelineCtx::seeded(9));
+        assert_eq!(report.answered, 2, "{}", report.rendered);
+        assert!(
+            (1..=max_beats).contains(&report.heartbeats),
+            "{} heartbeats at interval {interval}",
+            report.heartbeats
+        );
+    }
+}
+
+/// A degrade that would push a site's cumulative I/O factor out of
+/// (0, inf) is a per-line error that leaves the factor unchanged, whether
+/// it comes from parsed text (overflow) or from the public event API
+/// (a factor no parser would accept).
+#[test]
+fn out_of_range_cumulative_degrade_is_a_line_error() {
+    let catalog = seeded_catalog();
+    let sql = "select a1 from R2 where a2 < 100";
+    let mut trace = RequestTrace::parse(&format!(
+        "@0 degrade oracle 1e200\n@1 degrade oracle 1e200\n@2 request oracle {sql}\n"
+    ));
+    for (i, factor) in [f64::NAN, -1.0, 0.0, f64::INFINITY].into_iter().enumerate() {
+        let lineno = 4 + 2 * i;
+        let at_s = 3.0 + i as f64;
+        trace.events.push(TracedEvent {
+            at_s,
+            lineno,
+            event: TraceEvent::Degrade {
+                site: SiteId::from("oracle"),
+                factor,
+            },
+        });
+        trace.events.push(TracedEvent {
+            at_s,
+            lineno: lineno + 1,
+            event: TraceEvent::Request {
+                site: SiteId::from("oracle"),
+                sql: sql.to_string(),
+            },
+        });
+    }
+    let report = replay(
+        &catalog,
+        &trace,
+        loop_config(1),
+        &mut PipelineCtx::seeded(9),
+    );
+    let out = &report.rendered;
+    assert_eq!(report.errors, 5, "{out}");
+    assert_eq!(report.answered, 5, "oracle keeps being answered:\n{out}");
+    assert!(out.contains("2 ERROR: degrade x1e200"), "{out}");
+    assert!(!out.contains("cumulative xinf"), "{out}");
+    assert!(!out.contains("I/O cost factor"), "{out}");
 }
 
 /// Satellite: readers estimating concurrently with maintenance publishing
