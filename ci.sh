@@ -114,11 +114,13 @@ done
 cmp "$ARC_DIR/catalog-1.mdbc" "$ARC_DIR/catalog-2.mdbc"
 rm -rf "$ARC_DIR"
 
-echo "==> catalog snapshot store gate (round trips, corruption)"
+echo "==> catalog snapshot store gate (round trips, corruption, seeded loader sweep)"
 # Redundant with the workspace test run by design: text -> binary -> text
-# byte identity of a derived catalog, and typed errors (no panic) for
-# truncated, mis-versioned and wrongly framed files, are the store's
-# contract, so it keeps its own named gate.
+# byte identity of a derived catalog, typed errors (no panic) for
+# truncated, mis-versioned and wrongly framed files, and a seeded sweep
+# of 10k binary byte flips and 10k text mutations pushed from load to
+# estimate without a panic or an abort, are the store's contract, so it
+# keeps its own named gate.
 cargo test -q --offline -p mdbs-bench --test catalog_store
 
 echo "==> serve (batch) --jobs 1/2/8 -> byte-identical rows through the loop engine"

@@ -1,5 +1,5 @@
-//! Serial vs multi-worker batch derivation wall-clock, plus the concurrent
-//! model registry's read path. The interesting number is the speedup of
+//! Serial vs multi-worker batch derivation wall-clock, plus the model
+//! registry's lookup path. The interesting number is the speedup of
 //! `derive_all/{2,4,8}_workers` over `derive_all/1_worker` — on a
 //! single-CPU host it is ~1x by construction; the derived catalog is
 //! byte-identical at every worker count either way.
@@ -23,7 +23,7 @@ fn main() {
         });
     }
 
-    // The registry hot path the pool publishes into: estimation-side reads.
+    // The registry lookup every served estimate makes.
     let mut agent = Site::Oracle.dynamic_agent(31);
     let derived = derive_cost_model(
         &mut agent,
@@ -33,7 +33,7 @@ fn main() {
         &mut PipelineCtx::seeded(32),
     )
     .expect("derivation succeeds");
-    let registry = ModelRegistry::new();
+    let mut registry = ModelRegistry::new();
     registry.publish("oracle".into(), QueryClass::UnaryNoIndex, derived.model);
     let site = "oracle".into();
     h.bench("registry/get_hit", 100, 10_000, || {

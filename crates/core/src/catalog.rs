@@ -9,10 +9,7 @@
 use crate::classes::QueryClass;
 use crate::model::{CostModel, ModelAccumulator};
 use crate::probing::ProbeCostEstimator;
-// Point lookups keyed by (site, class); every iteration below sorts its
-// keys before use (see `sites` / `classes_for` / `export`).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifies a local site within the MDBS.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,15 +27,18 @@ impl<T: Into<String>> From<T> for SiteId {
     }
 }
 
+/// One site's entries, keyed by site so a lookup borrows the [`SiteId`].
+#[derive(Debug, Clone, Default)]
+struct SiteEntry {
+    models: BTreeMap<QueryClass, CostModel>,
+    accumulators: BTreeMap<QueryClass, ModelAccumulator>,
+    probe: Option<ProbeCostEstimator>,
+}
+
 /// The global catalog: cost models and probe estimators per site.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalCatalog {
-    #[allow(clippy::disallowed_types)]
-    models: HashMap<(SiteId, QueryClass), CostModel>,
-    #[allow(clippy::disallowed_types)]
-    probe_estimators: HashMap<SiteId, ProbeCostEstimator>,
-    #[allow(clippy::disallowed_types)]
-    fit_accumulators: HashMap<(SiteId, QueryClass), ModelAccumulator>,
+    sites: BTreeMap<SiteId, SiteEntry>,
 }
 
 impl GlobalCatalog {
@@ -49,81 +49,80 @@ impl GlobalCatalog {
 
     /// Stores (or replaces) the cost model for a site/class pair.
     pub fn insert_model(&mut self, site: SiteId, class: QueryClass, model: CostModel) {
-        self.models.insert((site, class), model);
+        let entry = self.sites.entry(site).or_default();
+        entry.models.insert(class, model);
     }
 
     /// Stores (or replaces) a site's probing-cost estimator.
     pub fn insert_probe_estimator(&mut self, site: SiteId, est: ProbeCostEstimator) {
-        self.probe_estimators.insert(site, est);
+        self.sites.entry(site).or_default().probe = Some(est);
     }
 
-    /// Stores (or replaces) the sufficient-statistics accumulator backing a
-    /// site/class model, so a later process can resume incremental refits
-    /// without rescanning the original sample observations.
+    /// Stores (or replaces) the sufficient statistics backing a site/class
+    /// model, so a later process resumes incremental refits without a rescan.
     pub fn insert_accumulator(&mut self, site: SiteId, class: QueryClass, acc: ModelAccumulator) {
-        self.fit_accumulators.insert((site, class), acc);
+        let entry = self.sites.entry(site).or_default();
+        entry.accumulators.insert(class, acc);
     }
 
     /// Fetches the model for a site/class pair.
     pub fn model(&self, site: &SiteId, class: QueryClass) -> Option<&CostModel> {
-        self.models.get(&(site.clone(), class))
+        self.sites.get(site)?.models.get(&class)
+    }
+
+    /// Every model in `(site, class)` order.
+    pub fn models(&self) -> impl Iterator<Item = (&SiteId, QueryClass, &CostModel)> {
+        self.sites
+            .iter()
+            .flat_map(|(site, entry)| entry.models.iter().map(move |(&class, m)| (site, class, m)))
     }
 
     /// Fetches the stored fit accumulator for a site/class pair, if any.
     pub fn accumulator(&self, site: &SiteId, class: QueryClass) -> Option<&ModelAccumulator> {
-        self.fit_accumulators.get(&(site.clone(), class))
+        self.sites.get(site)?.accumulators.get(&class)
     }
 
     /// Fetches a site's probing-cost estimator.
     pub fn probe_estimator(&self, site: &SiteId) -> Option<&ProbeCostEstimator> {
-        self.probe_estimators.get(site)
+        self.sites.get(site)?.probe.as_ref()
     }
 
     /// Number of stored models.
     pub fn len(&self) -> usize {
-        self.models.len()
+        self.sites.values().map(|e| e.models.len()).sum()
     }
 
     /// True when no models are stored.
     pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
+        self.len() == 0
     }
 
     /// Number of entries a persisted snapshot carries: every model, every
-    /// accumulator whose (site, class) has a model, and every probe
-    /// estimator. Accumulators without a model are not persisted.
+    /// probe estimator, and every accumulator whose (site, class) has a model.
     pub(crate) fn entry_count(&self) -> usize {
-        let accumulators = self
-            .fit_accumulators
-            .keys()
-            .filter(|key| self.models.contains_key(key))
-            .count();
-        self.models.len() + accumulators + self.probe_estimators.len()
+        let persisted = |e: &SiteEntry| {
+            let accumulators = e.accumulators.keys().filter(|c| e.models.contains_key(c));
+            e.models.len() + accumulators.count() + usize::from(e.probe.is_some())
+        };
+        self.sites.values().map(persisted).sum()
     }
 
-    /// All sites that have at least one model or probe estimator.
+    /// All sites that have at least one model or probe estimator, in order.
     pub fn sites(&self) -> Vec<SiteId> {
-        let mut sites: Vec<SiteId> = self
-            .models
-            .keys()
-            .map(|(s, _)| s.clone())
-            .chain(self.probe_estimators.keys().cloned())
-            .collect();
-        sites.sort();
-        sites.dedup();
-        sites
+        self.sites
+            .iter()
+            .filter(|(_, e)| !e.models.is_empty() || e.probe.is_some())
+            .map(|(site, _)| site.clone())
+            .collect()
     }
 
     /// The classes a site has models for, in report order.
     pub fn classes_for(&self, site: &SiteId) -> Vec<QueryClass> {
-        let mut classes: Vec<QueryClass> = self
-            .models
-            .keys()
-            .filter(|(s, _)| s == site)
-            .map(|(_, c)| *c)
-            .collect();
-        classes.sort();
-        classes
+        let classes = self
+            .sites
+            .get(site)
+            .map(|e| e.models.keys().copied().collect());
+        classes.unwrap_or_default()
     }
 }
 
@@ -135,6 +134,7 @@ mod tests {
     use crate::observation::Observation;
     use crate::qualvar::StateSet;
     use crate::registry::ModelRegistry;
+    use crate::store::CatalogSnapshot;
     use mdbs_sim::datagen::standard_database;
     use mdbs_sim::query::{Predicate, Query, UnaryQuery};
 
@@ -188,7 +188,7 @@ mod tests {
             predicates: vec![Predicate::lt(4, t.columns[4].domain_max / 2)],
             order_by: None,
         });
-        let detail = ModelRegistry::from_catalog(&cat)
+        let detail = ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(cat, 0))
             .estimate(&EstimateQuery::raw(&site, &db, &q, 1.0))
             .unwrap();
         assert_eq!(detail.version, 1, "the catalog's one model, published once");
@@ -210,7 +210,7 @@ mod tests {
         let site: SiteId = "s1".into();
         let mut cat = GlobalCatalog::new();
         cat.insert_model(site.clone(), QueryClass::UnaryNoIndex, toy_model());
-        let registry = ModelRegistry::from_catalog(&cat);
+        let registry = ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(cat, 0));
         let t = &db.tables()[3];
         let q = Query::Unary(UnaryQuery {
             table: t.id,
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn estimate_without_model_is_none() {
         let db = standard_database(42);
-        let registry = ModelRegistry::from_catalog(&GlobalCatalog::new());
+        let registry = ModelRegistry::from_snapshot(&CatalogSnapshot::new());
         let t = &db.tables()[0];
         let q = Query::Unary(UnaryQuery {
             table: t.id,

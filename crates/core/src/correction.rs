@@ -376,7 +376,9 @@ impl<'a> EstimateQuery<'a> {
 /// the optimizer's filter-query estimate: extract the class's
 /// Table-3 variables, project onto the model's selected subset, detect the
 /// contention state, evaluate, and apply the correction ledger (when
-/// attached and warm). A NaN probe selects no state, so it prices nothing.
+/// attached and warm). A NaN probe selects no state, so it prices nothing;
+/// neither does a model whose estimate for the query is not finite (only
+/// a corrupt catalog holds such a model).
 pub(crate) fn price_with_model(
     model: &crate::model::CostModel,
     version: u64,
@@ -392,6 +394,9 @@ pub(crate) fn price_with_model(
     let state = model.states.state_of(q.probe_cost);
     let state_label = model.states.paper_label(state);
     let raw = model.estimate(&x_sel, q.probe_cost);
+    if !raw.is_finite() {
+        return None;
+    }
     let correction = q
         .correction
         .map(|ledger| ledger.correct(&q.site.0, &state_label, raw))

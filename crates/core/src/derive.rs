@@ -359,13 +359,30 @@ impl DeriveJob {
             StateAlgorithm::Iupma => 1u64,
             StateAlgorithm::Icma => 2u64,
         };
-        (crate::registry::key_hash(&self.site, self.class) ^ alg).wrapping_mul(PRIME)
+        (key_hash(&self.site, self.class) ^ alg).wrapping_mul(PRIME)
     }
 
     /// A human-readable `site/class/algorithm` label.
     pub fn label(&self) -> String {
         format!("{}/{:?}/{:?}", self.site, self.class, self.algorithm)
     }
+}
+
+/// FNV-1a over the site name and the class discriminant: the stable,
+/// process-independent base of [`DeriveJob::job_key`].
+fn key_hash(site: &SiteId, class: QueryClass) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for b in site.0.as_bytes() {
+        h = (h ^ u64::from(*b)).wrapping_mul(PRIME);
+    }
+    let tag = QueryClass::all()
+        .iter()
+        .position(|&c| c == class)
+        .expect("class is in the canonical list") as u64;
+    h = (h ^ (0x80 | tag)).wrapping_mul(PRIME);
+    h
 }
 
 /// Configuration of a [`derive_all`] batch.
@@ -567,6 +584,51 @@ mod tests {
         }
         assert_eq!(a.job_key(), a.clone().job_key());
         assert_eq!(a.label(), "oracle/UnaryNoIndex/Iupma");
+    }
+
+    #[test]
+    fn key_hash_is_stable_and_separates_classes() {
+        let a = key_hash(&"oracle".into(), QueryClass::UnaryNoIndex);
+        let b = key_hash(&"oracle".into(), QueryClass::JoinNoIndex);
+        let c = key_hash(&"db2".into(), QueryClass::UnaryNoIndex);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, key_hash(&"oracle".into(), QueryClass::UnaryNoIndex));
+    }
+
+    /// The job key seeds every derivation, so its value is part of every
+    /// derived catalog's bytes: pin it literally.
+    #[test]
+    fn job_keys_are_pinned() {
+        for (site, class, algorithm, key) in [
+            (
+                "oracle",
+                QueryClass::UnaryNoIndex,
+                StateAlgorithm::Iupma,
+                0x8f83_1989_5d87_d4bc,
+            ),
+            (
+                "oracle",
+                QueryClass::UnaryNoIndex,
+                StateAlgorithm::Icma,
+                0x8f83_1c89_5d87_d9d5,
+            ),
+            (
+                "db2",
+                QueryClass::UnaryClusteredIndex,
+                StateAlgorithm::Iupma,
+                0x6fa8_da4d_8265_4116,
+            ),
+            (
+                "db2",
+                QueryClass::JoinIndexed,
+                StateAlgorithm::Icma,
+                0x6fbd_414d_8276_9925,
+            ),
+        ] {
+            let job = DeriveJob::new(site, class, algorithm);
+            assert_eq!(job.job_key(), key, "{}", job.label());
+        }
     }
 
     #[test]

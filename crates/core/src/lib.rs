@@ -51,8 +51,8 @@
 //! Every pipeline entry point takes a [`pipeline::PipelineCtx`] carrying the
 //! cross-cutting concerns (telemetry, RNG seed); batch derivation over many
 //! `(site, class)` pairs goes through [`derive::derive_all`], which fans out
-//! to a scoped-thread [`pool`] and publishes into the concurrent
-//! [`registry::ModelRegistry`] for a non-blocking estimation hot path.
+//! to a scoped-thread [`pool`]. The serving loop prices requests against
+//! a versioned [`registry::ModelRegistry`] it owns.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

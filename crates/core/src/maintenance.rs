@@ -410,18 +410,17 @@ impl ModelMaintainer {
     /// reserved for when the states themselves shift.
     ///
     /// The refreshed model replaces `derived.model`, the drift window is
-    /// cleared, and — when `registry` is given — the model is published as
-    /// a new snapshot version so concurrent estimators switch over
-    /// atomically; the published version is returned (`None` without a
+    /// cleared, and — when `registry` is given — the model is published
+    /// under a new registry version, which is returned (`None` without a
     /// registry) so callers can stamp maintenance records with the exact
-    /// snapshot the refit produced. Counted as
+    /// version the refit produced. Counted as
     /// `maintenance.incremental_refits`.
     // ctx: serial-only
     pub fn refit_incremental(
         &mut self,
         site: &SiteId,
         new_observations: &[Observation],
-        registry: Option<&ModelRegistry>,
+        registry: Option<&mut ModelRegistry>,
         ctx: &mut PipelineCtx,
     ) -> Result<Option<u64>, CoreError> {
         self.accumulator.absorb(new_observations);
@@ -484,9 +483,9 @@ fn rederive_best(
 
 /// Rebuilds every drifted maintainer of a fleet on a worker pool, exactly
 /// as the per-maintainer [`ModelMaintainer::rederive`] would (best of
-/// [`ModelMaintainer::rederive_attempts`] by R²), then publishes the fresh
-/// models into `registry` (when given) so estimation switches over without
-/// ever blocking.
+/// [`ModelMaintainer::rederive_attempts`] by R²), then — after the pool
+/// has joined, in job order — publishes the fresh models into `registry`
+/// (when given).
 ///
 /// Seeds follow the [`crate::derive::derive_all`] scheme: each drifted
 /// `(site, class, algorithm)` triple is a [`DeriveJob`] whose stable key
@@ -502,7 +501,7 @@ pub fn rederive_drifted<F>(
     fleet: &mut [(SiteId, ModelMaintainer)],
     workers: Option<usize>,
     make_agent: F,
-    registry: Option<&ModelRegistry>,
+    mut registry: Option<&mut ModelRegistry>,
     ctx: &mut PipelineCtx,
 ) -> Result<usize, CoreError>
 where
@@ -570,7 +569,7 @@ where
                 maintainer.monitor.reset();
                 maintainer.rederivations += 1;
                 ctx.telemetry.inc("maintenance.rederivations", 1);
-                if let Some(registry) = registry {
+                if let Some(registry) = registry.as_deref_mut() {
                     registry.publish(
                         job.site.clone(),
                         job.class,

@@ -22,6 +22,7 @@
 //! coefficient vector. Statistics (R², SEE, F) are therefore pooled across
 //! states exactly as the paper's algorithm expects.
 
+use crate::classes::QueryClass;
 use crate::observation::Observation;
 use crate::qualvar::StateSet;
 use crate::CoreError;
@@ -109,6 +110,21 @@ pub struct CostModel {
 }
 
 impl CostModel {
+    /// Checks that every selected variable index addresses `class`'s
+    /// Table-3 variable family, as a model decoded from catalog bytes must
+    /// before its first estimate indexes the extracted variables with
+    /// them. Each decoder wraps the message in its own typed error.
+    pub(crate) fn check_variables(&self, class: QueryClass) -> Result<(), String> {
+        let width = class.family().all().len();
+        match self.var_indexes.iter().find(|&&i| i >= width) {
+            Some(bad) => Err(format!(
+                "{} model uses variable index {bad} of a {width}-variable family",
+                class.label()
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Number of contention states `m`.
     pub fn num_states(&self) -> usize {
         self.states.len()

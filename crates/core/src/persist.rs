@@ -628,6 +628,9 @@ impl GlobalCatalog {
                     )?;
                     let (block, start) = collect_block(&mut lines, ln)?;
                     let model = CostModel::from_catalog_entry_at(&block, start)?;
+                    model
+                        .check_variables(class)
+                        .map_err(|msg| parse_err_at(ln, msg))?;
                     catalog.insert_model(site, class, model);
                 }
                 Some("gram-entry") => {

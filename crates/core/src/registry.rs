@@ -1,56 +1,45 @@
-//! A concurrent model registry for the estimation hot path.
+//! The model registry: the serving loop's versioned view of the catalog's
+//! cost models.
 //!
-//! The [`GlobalCatalog`] is the paper's
-//! single-threaded picture of "cost model parameters kept in the MDBS
-//! catalog". A front-end that re-derives models in the background while
-//! answering estimates needs more: estimation must never block behind a
-//! derivation, and a reader must never observe a half-written model. The
-//! [`ModelRegistry`] provides that with a sharded `RwLock` map from
-//! `(site, class)` to an [`Arc`]'d immutable snapshot, swapped whole on
-//! publish — readers either see the old complete model or the new complete
-//! model, nothing in between — plus a monotone global version so callers
-//! can tell *which*.
+//! The [`crate::catalog::GlobalCatalog`] is the paper's picture of "cost
+//! model parameters kept in the MDBS catalog". A server that republishes
+//! models while it answers estimates also needs to say *which* model
+//! priced an answer.
+//! The [`ModelRegistry`] adds that: an ordered `(site, class)` map of
+//! published models, each stamped with a monotone global version, plus the
+//! publish/hit/miss counters its telemetry reports.
 //!
-//! Shard selection uses an in-tree FNV-1a hash of the key, not the std
-//! `RandomState`, so shard layout (and thus any iteration-derived output)
-//! is stable across processes — the same determinism policy as the rest of
-//! the workspace.
+//! The registry has one owner, the serving loop: publishes take
+//! `&mut self` and lookups `&self`, so a publish can never interleave with
+//! a lookup and nothing here locks.
 
-use crate::catalog::{GlobalCatalog, SiteId};
+use crate::catalog::SiteId;
 use crate::classes::{classify, QueryClass};
 use crate::correction::EstimateQuery;
 use crate::model::CostModel;
+use crate::store::CatalogSnapshot;
 use mdbs_obs::Telemetry;
-// Hash sharding is deliberate here: lookups are point reads keyed by
-// (site, class); the maps are never iterated.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 
-/// Number of independent lock shards. A small power of two: contention on
-/// a registry of dozens of models is negligible beyond this.
-const SHARDS: usize = 16;
-
-/// One published model snapshot: immutable once registered.
+/// One published model: immutable once registered.
 #[derive(Debug, Clone)]
 pub struct RegisteredModel {
     /// The site the model covers.
     pub site: SiteId,
     /// The query class the model covers.
     pub class: QueryClass,
-    /// The registry-global version at which this snapshot was published.
+    /// The registry-global version at which this model was published.
     pub version: u64,
     /// The fitted multi-states cost model.
     pub model: CostModel,
 }
 
-/// A served estimate with its full provenance: the snapshot version it
-/// was computed against, the contention state the probing cost mapped
-/// to, and what the online correction layer did to the raw model output —
+/// A served estimate with its full provenance: the model version it was
+/// computed against, the contention state the probing cost mapped to, and
+/// what the online correction layer did to the raw model output —
 /// everything a flight record or accuracy ledger needs to explain the
-/// number. Computed against one `Arc` snapshot, so the fields are always
-/// mutually coherent even while maintenance republishes.
+/// number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateDetail {
     /// The estimated query cost to serve (corrected when a warm
@@ -66,7 +55,7 @@ pub struct EstimateDetail {
     /// The correction cell's residual scale — the `±` confidence the
     /// serving loop annotates answers with (0.0 when uncorrected).
     pub confidence: f64,
-    /// Version of the snapshot the estimate came from.
+    /// Version of the model the estimate came from.
     pub version: u64,
     /// Index of the contention state `probe_cost` mapped to.
     pub state: usize,
@@ -74,139 +63,97 @@ pub struct EstimateDetail {
     pub state_label: String,
 }
 
-/// One lock shard: a plain map from key to published snapshot.
-#[allow(clippy::disallowed_types)]
-type Shard = RwLock<HashMap<(SiteId, QueryClass), Arc<RegisteredModel>>>;
-
-/// Sharded, versioned `(site, class) → CostModel` map. See the module docs.
-#[derive(Debug)]
+/// Versioned `(site, class) → CostModel` map. See the module docs.
+#[derive(Debug, Default)]
 pub struct ModelRegistry {
-    shards: Vec<Shard>,
-    version: AtomicU64,
-    publishes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        ModelRegistry::new()
-    }
+    /// Site → class → published model; keyed by site first so a lookup
+    /// borrows the caller's [`SiteId`].
+    models: BTreeMap<SiteId, BTreeMap<QueryClass, RegisteredModel>>,
+    version: u64,
+    publishes: u64,
+    /// Lookup counters; `Cell`s because lookups take `&self`.
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl ModelRegistry {
     /// An empty registry.
-    #[allow(clippy::disallowed_types)]
     pub fn new() -> Self {
-        ModelRegistry {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            version: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, site: &SiteId, class: QueryClass) -> &Shard {
-        &self.shards[(key_hash(site, class) as usize) % SHARDS]
+        ModelRegistry::default()
     }
 
     /// Publishes (or replaces) the model for a site/class pair, returning
-    /// the new snapshot's version. The swap is atomic from a reader's point
-    /// of view: concurrent [`ModelRegistry::get`] calls observe either the
-    /// previous snapshot or this one, whole.
+    /// the new model's version.
     // ctx: serial-only
-    pub fn publish(&self, site: SiteId, class: QueryClass, model: CostModel) -> u64 {
-        let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = Arc::new(RegisteredModel {
+    pub fn publish(&mut self, site: SiteId, class: QueryClass, model: CostModel) -> u64 {
+        self.version += 1;
+        self.publishes += 1;
+        let entry = RegisteredModel {
             site: site.clone(),
             class,
-            version,
+            version: self.version,
             model,
-        });
-        self.shard(&site, class)
-            .write()
-            .expect("registry shard")
-            .insert((site, class), entry);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        version
+        };
+        self.models.entry(site).or_default().insert(class, entry);
+        self.version
     }
 
-    /// The current snapshot for a site/class pair, if any. Cheap: one
-    /// shard read lock and an `Arc` clone.
-    pub fn get(&self, site: &SiteId, class: QueryClass) -> Option<Arc<RegisteredModel>> {
+    /// The current model for a site/class pair, if any.
+    pub fn get(&self, site: &SiteId, class: QueryClass) -> Option<&RegisteredModel> {
         let found = self
-            .shard(site, class)
-            .read()
-            .expect("registry shard")
-            .get(&(site.clone(), class))
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+            .models
+            .get(site)
+            .and_then(|by_class| by_class.get(&class));
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
+        counter.set(counter.get() + 1);
         found
     }
 
     /// The registry-global version: increments on every publish, so a
     /// changed version means *some* model changed.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Relaxed)
+        self.version
     }
 
     /// Number of registered site/class pairs.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("registry shard").len())
-            .sum()
+        self.models.values().map(BTreeMap::len).sum()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.models.is_empty()
     }
 
     /// The unified estimation entry point: classify the query, look up
-    /// the snapshot, extract the Table-3 variables, evaluate the model in
+    /// the model, extract the Table-3 variables, evaluate the model in
     /// the contention state implied by the probing cost, and apply the
-    /// attached correction ledger (if any, and warm). The whole estimate
-    /// is computed against one `Arc` snapshot, so every
-    /// [`EstimateDetail`] field is mutually coherent even while
-    /// maintenance republishes underneath — a reader can assert the
-    /// versions it observes never regress.
+    /// attached correction ledger (if any, and warm).
     ///
     /// `None` when the query cannot be classified or no model is
     /// registered for its class.
     pub fn estimate(&self, q: &EstimateQuery<'_>) -> Option<EstimateDetail> {
         let class = classify(q.schema, q.query)?;
-        let snapshot = self.get(q.site, class)?;
-        crate::correction::price_with_model(&snapshot.model, snapshot.version, class, q)
+        let entry = self.get(q.site, class)?;
+        crate::correction::price_with_model(&entry.model, entry.version, class, q)
     }
 
-    /// Loads every model of a [`GlobalCatalog`] into the registry,
-    /// publishing in `(site, class)` order so versions are deterministic.
-    pub fn from_catalog(catalog: &GlobalCatalog) -> Self {
-        let registry = ModelRegistry::new();
-        for site in catalog.sites() {
-            for class in catalog.classes_for(&site) {
-                if let Some(model) = catalog.model(&site, class) {
-                    registry.publish(site.clone(), class, model.clone());
-                }
-            }
-        }
-        registry
-    }
-
-    /// Loads a versioned [`crate::store::CatalogSnapshot`], publishing in
-    /// `(site, class)` order, then advances the registry version to at
-    /// least the snapshot's — so models published *after* a warm start
-    /// get versions strictly greater than anything already persisted,
-    /// keeping registry versions and snapshot versions on one monotone
+    /// Loads a versioned [`CatalogSnapshot`]: every model is published in
+    /// `(site, class)` order (v1..vn), then the registry version advances
+    /// to at least the snapshot's — so models published *after* a warm
+    /// start get versions strictly greater than anything already
+    /// persisted, keeping registry and snapshot versions on one monotone
     /// axis.
-    pub fn from_snapshot(snap: &crate::store::CatalogSnapshot) -> Self {
-        let registry = ModelRegistry::from_catalog(&snap.catalog);
-        registry.version.fetch_max(snap.version, Ordering::Relaxed);
+    pub fn from_snapshot(snap: &CatalogSnapshot) -> Self {
+        let mut registry = ModelRegistry::new();
+        for (site, class, model) in snap.catalog.models() {
+            registry.publish(site.clone(), class, model.clone());
+        }
+        registry.version = registry.version.max(snap.version);
         registry
     }
 
@@ -215,33 +162,17 @@ impl ModelRegistry {
     /// deterministic for a deterministic access sequence) and the current
     /// `registry.version` gauge.
     pub fn fold_metrics(&self, tel: &mut Telemetry) {
-        tel.inc("registry.publishes", self.publishes.load(Ordering::Relaxed));
-        tel.inc("registry.hits", self.hits.load(Ordering::Relaxed));
-        tel.inc("registry.misses", self.misses.load(Ordering::Relaxed));
-        tel.gauge("registry.version", self.version() as f64);
+        tel.inc("registry.publishes", self.publishes);
+        tel.inc("registry.hits", self.hits.get());
+        tel.inc("registry.misses", self.misses.get());
+        tel.gauge("registry.version", self.version as f64);
     }
-}
-
-/// FNV-1a over the site name and the class discriminant: a stable,
-/// process-independent shard/job key.
-pub(crate) fn key_hash(site: &SiteId, class: QueryClass) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in site.0.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(PRIME);
-    }
-    let tag = QueryClass::all()
-        .iter()
-        .position(|&c| c == class)
-        .expect("class is in the canonical list") as u64;
-    h = (h ^ (0x80 | tag)).wrapping_mul(PRIME);
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::GlobalCatalog;
     use crate::model::{fit_cost_model, ModelForm};
     use crate::observation::Observation;
     use crate::qualvar::StateSet;
@@ -270,31 +201,30 @@ mod tests {
 
     #[test]
     fn publish_then_get_roundtrips() {
-        let reg = ModelRegistry::new();
+        let mut reg = ModelRegistry::new();
         assert!(reg.is_empty());
         let v = reg.publish("oracle".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
         assert_eq!(v, 1);
         assert_eq!(reg.len(), 1);
-        let snap = reg.get(&"oracle".into(), QueryClass::UnaryNoIndex).unwrap();
-        assert_eq!(snap.version, 1);
-        assert_eq!(snap.class, QueryClass::UnaryNoIndex);
+        let entry = reg.get(&"oracle".into(), QueryClass::UnaryNoIndex).unwrap();
+        assert_eq!(entry.version, 1);
+        assert_eq!(entry.class, QueryClass::UnaryNoIndex);
         assert!(reg.get(&"oracle".into(), QueryClass::JoinNoIndex).is_none());
     }
 
     #[test]
     fn republish_bumps_version_and_swaps_whole_model() {
-        let reg = ModelRegistry::new();
+        let mut reg = ModelRegistry::new();
         reg.publish("s".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
-        let old = reg.get(&"s".into(), QueryClass::UnaryNoIndex).unwrap();
+        let old = reg
+            .get(&"s".into(), QueryClass::UnaryNoIndex)
+            .unwrap()
+            .clone();
         reg.publish("s".into(), QueryClass::UnaryNoIndex, toy_model(0.02));
         let new = reg.get(&"s".into(), QueryClass::UnaryNoIndex).unwrap();
-        assert!(new.version > old.version);
-        assert_ne!(
-            old.model.coefficients, new.model.coefficients,
-            "snapshots are distinct objects"
-        );
-        // The old Arc stays valid for readers that still hold it.
-        assert_eq!(old.version, 1);
+        assert_eq!((old.version, new.version), (1, 2));
+        assert_ne!(old.model.coefficients, new.model.coefficients);
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]
@@ -302,7 +232,7 @@ mod tests {
         let mut catalog = GlobalCatalog::new();
         catalog.insert_model("a".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
         catalog.insert_model("b".into(), QueryClass::JoinNoIndex, toy_model(0.03));
-        let reg = ModelRegistry::from_catalog(&catalog);
+        let reg = ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(catalog.clone(), 0));
         assert_eq!(reg.len(), 2);
         // Published in (site, class) order, one version each.
         for (version, site, class) in [
@@ -319,19 +249,40 @@ mod tests {
         assert!(reg.get(&"a".into(), QueryClass::JoinNoIndex).is_none());
     }
 
+    /// Loading numbers models v1..vn in (site, class) order; the registry
+    /// then stands at max(n, snapshot version).
     #[test]
-    fn key_hash_is_stable_and_separates_classes() {
-        let a = key_hash(&"oracle".into(), QueryClass::UnaryNoIndex);
-        let b = key_hash(&"oracle".into(), QueryClass::JoinNoIndex);
-        let c = key_hash(&"db2".into(), QueryClass::UnaryNoIndex);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, key_hash(&"oracle".into(), QueryClass::UnaryNoIndex));
+    fn load_numbers_models_in_site_class_order() {
+        let mut catalog = GlobalCatalog::new();
+        catalog.insert_model("b".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
+        catalog.insert_model("a".into(), QueryClass::JoinNoIndex, toy_model(0.02));
+        catalog.insert_model("a".into(), QueryClass::UnaryNoIndex, toy_model(0.03));
+        let (text_catalog, text_version) =
+            GlobalCatalog::import_versioned(&catalog.export()).unwrap();
+        assert_eq!(text_version, 0, "the plain text export is unversioned");
+        let order = [
+            ("a", QueryClass::UnaryNoIndex),
+            ("a", QueryClass::JoinNoIndex),
+            ("b", QueryClass::UnaryNoIndex),
+        ];
+        for (snapshot_version, registry_version) in [(0, 3), (2, 3), (7, 7)] {
+            let snap = CatalogSnapshot::at_version(text_catalog.clone(), snapshot_version);
+            let reg = ModelRegistry::from_snapshot(&snap);
+            assert_eq!(
+                reg.version(),
+                registry_version,
+                "snapshot v{snapshot_version}"
+            );
+            for (i, (site, class)) in order.iter().enumerate() {
+                let entry = reg.get(&(*site).into(), *class).unwrap();
+                assert_eq!(entry.version, i as u64 + 1, "{site}/{class:?}");
+            }
+        }
     }
 
     #[test]
     fn fold_metrics_reports_access_counters() {
-        let reg = ModelRegistry::new();
+        let mut reg = ModelRegistry::new();
         reg.publish("s".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
         reg.get(&"s".into(), QueryClass::UnaryNoIndex);
         reg.get(&"s".into(), QueryClass::JoinNoIndex);
@@ -340,37 +291,5 @@ mod tests {
         assert_eq!(tel.metrics.counter("registry.publishes"), 1);
         assert_eq!(tel.metrics.counter("registry.hits"), 1);
         assert_eq!(tel.metrics.counter("registry.misses"), 1);
-    }
-
-    #[test]
-    fn concurrent_readers_see_whole_snapshots_during_swaps() {
-        let reg = ModelRegistry::new();
-        reg.publish("s".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
-        #[allow(clippy::disallowed_methods)]
-        // lint:allow(no-raw-threads): torn-read stress test needs raw racing threads; nothing output-relevant is computed
-        std::thread::scope(|scope| {
-            let reg = &reg;
-            scope.spawn(move || {
-                for i in 0..200 {
-                    let slope = 0.01 + (i % 7) as f64 * 0.001;
-                    reg.publish("s".into(), QueryClass::UnaryNoIndex, toy_model(slope));
-                }
-            });
-            for _ in 0..2 {
-                scope.spawn(move || {
-                    for _ in 0..500 {
-                        let snap = reg
-                            .get(&"s".into(), QueryClass::UnaryNoIndex)
-                            .expect("model never absent once published");
-                        // A torn model would break internal invariants;
-                        // estimating exercises the coefficient table.
-                        let est = snap.model.estimate(&[100.0], 1.0);
-                        assert!(est.is_finite());
-                    }
-                });
-            }
-        });
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.version(), 201);
     }
 }

@@ -107,6 +107,15 @@ pub(crate) fn select_variables_inner(
     cfg: &SelectionConfig,
     tel: &mut Telemetry,
 ) -> Result<Selection, CoreError> {
+    // Correlations, VIFs and fits are only ordered over finite data.
+    let finite = |o: &Observation| {
+        o.cost.is_finite() && o.probe_cost.is_finite() && o.x.iter().all(|v| v.is_finite())
+    };
+    if let Some(i) = observations.iter().position(|o| !finite(o)) {
+        return Err(CoreError::Degenerate(format!(
+            "observation {i} is not finite (cost, probe cost and every variable must be)"
+        )));
+    }
     let all = family.all();
     let names =
         |idx: &[usize]| -> Vec<String> { idx.iter().map(|&i| all[i].name.to_string()).collect() };
@@ -694,6 +703,40 @@ mod tests {
         .unwrap();
         assert_eq!(plain.var_indexes, sel.var_indexes);
         assert_eq!(plain.model.fit.r_squared, sel.model.fit.r_squared);
+    }
+
+    /// One NaN or +inf among 600 observations — in the cost, a basic or a
+    /// secondary variable, or the probe cost — is a typed error, not a
+    /// panic in the correlation comparators.
+    #[test]
+    fn non_finite_observations_are_rejected() {
+        type Field = fn(&mut Observation) -> &mut f64;
+        let fields: [(&str, Field); 4] = [
+            ("cost", |o| &mut o.cost),
+            ("x[0]", |o| &mut o.x[0]),
+            ("x[6]", |o| &mut o.x[6]),
+            ("probe_cost", |o| &mut o.probe_cost),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut obs = synth_unary(600);
+                *field(&mut obs[300]) = bad;
+                let result = select_variables(
+                    VariableFamily::Unary,
+                    &obs,
+                    &states(),
+                    ModelForm::General,
+                    &SelectionConfig::default(),
+                    &mut PipelineCtx::default(),
+                );
+                match result {
+                    Err(CoreError::Degenerate(msg)) => {
+                        assert!(msg.contains("observation 300"), "{name}={bad}: {msg}")
+                    }
+                    other => panic!("{name}={bad}: expected a typed error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

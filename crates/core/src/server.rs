@@ -1,4 +1,4 @@
-//! A long-lived estimation server over [`ModelRegistry`] snapshots.
+//! A long-lived estimation server over a versioned [`ModelRegistry`].
 //!
 //! The paper's premise is a *dynamic* multidatabase environment: contention
 //! shifts under live traffic and the cost models must be revised while
@@ -8,16 +8,16 @@
 //!
 //! * an **admission queue + micro-batching front-end** — estimation
 //!   requests enter a bounded queue and are drained in small batches,
-//!   priced inline on the loop thread against an immutable
-//!   [`ModelRegistry`] `Arc` snapshot (one request costs a few µs, less
-//!   than handing it to another thread);
+//!   priced inline on the loop thread against the [`ModelRegistry`] the
+//!   loop owns (one request costs a few µs, less than handing it to
+//!   another thread);
 //! * a **background maintenance loop** — observed execution costs are
 //!   folded through [`ModelMaintainer::observe`]; enough fresh evidence
 //!   triggers [`ModelMaintainer::refit_incremental`] (O(k³), no rescan) and
 //!   a tripped drift monitor triggers [`rederive_drifted`] on the
 //!   [`crate::pool`] (`ServeConfig::workers` threads) —
-//!   either way the fresh model is *published* as a new registry snapshot
-//!   and readers switch over atomically;
+//!   either way the fresh model is *published* into the registry under a
+//!   new version, and every later request is priced against it;
 //! * explicit **backpressure** — the queue is bounded (arrivals beyond
 //!   capacity are shed deterministically) and queued requests past their
 //!   deadline are shed at dispatch time; queue depth and shed counts are
@@ -701,7 +701,8 @@ struct PricedLine {
 /// fleet of maintainers keeping its models fresh, and the loop config.
 #[derive(Debug)]
 pub struct EstimationServer {
-    /// The concurrent registry requests are priced against.
+    /// The registry requests are priced against and maintenance
+    /// publishes into.
     pub registry: ModelRegistry,
     fleet: Vec<(SiteId, ModelMaintainer)>,
     config: ServeConfig,
@@ -802,7 +803,7 @@ type AgentFactory<'a> = dyn Fn(&SiteId, u64) -> Option<MdbsAgent> + Sync + 'a;
 /// trace order, which is what makes a replay a pure function of
 /// `(trace, seed, config)`.
 struct ServeLoop<'a> {
-    registry: &'a ModelRegistry,
+    registry: &'a mut ModelRegistry,
     fleet: &'a mut [(SiteId, ModelMaintainer)],
     config: &'a ServeConfig,
     recorder: &'a mut FlightRecorder,
@@ -1341,7 +1342,7 @@ impl<'a> ServeLoop<'a> {
         let batch = std::mem::take(&mut self.pending[i]);
         let (site, maintainer) = &mut self.fleet[i];
         let site = site.clone();
-        match maintainer.refit_incremental(&site, &batch, Some(self.registry), self.ctx) {
+        match maintainer.refit_incremental(&site, &batch, Some(&mut *self.registry), self.ctx) {
             Ok(published) => {
                 self.report.incremental_refits += 1;
                 let version = published.unwrap_or_else(|| self.registry.version());
@@ -1408,7 +1409,7 @@ impl<'a> ServeLoop<'a> {
                     .expect("`degrade` keeps every cumulative factor finite and > 0");
                 agent
             },
-            Some(self.registry),
+            Some(&mut *self.registry),
             self.ctx,
         );
         let n = match rebuilt {
@@ -1635,40 +1636,10 @@ impl<'a> ServeLoop<'a> {
     }
 }
 
-/// Builds the maintainer fleet for every catalog model whose site passes
-/// `site_filter`, restoring persisted fit accumulators when present so
-/// incremental refits resume from the full fitting sample.
-pub fn fleet_from_catalog(
-    catalog: &crate::catalog::GlobalCatalog,
-    maintenance: crate::maintenance::MaintenanceConfig,
-    derivation: crate::derive::DerivationConfig,
-    algorithm: crate::states::StateAlgorithm,
-    site_filter: impl Fn(&SiteId) -> bool,
-) -> Result<Vec<(SiteId, ModelMaintainer)>, crate::CoreError> {
-    let mut fleet = Vec::new();
-    for site in catalog.sites() {
-        if !site_filter(&site) {
-            continue;
-        }
-        for class in catalog.classes_for(&site) {
-            let model = catalog.model(&site, class).expect("listed by the catalog");
-            let maintainer = ModelMaintainer::from_model(
-                class,
-                model.clone(),
-                catalog.accumulator(&site, class).cloned(),
-                maintenance.clone(),
-                derivation.clone(),
-                algorithm,
-            )?;
-            fleet.push((site.clone(), maintainer));
-        }
-    }
-    Ok(fleet)
-}
-
-/// [`fleet_from_catalog`] over a versioned
-/// [`crate::store::CatalogSnapshot`] — the form every
-/// [`crate::store::CatalogStore`] load site hands out.
+/// Builds the maintainer fleet for every model of a versioned
+/// [`crate::store::CatalogSnapshot`] whose site passes `site_filter`, in
+/// `(site, class)` order, restoring persisted fit accumulators when
+/// present so incremental refits resume from the full fitting sample.
 pub fn fleet_from_snapshot(
     snapshot: &crate::store::CatalogSnapshot,
     maintenance: crate::maintenance::MaintenanceConfig,
@@ -1676,13 +1647,22 @@ pub fn fleet_from_snapshot(
     algorithm: crate::states::StateAlgorithm,
     site_filter: impl Fn(&SiteId) -> bool,
 ) -> Result<Vec<(SiteId, ModelMaintainer)>, crate::CoreError> {
-    fleet_from_catalog(
-        &snapshot.catalog,
-        maintenance,
-        derivation,
-        algorithm,
-        site_filter,
-    )
+    let catalog = &snapshot.catalog;
+    catalog
+        .models()
+        .filter(|(site, _, _)| site_filter(site))
+        .map(|(site, class, model)| {
+            let maintainer = ModelMaintainer::from_model(
+                class,
+                model.clone(),
+                catalog.accumulator(site, class).cloned(),
+                maintenance.clone(),
+                derivation.clone(),
+                algorithm,
+            )?;
+            Ok((site.clone(), maintainer))
+        })
+        .collect()
 }
 
 /// Applies a site's cumulative durable I/O degradation to a fresh agent.

@@ -7,8 +7,11 @@
 //! load at startup:
 //!
 //! * **Snapshots.** A [`CatalogSnapshot`] pairs a [`GlobalCatalog`] with a
-//!   monotone `version` aligned with [`crate::registry::ModelRegistry`]
-//!   versions (the registry's publish counter). Binary files open with a
+//!   monotone `version` on the same axis as
+//!   [`crate::registry::ModelRegistry`] versions: a registry loaded from a
+//!   snapshot starts at that version, and [`CatalogSnapshot::publish_derived`]
+//!   — the one step by which `derive` adds a model — advances it by one
+//!   per model, as a registry publish does. Binary files open with a
 //!   `MDBC` magic plus a little-endian `u32` format version, then carry
 //!   length-prefixed frames; every `f64` travels as its little-endian
 //!   IEEE-754 bit pattern in the variable-length encoding of
@@ -20,9 +23,15 @@
 //!   binary, `mdbs-catalog` ⇒ text), loads either, and writes whichever
 //!   format it was configured with — the CLI's `archive`/`restore`
 //!   subcommands are thin wrappers over it.
+//! * **Hostile bytes.** Loading is total: every count is checked against
+//!   the bytes left before anything is allocated for it, and a model
+//!   whose variable indexes run past its class's variable family is
+//!   rejected, so corrupt files of either format fail as
+//!   [`StoreError::Corrupt`], never a panic or an abort.
 
 use crate::catalog::{GlobalCatalog, SiteId};
 use crate::classes::QueryClass;
+use crate::derive::DerivedModel;
 use crate::model::{CostModel, FitStats, ModelAccumulator, ModelForm};
 use crate::probing::ProbeCostEstimator;
 use crate::qualvar::StateSet;
@@ -102,6 +111,27 @@ impl CatalogSnapshot {
     /// Wraps a catalog at a given version.
     pub fn at_version(catalog: GlobalCatalog, version: u64) -> CatalogSnapshot {
         CatalogSnapshot { version, catalog }
+    }
+
+    /// Publishes one derived model on top of this snapshot: the model, the
+    /// sufficient statistics a later `serve --loop` resumes incremental
+    /// refits from, and the site's probe estimator when one was fitted.
+    /// Each publish advances the version by one, as a registry publish
+    /// does.
+    pub fn publish_derived(&mut self, site: &SiteId, derived: &DerivedModel) {
+        let class = derived.class;
+        self.catalog
+            .insert_model(site.clone(), class, derived.model.clone());
+        self.catalog.insert_accumulator(
+            site.clone(),
+            class,
+            ModelAccumulator::from_observations(&derived.model, &derived.observations),
+        );
+        if let Some(est) = &derived.probe_estimator {
+            self.catalog
+                .insert_probe_estimator(site.clone(), est.clone());
+        }
+        self.version += 1;
     }
 }
 
@@ -490,7 +520,9 @@ fn decode_snapshot_frame(payload: &[u8]) -> Result<CatalogSnapshot, CoreError> {
         let body = r.take(len)?;
         match kind {
             ENTRY_MODEL => {
-                catalog.insert_model(site, class_from_code(class)?, decode_model(body)?);
+                let (class, model) = (class_from_code(class)?, decode_model(body)?);
+                model.check_variables(class).map_err(bin_err)?;
+                catalog.insert_model(site, class, model);
             }
             ENTRY_GRAM => {
                 let class = class_from_code(class)?;

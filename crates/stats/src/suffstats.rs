@@ -200,6 +200,21 @@ impl GramAccumulator {
             ));
         }
         let symmetric = flags == 1;
+        // Every compact float takes at least one byte, so a `k` whose
+        // blocks need more floats than there are bytes left is corrupt —
+        // checked before `k * k` is allocated.
+        let floats = if symmetric {
+            k.checked_mul(k + 1).map(|t| t / 2)
+        } else {
+            k.checked_mul(k)
+        }
+        .and_then(|xtx| xtx.checked_add(k + 2));
+        if floats.map_or(true, |f| f > cur.remaining()) {
+            return Err(StatsError::InvalidArgument(format!(
+                "gram bytes: {k} variables need more values than the {} bytes left",
+                cur.remaining()
+            )));
+        }
         let mut xtx = vec![0.0; k * k];
         if symmetric {
             for i in 0..k {
@@ -728,6 +743,10 @@ impl<'a> ByteCursor<'a> {
         Ok(v)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.off
+    }
+
     fn finish(&self) -> Result<(), StatsError> {
         if self.off != self.bytes.len() {
             return Err(StatsError::InvalidArgument(
@@ -1033,9 +1052,20 @@ mod tests {
         padded.push(0);
         assert!(GramAccumulator::from_bytes(&padded).is_err());
         // An unknown flags byte is rejected.
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[12] = 9;
         assert!(GramAccumulator::from_bytes(&bad).is_err());
+        // A variable count the remaining bytes cannot hold is rejected
+        // before anything is allocated for it, in both block layouts.
+        for k in [1u32 << 10, 1 << 20, u32::MAX] {
+            for flags in [0u8, 1] {
+                let mut huge = bytes.clone();
+                huge[..4].copy_from_slice(&k.to_le_bytes());
+                huge[12] = flags;
+                let err = GramAccumulator::from_bytes(&huge).unwrap_err();
+                assert!(err.to_string().contains("bytes left"), "k={k}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use mdbs_core::probing::ProbeCostEstimator;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_sim::contention::Load;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
@@ -45,13 +46,18 @@ fn populated_catalog() -> (GlobalCatalog, MdbsAgent, SiteId) {
     (catalog, agent, site)
 }
 
+/// The catalog as the serving path loads it: an unversioned snapshot.
+fn registry_of(catalog: &GlobalCatalog) -> ModelRegistry {
+    ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(catalog.clone(), 0))
+}
+
 #[test]
 fn catalog_estimates_match_observations_reasonably() {
     let (catalog, mut agent, site) = populated_catalog();
     assert_eq!(catalog.len(), 2);
     assert_eq!(catalog.classes_for(&site).len(), 2);
 
-    let registry = ModelRegistry::from_catalog(&catalog);
+    let registry = registry_of(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(77);
     let mut good = 0;
@@ -79,7 +85,7 @@ fn catalog_estimates_match_observations_reasonably() {
 #[test]
 fn catalog_dispatches_by_class() {
     let (catalog, agent, site) = populated_catalog();
-    let registry = ModelRegistry::from_catalog(&catalog);
+    let registry = registry_of(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(78);
     // Queries of both stored classes estimate; join queries (no model) do not.
@@ -109,8 +115,8 @@ fn catalog_survives_export_import_with_identical_estimates() {
     assert!(restored.probe_estimator(&site).is_some());
 
     // Every estimate must be bit-identical after the round trip.
-    let before = ModelRegistry::from_catalog(&catalog);
-    let after = ModelRegistry::from_catalog(&restored);
+    let before = registry_of(&catalog);
+    let after = registry_of(&restored);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(81);
     for _ in 0..20 {

@@ -1,21 +1,32 @@
 //! The versioned snapshot store end to end: a genuinely derived
 //! multi-vendor, multi-class catalog (with accumulators) survives
-//! text → binary → text byte-identically, and corrupt files fail cleanly
-//! with a typed error.
+//! text → binary → text byte-identically, corrupt files fail cleanly
+//! with a typed error, and a seeded sweep of mutated binary and text
+//! catalogs never panics or aborts anywhere from load to estimate.
 
 use mdbs_core::catalog::{GlobalCatalog, SiteId};
 use mdbs_core::classes::QueryClass;
+use mdbs_core::correction::EstimateQuery;
 use mdbs_core::derive::{derive_cost_model, DerivationConfig};
+use mdbs_core::maintenance::MaintenanceConfig;
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
+use mdbs_core::registry::ModelRegistry;
+use mdbs_core::sampling::SampleGenerator;
+use mdbs_core::server::fleet_from_snapshot;
 use mdbs_core::states::StateAlgorithm;
 use mdbs_core::store::{
-    snapshot_to_bytes, CatalogFormat, CatalogSnapshot, CatalogStore, FileCatalogStore, StoreError,
-    BINARY_MAGIC,
+    snapshot_from_bytes, snapshot_to_bytes, CatalogFormat, CatalogSnapshot, CatalogStore,
+    FileCatalogStore, StoreError, BINARY_MAGIC,
 };
+use mdbs_core::CoreError;
 use mdbs_obs::Telemetry;
+use mdbs_sim::catalog::LocalCatalog;
 use mdbs_sim::datagen::standard_database;
+use mdbs_sim::query::Query;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
+use mdbs_stats::rng::Rng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 const CLASSES: [QueryClass; 3] = [
@@ -189,4 +200,214 @@ fn missing_file_loads_as_empty_only_through_load_or_empty() {
     // The strict path reports the IO failure instead.
     let msg = format!("{}", store.load(&mut tel).unwrap_err());
     assert!(msg.contains("cannot read"), "{msg}");
+}
+
+/// A Gram block whose variable count the file cannot hold used to
+/// allocate `k * k` floats up front — an abort no unwinding can catch.
+/// The load now fails with a typed corruption error instead.
+#[test]
+fn oversized_gram_block_is_a_typed_error() {
+    let snap = derived_snapshot(2);
+    let mut bytes = snapshot_to_bytes(&snap);
+    let site: SiteId = "oracle-a".into();
+    let block = snap
+        .catalog
+        .accumulator(&site, CLASSES[0])
+        .expect("derived with its accumulator")
+        .blocks()[0]
+        .to_bytes();
+    let at = bytes
+        .windows(block.len())
+        .position(|w| w == block.as_slice())
+        .expect("the block is stored verbatim");
+    bytes[at..at + 4].copy_from_slice(&0x0fff_ffffu32.to_le_bytes());
+    let path = scratch("huge-gram.mdbc");
+    std::fs::write(&path, &bytes).unwrap();
+    match FileCatalogStore::sniffing(&path).load(&mut Telemetry::disabled()) {
+        Err(StoreError::Corrupt(e)) => assert!(e.to_string().contains("bytes left"), "{e}"),
+        other => panic!("expected a corruption error, got {other:?}"),
+    }
+}
+
+/// A model whose variable indexes run past its class's variable family
+/// used to load and then panic on its first estimate. Both decoders now
+/// reject it with a typed error.
+#[test]
+fn out_of_range_variable_index_is_a_typed_error() {
+    let mut snap = derived_snapshot(2);
+    let site: SiteId = "db2-b".into();
+    let mut model = snap.catalog.model(&site, CLASSES[1]).unwrap().clone();
+    model.var_indexes[0] = 230;
+    snap.catalog.insert_model(site, CLASSES[1], model);
+    let text = snap.catalog.export_versioned(snap.version);
+    for (format, bytes) in [
+        ("binary", snapshot_to_bytes(&snap)),
+        ("text", text.into_bytes()),
+    ] {
+        let path = scratch(&format!("bad-var-index.{format}"));
+        std::fs::write(&path, &bytes).unwrap();
+        match FileCatalogStore::sniffing(&path).load(&mut Telemetry::disabled()) {
+            Err(StoreError::Corrupt(e)) => {
+                assert!(
+                    e.to_string().contains("variable index 230"),
+                    "{format}: {e}"
+                )
+            }
+            other => panic!("{format}: expected a corruption error, got {other:?}"),
+        }
+    }
+}
+
+/// Tokens a text mutation swaps in: non-finite and out-of-range numbers,
+/// huge counts and indexes, keywords out of place, and garbage.
+const TOKENS: &[&str] = &[
+    "nan",
+    "inf",
+    "-inf",
+    "1e309",
+    "-1",
+    "0",
+    "230",
+    "4294967296",
+    "18446744073709551616",
+    "1e-320",
+    "end",
+    "vars",
+    "coef",
+    "0:N_O",
+    "230:N_O",
+    "G9",
+    "",
+    "x",
+];
+
+/// Flips 1–4 random bytes.
+fn flip_bytes(rng: &mut Rng, base: &[u8]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    for _ in 0..rng.gen_range(1..5usize) {
+        let i = rng.gen_range(0..bytes.len());
+        bytes[i] ^= rng.gen_range(1..256u32) as u8;
+    }
+    bytes
+}
+
+/// One text mutation: byte flips, a token swap, or a dropped, duplicated
+/// or truncated line.
+fn mutate_text(rng: &mut Rng, base: &str) -> String {
+    let mut lines: Vec<String> = base.lines().map(str::to_string).collect();
+    let i = rng.gen_range(0..lines.len());
+    match rng.gen_range(0..6u32) {
+        0 => return String::from_utf8_lossy(&flip_bytes(rng, base.as_bytes())).into_owned(),
+        1 | 2 => {
+            let mut words: Vec<&str> = lines[i].split_whitespace().collect();
+            if !words.is_empty() {
+                let w = rng.gen_range(0..words.len());
+                words[w] = rng.choose(TOKENS).copied().unwrap_or("");
+            }
+            lines[i] = words.join(" ");
+        }
+        3 => {
+            lines.remove(i);
+        }
+        4 => {
+            let copy = lines[i].clone();
+            lines.insert(i, copy);
+        }
+        _ => {
+            let cut = rng.gen_range(0..=lines[i].len());
+            lines[i] = lines[i].chars().take(cut).collect();
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// One sweep case past a successful load: build the registry and the
+/// maintainer fleet, then price every probe query at every site. Any
+/// answer must be finite; a fleet that cannot be built is a typed error.
+fn serve_case(
+    snap: &CatalogSnapshot,
+    schema: &LocalCatalog,
+    queries: &[Query],
+) -> Result<(), CoreError> {
+    let registry = ModelRegistry::from_snapshot(snap);
+    let fleet = fleet_from_snapshot(
+        snap,
+        MaintenanceConfig::default(),
+        DerivationConfig::quick(),
+        StateAlgorithm::Iupma,
+        |_| true,
+    );
+    for site in snap.catalog.sites() {
+        for query in queries {
+            for probe in [0.5, 20.0, 1e4] {
+                if let Some(detail) =
+                    registry.estimate(&EstimateQuery::raw(&site, schema, query, probe))
+                {
+                    assert!(
+                        detail.estimate.is_finite(),
+                        "non-finite estimate {} at {site}",
+                        detail.estimate
+                    );
+                }
+            }
+        }
+    }
+    fleet.map(|_| ())
+}
+
+/// The loader sweep: seeded byte flips of the binary form
+/// and seeded mutations of the text form of a derived catalog, each pushed
+/// through load → registry → fleet → estimate. No case may panic or abort;
+/// each ends in a typed error or in finite answers.
+#[test]
+fn seeded_loader_sweep_never_panics() {
+    const CASES: usize = 10_000;
+    let snap = derived_snapshot(4);
+    let binary = snapshot_to_bytes(&snap);
+    let text = snap.catalog.export_versioned(snap.version);
+    let schema = standard_database(42);
+    let mut generator = SampleGenerator::new(5);
+    let queries: Vec<Query> = CLASSES
+        .iter()
+        .map(|&class| generator.generate(class, &schema))
+        .collect();
+    // The unmutated catalog serves.
+    serve_case(&snap, &schema, &queries).expect("the derived catalog serves");
+
+    let mut rng = Rng::seed_from_u64(0x6c6f_6164_5f73_7770);
+    // [loaded and served, rejected with a typed error]
+    let mut tally = [0usize; 2];
+    let mut settle = |outcome: std::thread::Result<Result<(), CoreError>>,
+                      case: &dyn Fn() -> String| {
+        match outcome {
+            Ok(Ok(())) => tally[0] += 1,
+            Ok(Err(_)) => tally[1] += 1,
+            Err(_) => panic!("{} panicked", case()),
+        }
+    };
+    for case in 0..CASES {
+        let mutant = flip_bytes(&mut rng, &binary);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            serve_case(&snapshot_from_bytes(&mutant)?, &schema, &queries)
+        }));
+        settle(outcome, &|| format!("binary case {case}"));
+    }
+    for case in 0..CASES {
+        let mutant = mutate_text(&mut rng, &text);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let (catalog, version) = GlobalCatalog::import_versioned(&mutant)?;
+            serve_case(
+                &CatalogSnapshot::at_version(catalog, version),
+                &schema,
+                &queries,
+            )
+        }));
+        settle(outcome, &|| format!("text case {case}:\n{mutant}"));
+    }
+    let [loaded, rejected] = tally;
+    // Both outcomes occur: the sweep reaches past the decoders.
+    assert!(
+        loaded > 0 && rejected > 0,
+        "{loaded} loaded, {rejected} rejected"
+    );
 }

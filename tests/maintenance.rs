@@ -202,7 +202,7 @@ fn incremental_refit_absorbs_traffic_and_publishes() {
     assert_eq!(n_before, m.derived.observations.len());
 
     // Seed the registry with the production model and note its version.
-    let registry = ModelRegistry::new();
+    let mut registry = ModelRegistry::new();
     let site = mdbs_core::catalog::SiteId::from("site-1");
     let v0 = registry.publish(site.clone(), m.class(), before.clone());
 
@@ -211,8 +211,13 @@ fn incremental_refit_absorbs_traffic_and_publishes() {
         m.observe(10.0, 100.0, &mut PipelineCtx::default());
     }
     let fresh = fresh_observations(&mut agent, 40, 72);
-    m.refit_incremental(&site, &fresh, Some(&registry), &mut PipelineCtx::default())
-        .expect("incremental refit succeeds");
+    m.refit_incremental(
+        &site,
+        &fresh,
+        Some(&mut registry),
+        &mut PipelineCtx::default(),
+    )
+    .expect("incremental refit succeeds");
 
     assert_eq!(m.incremental_refits, 1);
     assert_eq!(m.rederivations, 0, "no full re-derivation ran");
@@ -224,7 +229,7 @@ fn incremental_refit_absorbs_traffic_and_publishes() {
     assert_eq!(m.derived.model.states, before.states);
     assert_eq!(m.derived.model.var_indexes, before.var_indexes);
     assert_eq!(m.derived.model.fit.n, n_before + fresh.len());
-    // A new snapshot version was published for concurrent estimators.
+    // The refit was published under a new registry version.
     let snap = registry.get(&site, m.class()).expect("model registered");
     assert!(snap.version > v0, "publish did not bump the version");
     assert_eq!(snap.model, m.derived.model);

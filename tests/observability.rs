@@ -16,8 +16,9 @@ use mdbs_core::maintenance::MaintenanceConfig;
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_obs::json::Json;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
@@ -31,7 +32,7 @@ fn oracle_agent(env_seed: u64) -> MdbsAgent {
     agent
 }
 
-fn seeded_catalog() -> GlobalCatalog {
+fn seeded_catalog() -> CatalogSnapshot {
     let mut agent = oracle_agent(40);
     let derived = derive_cost_model(
         &mut agent,
@@ -53,7 +54,7 @@ fn seeded_catalog() -> GlobalCatalog {
         QueryClass::UnaryNoIndex,
         ModelAccumulator::from_observations(&derived.model, &derived.observations),
     );
-    catalog
+    CatalogSnapshot::at_version(catalog, 0)
 }
 
 const G1_SQLS: &[&str] = &[
@@ -120,13 +121,13 @@ struct LoopRun {
 }
 
 fn run_loop(
-    catalog: &GlobalCatalog,
+    catalog: &CatalogSnapshot,
     trace: &RequestTrace,
     workers: usize,
     recording: bool,
 ) -> LoopRun {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
+    let registry = ModelRegistry::from_snapshot(catalog);
+    let fleet = fleet_from_snapshot(
         catalog,
         MaintenanceConfig::default(),
         DerivationConfig::quick(),

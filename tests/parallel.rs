@@ -1,19 +1,14 @@
-//! The parallel derivation engine and the concurrent model registry.
+//! The parallel derivation engine.
 //!
 //! The contract under test: `derive_all` output — models *and* telemetry
 //! after the sanctioned wall-clock/scheduling strip — is a pure function of
-//! the root seed, independent of worker count and thread scheduling; and
-//! registry readers always see whole model snapshots while a publisher
-//! swaps versions underneath them.
+//! the root seed, independent of worker count and thread scheduling.
 
 use mdbs_bench::experiments::parallel_derive::job_agent;
-use mdbs_bench::workloads::Site;
 use mdbs_core::catalog::GlobalCatalog;
 use mdbs_core::classes::QueryClass;
-use mdbs_core::derive::{derive_all, derive_cost_model, BatchConfig, DerivationConfig, DeriveJob};
+use mdbs_core::derive::{derive_all, BatchConfig, DerivationConfig, DeriveJob};
 use mdbs_core::pipeline::PipelineCtx;
-use mdbs_core::registry::ModelRegistry;
-use mdbs_core::sampling::SampleGenerator;
 use mdbs_core::states::StateAlgorithm;
 use mdbs_obs::telemetry::strip_wall_clock;
 
@@ -75,76 +70,4 @@ fn one_worker_and_many_workers_produce_identical_models_and_telemetry() {
         !serial_telemetry.contains("pool.sched."),
         "{serial_telemetry}"
     );
-}
-
-#[test]
-fn registry_readers_see_whole_snapshots_during_version_swaps() {
-    // Two genuinely different models for the same (site, class) key.
-    let mut agent = Site::Oracle.dynamic_agent(200);
-    let model_a = derive_cost_model(
-        &mut agent,
-        QueryClass::UnaryNoIndex,
-        StateAlgorithm::Iupma,
-        &DerivationConfig::quick(),
-        &mut PipelineCtx::seeded(201),
-    )
-    .expect("derivation succeeds")
-    .model;
-    let mut agent = Site::Oracle.dynamic_agent(202);
-    let model_b = derive_cost_model(
-        &mut agent,
-        QueryClass::UnaryNoIndex,
-        StateAlgorithm::Iupma,
-        &DerivationConfig::quick(),
-        &mut PipelineCtx::seeded(203),
-    )
-    .expect("derivation succeeds")
-    .model;
-    assert_ne!(model_a.coefficients, model_b.coefficients);
-
-    let schema = Site::Oracle.dynamic_agent(204).catalog().clone();
-    let registry = ModelRegistry::new();
-    registry.publish("oracle".into(), QueryClass::UnaryNoIndex, model_a.clone());
-
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(no-raw-threads): publish/read race stress test needs raw racing threads; nothing output-relevant is computed
-    std::thread::scope(|scope| {
-        let registry = &registry;
-        let (model_a, model_b, schema) = (&model_a, &model_b, &schema);
-        scope.spawn(move || {
-            for i in 0..200 {
-                let model = if i % 2 == 0 { model_b } else { model_a };
-                registry.publish("oracle".into(), QueryClass::UnaryNoIndex, model.clone());
-            }
-        });
-        for reader in 0..2u64 {
-            scope.spawn(move || {
-                let site = "oracle".into();
-                let mut generator = SampleGenerator::new(300 + reader);
-                for _ in 0..300 {
-                    // Raw lookup: the snapshot is one of the two published
-                    // models in its entirety, never a mixture or a miss.
-                    let entry = registry
-                        .get(&site, QueryClass::UnaryNoIndex)
-                        .expect("model never absent during swaps");
-                    assert!(
-                        entry.model.coefficients == model_a.coefficients
-                            || entry.model.coefficients == model_b.coefficients,
-                        "reader saw a torn model"
-                    );
-                    assert!(entry.version >= 1);
-                    // Full estimation path across the swap.
-                    let query = generator.generate(QueryClass::UnaryNoIndex, schema);
-                    let est = registry
-                        .estimate(&mdbs_core::correction::EstimateQuery::raw(
-                            &site, schema, &query, 1.0,
-                        ))
-                        .expect("estimate never absent during swaps");
-                    assert!(est.estimate.is_finite());
-                }
-            });
-        }
-    });
-    assert_eq!(registry.version(), 201, "all publishes counted");
-    assert_eq!(registry.len(), 1);
 }

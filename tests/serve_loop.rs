@@ -2,12 +2,12 @@
 //!
 //! The contract under test: a scripted request/observation trace replayed
 //! through [`EstimationServer`] drives the full maintenance loop — requests
-//! micro-batched onto the pool against registry snapshots, backpressure
-//! shedding, at least one incremental refit and one drift-triggered
-//! rederivation — and the report plus stripped telemetry are a pure
-//! function of `(trace, seed, config)`, byte-identical at any worker
-//! count. Readers racing maintenance republishes must observe monotone
-//! snapshot versions.
+//! micro-batched and priced against the registry, backpressure shedding,
+//! at least one incremental refit and one drift-triggered rederivation —
+//! and the report plus stripped telemetry are a pure function of
+//! `(trace, seed, config)`, byte-identical at any worker count. Every
+//! maintenance publish bumps the registry version by one, and estimates
+//! never report a version older than one they reported before.
 
 use mdbs_core::catalog::{GlobalCatalog, SiteId};
 use mdbs_core::classes::QueryClass;
@@ -18,10 +18,11 @@ use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
 use mdbs_core::server::{
-    fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig, ServeReport, TraceEvent,
+    fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig, ServeReport, TraceEvent,
     TracedEvent,
 };
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_core::variables::VariableFamily;
 use mdbs_core::Observation;
 use mdbs_obs::telemetry::strip_wall_clock;
@@ -39,7 +40,7 @@ fn oracle_agent(env_seed: u64) -> MdbsAgent {
 
 /// A catalog with one maintained model (oracle / G1) plus its persisted
 /// fit accumulator, exactly what `derive` writes for `serve --loop`.
-fn seeded_catalog() -> GlobalCatalog {
+fn seeded_catalog() -> CatalogSnapshot {
     let mut agent = oracle_agent(40);
     let derived = derive_cost_model(
         &mut agent,
@@ -61,7 +62,7 @@ fn seeded_catalog() -> GlobalCatalog {
         QueryClass::UnaryNoIndex,
         ModelAccumulator::from_observations(&derived.model, &derived.observations),
     );
-    catalog
+    CatalogSnapshot::at_version(catalog, 0)
 }
 
 const G1_SQLS: &[&str] = &[
@@ -159,7 +160,7 @@ fn maintenance_config() -> MaintenanceConfig {
 }
 
 fn run_loop(
-    catalog: &GlobalCatalog,
+    catalog: &CatalogSnapshot,
     trace: &RequestTrace,
     workers: usize,
 ) -> (String, String, ServeReport) {
@@ -170,13 +171,13 @@ fn run_loop(
 }
 
 fn replay(
-    catalog: &GlobalCatalog,
+    catalog: &CatalogSnapshot,
     trace: &RequestTrace,
     config: ServeConfig,
     ctx: &mut PipelineCtx,
 ) -> ServeReport {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
+    let registry = ModelRegistry::from_snapshot(catalog);
+    let fleet = fleet_from_snapshot(
         catalog,
         maintenance_config(),
         DerivationConfig::quick(),
@@ -367,9 +368,9 @@ fn out_of_range_cumulative_degrade_is_a_line_error() {
     assert!(!out.contains("I/O cost factor"), "{out}");
 }
 
-/// Satellite: readers estimating concurrently with maintenance publishing
-/// incremental-refit snapshots never see a torn or version-regressing
-/// read — the versions each reader observes are monotone.
+/// Every incremental refit publishes exactly one new version, and the
+/// versions estimates report never go backwards: 20 refits on top of the
+/// seed model end at version 21 with one model registered.
 #[test]
 fn estimation_versions_are_monotone_under_incremental_refit_republish() {
     let mut agent = oracle_agent(80);
@@ -388,14 +389,14 @@ fn estimation_versions_are_monotone_under_incremental_refit_republish() {
         DerivationConfig::quick(),
         StateAlgorithm::Iupma,
     );
-    let registry = ModelRegistry::new();
+    let mut registry = ModelRegistry::new();
     registry.publish(
         site.clone(),
         QueryClass::UnaryNoIndex,
         maintainer.derived.model.clone(),
     );
 
-    // Pre-generate the refit batches serially (the agent is not shared).
+    // Twenty refit batches of ten fresh observations each.
     let family = VariableFamily::Unary;
     let mut generator = SampleGenerator::new(82);
     let batches: Vec<Vec<Observation>> = (0..20)
@@ -421,40 +422,27 @@ fn estimation_versions_are_monotone_under_incremental_refit_republish() {
     let schema = agent.catalog().clone();
     let query = SampleGenerator::new(83).generate(QueryClass::UnaryNoIndex, &schema);
 
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(no-raw-threads): reader/republish race stress test needs raw racing threads; nothing output-relevant is computed
-    std::thread::scope(|scope| {
-        let registry = &registry;
-        let (site, schema, query) = (&site, &schema, &query);
-        scope.spawn(move || {
-            let mut ctx = PipelineCtx::seeded(84);
-            for batch in &batches {
-                maintainer
-                    .refit_incremental(site, batch, Some(registry), &mut ctx)
-                    .expect("incremental refit publishes");
-            }
-        });
-        for _ in 0..3 {
-            scope.spawn(move || {
-                let mut last_version = 0u64;
-                for _ in 0..400 {
-                    let detail = registry
-                        .estimate(&mdbs_core::correction::EstimateQuery::raw(
-                            site, schema, query, 1.0,
-                        ))
-                        .expect("model never absent while republishing");
-                    let (estimate, version) = (detail.estimate, detail.version);
-                    assert!(estimate.is_finite(), "torn read produced {estimate}");
-                    assert!(
-                        version >= last_version,
-                        "snapshot version regressed: {version} < {last_version}"
-                    );
-                    last_version = version;
-                }
-            });
-        }
-    });
-    // Every refit published exactly one new snapshot on top of the seed.
+    let mut ctx = PipelineCtx::seeded(84);
+    let mut last_version = 0u64;
+    for batch in &batches {
+        let before = registry.version();
+        let published = maintainer
+            .refit_incremental(&site, batch, Some(&mut registry), &mut ctx)
+            .expect("incremental refit publishes");
+        assert_eq!(published, Some(before + 1), "one version per publish");
+        let detail = registry
+            .estimate(&mdbs_core::correction::EstimateQuery::raw(
+                &site, &schema, &query, 1.0,
+            ))
+            .expect("model never absent while republishing");
+        assert!(detail.estimate.is_finite(), "estimate {}", detail.estimate);
+        assert!(
+            detail.version > last_version,
+            "estimate version went backwards: {} after {last_version}",
+            detail.version
+        );
+        last_version = detail.version;
+    }
     assert_eq!(registry.version(), 21);
     assert_eq!(registry.len(), 1);
 }

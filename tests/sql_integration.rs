@@ -50,7 +50,9 @@ fn sql_estimate_then_execute_roundtrip() {
     let mut catalog = GlobalCatalog::new();
     let site: SiteId = "s".into();
     catalog.insert_model(site.clone(), QueryClass::UnaryNoIndex, derived.model);
-    let registry = mdbs_core::ModelRegistry::from_catalog(&catalog);
+    let registry = mdbs_core::ModelRegistry::from_snapshot(
+        &mdbs_core::store::CatalogSnapshot::at_version(catalog, 0),
+    );
 
     // A batch of hand-written SQL queries of the derived class.
     let sqls = [

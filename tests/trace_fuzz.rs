@@ -20,9 +20,10 @@ use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::server::{
-    fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig, ServeReport, TraceEvent,
+    fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig, ServeReport, TraceEvent,
 };
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
 use mdbs_stats::rng::Rng;
@@ -90,7 +91,7 @@ fn agent(vendor: VendorProfile, env_seed: u64) -> MdbsAgent {
 /// One maintained model (oracle / G1) with its fit accumulator. `db2`
 /// agents exist but have no model, so mutated sites reach the no-model
 /// path as well as the unknown-site error.
-fn seeded_catalog() -> GlobalCatalog {
+fn seeded_catalog() -> CatalogSnapshot {
     let mut oracle = agent(VendorProfile::oracle8(), 40);
     let derived = derive_cost_model(
         &mut oracle,
@@ -108,7 +109,7 @@ fn seeded_catalog() -> GlobalCatalog {
         ModelAccumulator::from_observations(&derived.model, &derived.observations),
     );
     catalog.insert_model(site, QueryClass::UnaryNoIndex, derived.model);
-    catalog
+    CatalogSnapshot::at_version(catalog, 0)
 }
 
 fn make_agent(site: &SiteId, seed: u64) -> Option<MdbsAgent> {
@@ -205,7 +206,7 @@ fn parse_case(label: &str, text: &str) -> RequestTrace {
     trace
 }
 
-fn replay(catalog: &GlobalCatalog, trace: &RequestTrace, case: usize) -> ServeReport {
+fn replay(catalog: &CatalogSnapshot, trace: &RequestTrace, case: usize) -> ServeReport {
     // Most replays keep the drift monitor quiet (a debug-build
     // rederivation takes about a second); every 75th lets it trip.
     let min_good = if case % 75 == 74 { 0.65 } else { 0.0 };
@@ -215,7 +216,7 @@ fn replay(catalog: &GlobalCatalog, trace: &RequestTrace, case: usize) -> ServeRe
         .min_good_fraction(min_good)
         .build()
         .expect("sane maintenance config");
-    let fleet = fleet_from_catalog(
+    let fleet = fleet_from_snapshot(
         catalog,
         maintenance,
         DerivationConfig::quick(),
@@ -236,7 +237,7 @@ fn replay(catalog: &GlobalCatalog, trace: &RequestTrace, case: usize) -> ServeRe
         .correction(case % 2 == 1)
         .build()
         .expect("sane serve config");
-    let mut server = EstimationServer::new(ModelRegistry::from_catalog(catalog), fleet, config);
+    let mut server = EstimationServer::new(ModelRegistry::from_snapshot(catalog), fleet, config);
     server.run(trace, make_agent, &mut PipelineCtx::seeded(7))
 }
 
