@@ -64,6 +64,14 @@ echo "==> suffstats parity gate (legacy full-QR vs Gram engines)"
 # its own named gate that survives any future test-partitioning.
 cargo test -q --offline -p mdbs-bench --test suffstats_parity
 
+echo "==> pinned catalog digests (derived catalogs byte-identical to the pins)"
+# Redundant with the workspace test run by design: the FNV-1a digests of
+# three derived text catalogs (IUPMA/uniform, ICMA/clustered, and the
+# single-model path) are pinned, so a change meant to leave derivation
+# output alone proves it here; the --jobs gates below only compare a
+# build against itself.
+cargo test -q --offline -p mdbs-cli --test catalog_digests
+
 echo "==> bench --json smoke (fit_suffstats n=00100)"
 BENCH_JSON="${TMPDIR:-/tmp}/mdbs-ci-bench.$$.json"
 cargo bench -q --offline --bench fit_suffstats -- "n=00100" --json "$BENCH_JSON" > /dev/null

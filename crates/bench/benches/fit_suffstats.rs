@@ -10,6 +10,12 @@
 //! sizes the pipeline sees (and one 10k stress size), for a 4-state
 //! General-form model with 3 variables (k = 16 design columns).
 //!
+//! The `vif/*` cases measure the multicollinearity screen of variable
+//! selection on the same sample: `vif/obs` runs the observation-space
+//! reference (one QR auxiliary regression over all `n` rows per
+//! variable), `vif/gram` reads the same VIFs off the sample's Gram block
+//! (accumulated once, outside the timed loop, as selection caches it).
+//!
 //! Names are zero-padded (`n=00100`) so `cargo bench -- n=00100` selects
 //! one size without substring-matching the larger ones.
 
@@ -18,7 +24,8 @@ use mdbs_core::model::{fit_cost_model, ModelForm};
 use mdbs_core::observation::Observation;
 use mdbs_core::qualvar::StateSet;
 use mdbs_core::ModelAccumulator;
-use mdbs_stats::{GramPrefix, Rng};
+use mdbs_stats::vif::{gram_variance_inflation_factors, variance_inflation_factors};
+use mdbs_stats::{GramAccumulator, GramPrefix, Rng};
 
 const NUM_STATES: usize = 4;
 const NUM_VARS: usize = 3;
@@ -104,6 +111,25 @@ fn main() {
             .expect("well-formed accumulator")
             .refit()
             .expect("fit succeeds")
+        });
+
+        // VIFs of the three variables over all n rows.
+        let columns: Vec<Vec<f64>> = (0..NUM_VARS)
+            .map(|j| obs.iter().map(|o| o.x[j]).collect())
+            .collect();
+        h.bench(&format!("vif/obs/n={n:05}"), 3, iters, || {
+            variance_inflation_factors(&columns).expect("VIFs")
+        });
+        let mut block = GramAccumulator::new(NUM_VARS + 1);
+        for o in &obs {
+            let mut z = Vec::with_capacity(NUM_VARS + 1);
+            z.push(1.0);
+            z.extend_from_slice(&o.x);
+            block.add_row(&z, o.cost).expect("row width matches");
+        }
+        let all: Vec<usize> = (0..NUM_VARS).collect();
+        h.bench(&format!("vif/gram/n={n:05}"), 3, iters, || {
+            gram_variance_inflation_factors(&block, &all).expect("VIFs")
         });
     }
 

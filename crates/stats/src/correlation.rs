@@ -8,9 +8,10 @@
 /// Pearson product-moment correlation between two equally long samples.
 ///
 /// Returns `0.0` when either sample is constant (no linear relationship can
-/// be measured) or when the samples are shorter than two points — this is
-/// exactly the "contributes nothing" interpretation the selection procedure
-/// wants for degenerate columns.
+/// be measured), when the samples are shorter than two points, or when the
+/// sums of squares overflow (values near `f64::MAX` make them `inf` and the
+/// ratio `NaN`) — this is exactly the "contributes nothing" interpretation
+/// the selection procedure wants for degenerate columns.
 pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     let n = x.len().min(y.len());
     if n < 2 {
@@ -29,10 +30,11 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
         sxx += dx * dx;
         syy += dy * dy;
     }
-    if sxx <= 0.0 || syy <= 0.0 {
+    let r = sxy / (sxx.sqrt() * syy.sqrt());
+    if sxx <= 0.0 || syy <= 0.0 || r.is_nan() {
         return 0.0;
     }
-    (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
+    r.clamp(-1.0, 1.0)
 }
 
 #[cfg(test)]
@@ -52,6 +54,13 @@ mod tests {
     fn constant_series_yields_zero() {
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
         assert_eq!(pearson(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]), 0.0);
+    }
+
+    #[test]
+    fn overflowing_sums_yield_zero() {
+        let x = [1e200, -1e200, 3.0, 4.0];
+        assert_eq!(pearson(&x, &[1.0, 2.0, 3.0, 5.0]), 0.0);
+        assert_eq!(pearson(&[1.0, 2.0, 3.0, 5.0], &x), 0.0);
     }
 
     #[test]

@@ -613,7 +613,7 @@ impl GramPrefix {
 /// matrix given row-major; returns the lower factor or
 /// [`StatsError::Singular`] when a pivot falls below the relative
 /// tolerance (see [`CHOLESKY_RELATIVE_TOLERANCE`]).
-fn cholesky_factor(k: usize, a: &[f64]) -> Result<Vec<f64>, StatsError> {
+pub(crate) fn cholesky_factor(k: usize, a: &[f64]) -> Result<Vec<f64>, StatsError> {
     let max_diag = (0..k).fold(0.0f64, |m, i| m.max(a[i * k + i].abs()));
     let tol = CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0);
     let mut l = vec![0.0; k * k];
