@@ -65,11 +65,14 @@ echo "==> suffstats parity gate (legacy full-QR vs Gram engines)"
 cargo test -q --offline -p mdbs-bench --test suffstats_parity
 
 echo "==> pinned catalog digests (derived catalogs byte-identical to the pins)"
-# Redundant with the workspace test run by design: the FNV-1a digests of
-# three derived text catalogs (IUPMA/uniform, ICMA/clustered, and the
-# single-model path) are pinned, so a change meant to leave derivation
-# output alone proves it here; the --jobs gates below only compare a
-# build against itself.
+# Redundant with the workspace test run by design: two FNV-1a digests of
+# four derived text catalogs (IUPMA/uniform, ICMA/clustered, the
+# single-model path and an ICMA derivation that resamples thin clusters)
+# are pinned — one over every byte, one over everything but the coef/fit
+# lines — so a change meant to leave derivation output alone proves it
+# here, and a solver change that only moves low bits proves the states,
+# variables and Gram blocks stayed put; the --jobs gates below only
+# compare a build against itself.
 cargo test -q --offline -p mdbs-cli --test catalog_digests
 
 echo "==> bench --json smoke (fit_suffstats n=00100)"
@@ -268,6 +271,13 @@ echo "==> trace fuzz gate (seeded trace mutations, release build)"
 # panic the parser or the serving loop, and every request line must end
 # in exactly one outcome, so the sweep keeps its own named gate.
 cargo test -q --offline --release -p mdbs-bench --test trace_fuzz
+
+echo "==> SQL fuzz gate (seeded to_sql mutations, debug build)"
+# Redundant with the workspace test run by design: no SQL text may panic
+# the parser, and every mutation of a rendered sample query (prefix cuts,
+# byte flips, token edits; 12k cases, well under a second in debug) must
+# end in a typed SqlError or a query that classifies.
+cargo test -q --offline -p mdbs-bench --test sql_fuzz
 
 echo "==> bench --json smoke (catalog_store size/load criteria)"
 # The bench self-asserts the binary format's acceptance criteria: >= 3x

@@ -1,5 +1,5 @@
-//! Benchmarks of contention-state machinery: 1-D agglomerative clustering,
-//! state lookup, and the full IUPMA/ICMA determination loop — the ablation
+//! Benchmarks of contention-state machinery: 1-D agglomerative clustering
+//! (one level, and the whole path ICMA walks), state lookup, and the full IUPMA/ICMA determination loop — the ablation
 //! the paper's §3.3 motivates (uniform vs clustering-based partitioning).
 
 use mdbs_bench::harness::Harness;
@@ -7,7 +7,7 @@ use mdbs_core::observation::Observation;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::qualvar::StateSet;
 use mdbs_core::states::{determine_states, NoResampling, StateAlgorithm, StatesConfig};
-use mdbs_stats::cluster_1d;
+use mdbs_stats::{cluster_1d, cluster_path_1d};
 use std::hint::black_box;
 
 /// Synthetic observations with `regimes` genuine contention regimes and
@@ -37,6 +37,14 @@ fn main() {
             .map(|o| o.probe_cost)
             .collect();
         h.bench(&format!("cluster_1d/{n}"), 5, 50, || cluster_1d(&probes, 4));
+        // ICMA's phase-1 proposals for m = 1..=6: one agglomeration that
+        // records every level, against one agglomeration per level.
+        h.bench(&format!("cluster_path/{n}"), 5, 50, || {
+            cluster_path_1d(&probes, 6)
+        });
+        h.bench(&format!("cluster_1d_per_level/{n}"), 5, 50, || {
+            (1..=6).map(|k| cluster_1d(&probes, k)).collect::<Vec<_>>()
+        });
     }
 
     let states = StateSet::uniform(0.0, 10.0, 6).expect("valid partition");

@@ -1,5 +1,8 @@
 //! Sample observations: what one executed sample query contributes.
 
+use crate::CoreError;
+use mdbs_stats::GramAccumulator;
+
 /// One data point for regression: the explanatory-variable values of a
 /// sample query, its observed cost, and the probing-query cost measured in
 /// the same environment ("sampled probing query cost", paper §3.3).
@@ -21,6 +24,49 @@ impl Observation {
     pub fn project(&self, keep: &[usize]) -> Vec<f64> {
         keep.iter().map(|&i| self.x[i]).collect()
     }
+}
+
+/// Checks that a fitting sample can be ordered and summed, before any
+/// comparator or solver sees it: every cost, probe cost and variable is
+/// finite, every observation carries at least `width` variables, and the
+/// pooled second moments of the row `[1, x[vars]…]` and the cost do not
+/// overflow (a value of |v| ≳ 1e154 squares to ∞). The first offence is a
+/// [`CoreError::Degenerate`]; state determination and variable selection
+/// both run this one check.
+pub fn check_sample(
+    observations: &[Observation],
+    width: usize,
+    vars: &[usize],
+) -> Result<(), CoreError> {
+    let finite = |o: &Observation| {
+        o.cost.is_finite() && o.probe_cost.is_finite() && o.x.iter().all(|v| v.is_finite())
+    };
+    if let Some(i) = observations.iter().position(|o| !finite(o)) {
+        return Err(CoreError::Degenerate(format!(
+            "observation {i} is not finite (cost, probe cost and every variable must be)"
+        )));
+    }
+    if let Some(i) = observations.iter().position(|o| o.x.len() < width) {
+        return Err(CoreError::Degenerate(format!(
+            "observation {i} has {} variables, {width} are needed",
+            observations[i].x.len()
+        )));
+    }
+    let mut pooled = GramAccumulator::new(vars.len() + 1);
+    let mut z = Vec::with_capacity(vars.len() + 1);
+    for o in observations {
+        z.clear();
+        z.push(1.0);
+        z.extend(vars.iter().map(|&j| o.x[j]));
+        pooled.add_row(&z, o.cost).map_err(CoreError::Numeric)?;
+    }
+    let moments = pooled.xtx().iter().chain(pooled.xty());
+    if !(moments.copied().all(f64::is_finite) && pooled.yty().is_finite()) {
+        return Err(CoreError::Degenerate(
+            "the second moments of the observations overflow".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

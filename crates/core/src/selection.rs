@@ -31,7 +31,7 @@ use crate::model::{
     adjusted_coefficients, fit_cost_model, fit_gram_from_blocks, min_obs_per_state, CostModel,
     FitEngine, ModelForm,
 };
-use crate::observation::Observation;
+use crate::observation::{check_sample, Observation};
 use crate::qualvar::StateSet;
 use crate::variables::VariableFamily;
 use crate::CoreError;
@@ -117,22 +117,9 @@ pub(crate) fn select_variables_inner(
     tel: &mut Telemetry,
 ) -> Result<Selection, CoreError> {
     // Correlations, VIFs and fits are only ordered over finite data.
-    let finite = |o: &Observation| {
-        o.cost.is_finite() && o.probe_cost.is_finite() && o.x.iter().all(|v| v.is_finite())
-    };
-    if let Some(i) = observations.iter().position(|o| !finite(o)) {
-        return Err(CoreError::Degenerate(format!(
-            "observation {i} is not finite (cost, probe cost and every variable must be)"
-        )));
-    }
     let all = family.all();
-    if let Some(i) = observations.iter().position(|o| o.x.len() < all.len()) {
-        return Err(CoreError::Degenerate(format!(
-            "observation {i} has {} variables, the family needs {}",
-            observations[i].x.len(),
-            all.len()
-        )));
-    }
+    let width = all.len();
+    check_sample(observations, width, &(0..width).collect::<Vec<_>>())?;
     let names =
         |idx: &[usize]| -> Vec<String> { idx.iter().map(|&i| all[i].name.to_string()).collect() };
     let moments = StateMoments::new(observations, states, all.len())?;
@@ -359,8 +346,9 @@ struct StateMoments {
 }
 
 impl StateMoments {
-    /// Accumulates `observations` by state. Values whose squares overflow
-    /// are a typed error: no `inf` or `NaN` moment reaches a comparison.
+    /// Accumulates `observations` by state. Callers pass a sample that
+    /// [`check_sample`] accepted, so no `inf` or `NaN` moment reaches a
+    /// comparison.
     fn new(
         observations: &[Observation],
         states: &StateSet,
@@ -379,17 +367,6 @@ impl StateMoments {
         let mut pooled = GramAccumulator::new(width + 1);
         for b in &blocks {
             pooled.merge(b).map_err(CoreError::Numeric)?;
-        }
-        let finite = pooled
-            .xtx()
-            .iter()
-            .chain(pooled.xty())
-            .all(|v| v.is_finite())
-            && pooled.yty().is_finite();
-        if !finite {
-            return Err(CoreError::Degenerate(
-                "the second moments of the observations overflow".into(),
-            ));
         }
         Ok(StateMoments { blocks, pooled })
     }

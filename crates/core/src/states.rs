@@ -27,11 +27,11 @@ use crate::model::{
     adjusted_coefficients, counts_per_state, fit_cost_model, fit_gram_from_blocks,
     min_obs_per_state, CostModel, FitEngine, ModelForm,
 };
-use crate::observation::Observation;
+use crate::observation::{check_sample, Observation};
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
-use mdbs_stats::{cluster_1d, GramAccumulator, GramPrefix};
+use mdbs_stats::{cluster_path_1d, Cluster1D, GramAccumulator, GramPrefix};
 
 /// Which state-determination algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,6 +166,11 @@ pub(crate) fn determine_states_inner(
     if cfg.max_states == 0 {
         return Err(CoreError::Degenerate("max_states must be >= 1".into()));
     }
+    // Probe costs are sorted and clustered, and the fits sum squares: a
+    // non-finite or overflowing sample is a typed error, not a panic in a
+    // comparator or a model with non-finite coefficients.
+    let width = var_indexes.iter().max().map_or(0, |&j| j + 1);
+    check_sample(observations, width, var_indexes)?;
     let form_for = |states: &StateSet| {
         if states.is_single() {
             ModelForm::Coincident
@@ -213,6 +218,10 @@ pub(crate) fn determine_states_inner(
     let (c_min, c_max) = probe_range(observations)?;
     let degenerate_range = c_max <= c_min;
     let mut flat_steps = 0usize;
+    // ICMA's agglomeration of the current sample: one pass records every
+    // level up to `max_states`, rebuilt (like the Gram cache) only when
+    // `populate_or_merge` draws extra observations.
+    let mut cluster_path: Option<Vec<Vec<Cluster1D>>> = None;
 
     for m in 2..=cfg.max_states {
         if degenerate_range {
@@ -222,9 +231,11 @@ pub(crate) fn determine_states_inner(
         let proposed = match algorithm {
             StateAlgorithm::Iupma => StateSet::uniform(c_min, c_max, m)?,
             StateAlgorithm::Icma => {
-                let probes: Vec<f64> = observations.iter().map(|o| o.probe_cost).collect();
-                let clusters = cluster_1d(&probes, m);
-                StateSet::from_clusters(&clusters)?
+                let path = cluster_path.get_or_insert_with(|| {
+                    let probes: Vec<f64> = observations.iter().map(|o| o.probe_cost).collect();
+                    cluster_path_1d(&probes, cfg.max_states)
+                });
+                StateSet::from_clusters(&path[m - 1])?
             }
         };
         if proposed.len() < m && proposed.len() <= best.num_states() {
@@ -235,7 +246,9 @@ pub(crate) fn determine_states_inner(
         let states = populate_or_merge(proposed, observations, var_indexes.len(), source, tel);
         if observations.len() != before {
             // Targeted resampling appended observations — the prefix sums
-            // are stale, rebuild them once for this (and later) proposals.
+            // and the cluster path are stale; rebuild them once for this
+            // (and later) proposals.
+            cluster_path = None;
             if cache.is_some() {
                 cache = Some(GramCache::build(observations, var_indexes, tel)?);
             }
@@ -581,6 +594,71 @@ mod tests {
         // Phase-1 history starts at the static case.
         assert_eq!(result.history[0].states, 1);
         assert!(result.history[0].r_squared < result.model.fit.r_squared);
+    }
+
+    /// A NaN, ±∞ or ±1e200 at observation 17 of 200 — in the cost, the
+    /// variable or the probe cost, for either algorithm and either engine
+    /// — is a typed error or a finite model, never a panic (a NaN probe
+    /// cost broke the Gram cache's sort) and never an `Ok` model with
+    /// non-finite coefficients (a non-finite or overflowing cost or
+    /// variable did). Only a huge but finite probe cost may still fit.
+    #[test]
+    fn non_finite_or_overflowing_samples_are_typed_errors() {
+        type Field = fn(&mut Observation) -> &mut f64;
+        let fields: [(&str, Field); 3] = [
+            ("cost", |o| &mut o.cost),
+            ("x[0]", |o| &mut o.x[0]),
+            ("probe_cost", |o| &mut o.probe_cost),
+        ];
+        let mut cases = 0;
+        for algorithm in [StateAlgorithm::Iupma, StateAlgorithm::Icma] {
+            for engine in [FitEngine::FullRefit, FitEngine::Gram] {
+                for (name, field) in fields {
+                    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200] {
+                        let at = format!("{algorithm:?} {engine:?} {name}={bad}");
+                        let mut obs = regime_observations(4, 50);
+                        *field(&mut obs[17]) = bad;
+                        let cfg = StatesConfig {
+                            engine,
+                            ..StatesConfig::default()
+                        };
+                        let result = std::panic::catch_unwind(move || {
+                            determine_states(
+                                algorithm,
+                                &mut obs,
+                                &[0],
+                                &["x".to_string()],
+                                &cfg,
+                                &mut NoResampling,
+                                &mut PipelineCtx::default(),
+                            )
+                        })
+                        .unwrap_or_else(|_| panic!("{at}: determine_states panicked"));
+                        match result {
+                            Err(CoreError::Degenerate(msg)) if !bad.is_finite() => {
+                                assert!(msg.contains("observation 17"), "{at}: {msg}")
+                            }
+                            Err(CoreError::Degenerate(msg)) => {
+                                assert!(msg.contains("overflow"), "{at}: {msg}")
+                            }
+                            Ok(r) if bad.is_finite() && name == "probe_cost" => {
+                                let fit = &r.model.fit;
+                                assert!(
+                                    r.model.coefficients.iter().flatten().all(|c| c.is_finite())
+                                        && fit.r_squared.is_finite()
+                                        && fit.see.is_finite(),
+                                    "{at}: non-finite model {:?}",
+                                    r.model
+                                );
+                            }
+                            other => panic!("{at}: expected a typed error, got {other:?}"),
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 60);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod rng;
 pub mod suffstats;
 pub mod vif;
 
-pub use clustering::{cluster_1d, Cluster1D};
+pub use clustering::{cluster_1d, cluster_path_1d, Cluster1D};
 pub use correlation::pearson;
 pub use describe::Summary;
 pub use matrix::Matrix;

@@ -9,7 +9,7 @@
 
 use crate::StatsError;
 
-/// Rows of Q that [`Matrix::qr`] builds together: their independent dot
+/// Rows of Q that [`HouseholderQr::q`] builds together: their independent dot
 /// products interleave, which hides the latency of each row's sequential
 /// sum (8 rows measured no faster than 4).
 const QR_ROW_BLOCK: usize = 4;
@@ -144,21 +144,32 @@ impl Matrix {
             .collect())
     }
 
-    /// Householder QR factorization.
+    /// Householder QR factorization, with thin Q formed explicitly.
     ///
     /// Requires `rows >= cols`. Returns `(q, r)` with `q` of shape
     /// `rows × cols` (thin Q, orthonormal columns) and `r` upper triangular
     /// `cols × cols` such that `self ≈ q · r`.
     ///
-    /// R is reduced first and the Householder vectors are kept; Q is then
-    /// built one row at a time, because `Q ← Q·H_k` acts on each row of Q
-    /// independently. Each row starts as a row of the identity and takes
-    /// every reflector in the order (and with the arithmetic) of the full
-    /// accumulation, so Q is bit-identical to the explicit `m × m` product,
-    /// while no `m × m` buffer is allocated: scratch memory is O(m·n), the
-    /// reflectors plus four rows of length `m` built together. The work is
-    /// still O(m²·n).
+    /// This is [`Matrix::householder_qr`] followed by
+    /// [`HouseholderQr::q`]; least squares never needs Q itself, so
+    /// [`Matrix::least_squares`] and `OlsFit::fit` apply the reflectors to
+    /// `y` instead ([`HouseholderQr::apply_qt`]). Forming thin Q costs
+    /// O(m²·n) work; callers that only need `Qᵀy` should not pay it.
     pub fn qr(&self) -> Result<(Matrix, Matrix), StatsError> {
+        let qr = self.householder_qr()?;
+        Ok((qr.q(), qr.r))
+    }
+
+    /// Householder QR factorization that keeps the reflectors instead of
+    /// forming Q.
+    ///
+    /// Requires `rows >= cols`. R is reduced column by column in O(m·n²);
+    /// every applied reflector `H_k = I − 2vvᵀ/(vᵀv)` is kept as
+    /// `(k, vᵀv, v[k..m])`, so `Q = H_0·H_1·…` is available implicitly
+    /// through [`HouseholderQr::apply_qt`] (O(m·n) per vector) and
+    /// explicitly through [`HouseholderQr::q`]. A column that is already
+    /// zero at and below the diagonal keeps no reflector.
+    pub fn householder_qr(&self) -> Result<HouseholderQr, StatsError> {
         let (m, n) = (self.rows, self.cols);
         if m < n {
             return Err(StatsError::DimensionMismatch {
@@ -204,51 +215,23 @@ impl Matrix {
             }
             reflectors.push((k, vnorm2, v[k..m].to_vec()));
         }
-        // Q = H_0·H_1·…, row by row: row i of Q is e_iᵀ·H_0·H_1·…, and each
-        // H_k = I − 2vvᵀ/(vᵀv) only reads and writes entries k..m of it.
-        // Rows go in blocks so their sequential dot products interleave.
-        let mut q_thin = Matrix::zeros(m, n);
-        let mut rows = vec![[0.0; QR_ROW_BLOCK]; m];
-        for first in (0..m).step_by(QR_ROW_BLOCK) {
-            let block = QR_ROW_BLOCK.min(m - first);
-            for (l, row) in rows.iter_mut().enumerate() {
-                for (b, q) in row.iter_mut().enumerate() {
-                    *q = if l == first + b { 1.0 } else { 0.0 };
-                }
-            }
-            for (k, vnorm2, v) in &reflectors {
-                let tail = &mut rows[*k..];
-                let mut dot = [0.0; QR_ROW_BLOCK];
-                for (q, &vl) in tail.iter().zip(v) {
-                    for b in 0..QR_ROW_BLOCK {
-                        dot[b] += q[b] * vl;
-                    }
-                }
-                let scale = dot.map(|d| 2.0 * d / vnorm2);
-                for (q, &vl) in tail.iter_mut().zip(v) {
-                    for b in 0..QR_ROW_BLOCK {
-                        q[b] -= scale[b] * vl;
-                    }
-                }
-            }
-            for b in 0..block {
-                for j in 0..n {
-                    q_thin[(first + b, j)] = rows[j][b];
-                }
-            }
-        }
         let mut r_thin = Matrix::zeros(n, n);
         for i in 0..n {
             for j in i..n {
                 r_thin[(i, j)] = r[(i, j)];
             }
         }
-        Ok((q_thin, r_thin))
+        Ok(HouseholderQr {
+            rows: m,
+            r: r_thin,
+            reflectors,
+        })
     }
 
     /// Solves the least-squares problem `min ‖self·x − y‖₂` via QR.
     ///
-    /// Returns [`StatsError::Singular`] when a diagonal entry of `R` is
+    /// See [`HouseholderQr::solve`]; Q is never formed. Returns
+    /// [`StatsError::Singular`] when a diagonal entry of `R` is
     /// (numerically) zero, i.e. the design matrix is rank-deficient.
     pub fn least_squares(&self, y: &[f64]) -> Result<Vec<f64>, StatsError> {
         if y.len() != self.rows {
@@ -266,10 +249,7 @@ impl Matrix {
                 got: self.rows,
             });
         }
-        let (q, r) = self.qr()?;
-        // x = R⁻¹ Qᵀ y  (back substitution).
-        let qty = q.transpose().matvec(y)?;
-        back_substitute(&r, &qty)
+        self.householder_qr()?.solve(y)
     }
 
     /// Solves the square linear system `self · x = b` via QR.
@@ -307,6 +287,105 @@ impl Matrix {
     /// Maximum absolute element; useful for tolerance checks in tests.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |acc, v| acc.max(v.abs()))
+    }
+}
+
+/// A Householder QR factorization `A = Q·R` of an `m × n` matrix (`m ≥ n`)
+/// that holds R and the reflectors rather than Q (see
+/// [`Matrix::householder_qr`]).
+#[derive(Debug, Clone)]
+pub struct HouseholderQr {
+    rows: usize,
+    /// Upper-triangular `n × n` factor.
+    r: Matrix,
+    /// Every applied reflector `H = I − 2vvᵀ/(vᵀv)` as `(k, vᵀv, v[k..m])`,
+    /// in application order: `Q = H_0·H_1·…`.
+    reflectors: Vec<(usize, f64, Vec<f64>)>,
+}
+
+impl HouseholderQr {
+    /// The upper-triangular `n × n` factor R.
+    pub fn r(&self) -> &Matrix {
+        &self.r
+    }
+
+    /// The first `n` entries of `Qᵀy`, without forming Q.
+    ///
+    /// `Qᵀ = …·H_1·H_0`, so the reflectors apply to `y` in factorization
+    /// order, H₀ first, each with R's own arithmetic: `dot = Σ v_i·w_i`,
+    /// `scale = 2·dot/vᵀv`, `w_i −= scale·v_i`. O(m·n) work.
+    pub fn apply_qt(&self, y: &[f64]) -> Result<Vec<f64>, StatsError> {
+        if y.len() != self.rows {
+            return Err(StatsError::DimensionMismatch {
+                context: format!("apply_qt: len-{} vector, {} rows", y.len(), self.rows),
+            });
+        }
+        let mut w = y.to_vec();
+        for (k, vnorm2, v) in &self.reflectors {
+            let tail = &mut w[*k..];
+            let dot: f64 = tail.iter().zip(v).fold(0.0, |acc, (w, v)| acc + v * w);
+            let scale = 2.0 * dot / vnorm2;
+            for (w, &v) in tail.iter_mut().zip(v) {
+                *w -= scale * v;
+            }
+        }
+        w.truncate(self.r.cols());
+        Ok(w)
+    }
+
+    /// The least-squares solution `x = R⁻¹·(Qᵀy)[..n]` of `A·x ≈ y`:
+    /// [`HouseholderQr::apply_qt`], then back substitution. Returns
+    /// [`StatsError::Singular`] when a diagonal entry of R is at most
+    /// `1e-12` times the largest one (or `1e-12` when that is below 1).
+    pub fn solve(&self, y: &[f64]) -> Result<Vec<f64>, StatsError> {
+        back_substitute(&self.r, &self.apply_qt(y)?)
+    }
+
+    /// Forms thin Q (`m × n`, orthonormal columns).
+    ///
+    /// Built one row at a time, because `Q ← Q·H_k` acts on each row of Q
+    /// independently. Each row starts as a row of the identity and takes
+    /// every reflector in the order (and with the arithmetic) of the full
+    /// accumulation, so Q is bit-identical to the explicit `m × m` product,
+    /// while no `m × m` buffer is allocated: scratch memory is O(m·n), the
+    /// reflectors plus four rows of length `m` built together. The work is
+    /// O(m²·n).
+    pub fn q(&self) -> Matrix {
+        let (m, n) = (self.rows, self.r.cols());
+        // Q = H_0·H_1·…, row by row: row i of Q is e_iᵀ·H_0·H_1·…, and each
+        // H_k = I − 2vvᵀ/(vᵀv) only reads and writes entries k..m of it.
+        // Rows go in blocks so their sequential dot products interleave.
+        let mut q_thin = Matrix::zeros(m, n);
+        let mut rows = vec![[0.0; QR_ROW_BLOCK]; m];
+        for first in (0..m).step_by(QR_ROW_BLOCK) {
+            let block = QR_ROW_BLOCK.min(m - first);
+            for (l, row) in rows.iter_mut().enumerate() {
+                for (b, q) in row.iter_mut().enumerate() {
+                    *q = if l == first + b { 1.0 } else { 0.0 };
+                }
+            }
+            for (k, vnorm2, v) in &self.reflectors {
+                let tail = &mut rows[*k..];
+                let mut dot = [0.0; QR_ROW_BLOCK];
+                for (q, &vl) in tail.iter().zip(v) {
+                    for b in 0..QR_ROW_BLOCK {
+                        dot[b] += q[b] * vl;
+                    }
+                }
+                let scale = dot.map(|d| 2.0 * d / vnorm2);
+                for (q, &vl) in tail.iter_mut().zip(v) {
+                    for b in 0..QR_ROW_BLOCK {
+                        q[b] -= scale[b] * vl;
+                    }
+                }
+            }
+            for b in 0..block {
+                for j in 0..n {
+                    q_thin[(first + b, j)] = rows[j][b];
+                }
+            }
+        }
+        q_thin
     }
 }
 

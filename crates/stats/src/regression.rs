@@ -204,6 +204,11 @@ impl OlsFit {
     /// `has_intercept` controls how R² is computed: with an intercept (or
     /// a full set of per-state indicator columns, which spans the constant)
     /// SST is taken about the mean of `y`; without, about zero.
+    ///
+    /// The solve is a Householder QR of `X` whose reflectors are applied
+    /// straight to `y` (`β = R⁻¹·(Qᵀy)[..k]`, see
+    /// [`crate::matrix::HouseholderQr::solve`]): Q is never formed, so a
+    /// fit costs O(n·k²) rather than O(n²·k).
     pub fn fit(x: &Matrix, y: &[f64], has_intercept: bool) -> Result<OlsFit, StatsError> {
         let n = x.rows();
         let k = x.cols();
@@ -218,9 +223,8 @@ impl OlsFit {
                 got: n,
             });
         }
-        let (q, r) = x.qr()?;
-        let qty = q.transpose().matvec(y)?;
-        let coefficients = back_solve(&r, &qty)?;
+        let qr = x.householder_qr()?;
+        let coefficients = qr.solve(y)?;
         let fitted = x.matvec(&coefficients)?;
         let residuals: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| a - b).collect();
         let sse: f64 = residuals.iter().map(|e| e * e).sum();
@@ -230,7 +234,7 @@ impl OlsFit {
         let summary = fit_summary(sse, sst, n, k, has_intercept)?;
 
         // Coefficient covariance: σ² (XᵀX)⁻¹ = σ² R⁻¹ R⁻ᵀ.
-        let r_inv = r.invert_upper_triangular()?;
+        let r_inv = qr.r().invert_upper_triangular()?;
         let xtx_inverse = r_inv.matmul(&r_inv.transpose())?;
         let inference = coefficient_inference(&coefficients, &xtx_inverse, sse, n, k)?;
 
@@ -322,25 +326,6 @@ impl OlsFit {
         let t = student_t_quantile(1.0 - alpha / 2.0, df)?;
         Ok((yhat - t * se, yhat + t * se))
     }
-}
-
-/// Back substitution for the upper-triangular factor (shared with `Matrix`,
-/// duplicated privately to keep the matrix module self-contained).
-fn back_solve(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
-    let n = r.cols();
-    let scale = (0..n).fold(0.0f64, |acc, k| acc.max(r[(k, k)].abs()));
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut sum = b[i];
-        for j in (i + 1)..n {
-            sum -= r[(i, j)] * x[j];
-        }
-        if r[(i, i)].abs() <= 1e-12 * scale.max(1.0) {
-            return Err(StatsError::Singular);
-        }
-        x[i] = sum / r[(i, i)];
-    }
-    Ok(x)
 }
 
 #[cfg(test)]
