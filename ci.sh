@@ -64,6 +64,15 @@ echo "==> suffstats parity gate (legacy full-QR vs Gram engines)"
 # its own named gate that survives any future test-partitioning.
 cargo test -q --offline -p mdbs-bench --test suffstats_parity
 
+echo "==> block-diagonal solve parity gate (per-state solves vs the dense solves)"
+# Redundant with the workspace test run by design: the general model is
+# solved one contention state at a time, and this suite is the contract
+# that lets it — the per-state Gram solve bit-identical to a verbatim copy
+# of the dense k×k solve (Cholesky, QR fallback and singular systems), the
+# per-state published fit within the C·m·ε·κ bound of the dense
+# observation-space QR, and a one-state fit bit-identical to OlsFit::fit.
+cargo test -q --offline -p mdbs-stats --test block_solve_parity
+
 echo "==> pinned catalog digests (derived catalogs byte-identical to the pins)"
 # Redundant with the workspace test run by design: two FNV-1a digests of
 # four derived text catalogs (IUPMA/uniform, ICMA/clustered, the

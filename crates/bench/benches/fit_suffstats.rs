@@ -1,14 +1,17 @@
 //! Full-QR refit vs sufficient-statistics candidate fit.
 //!
 //! The state-determination search scores hundreds of candidate partitions.
-//! The legacy path rebuilds the design matrix and runs a Householder QR
-//! over all `n` observations per candidate — O(n·k²). The Gram path keeps
-//! prefix sums of the per-observation outer products in probe-cost order,
-//! assembles a candidate's per-state blocks by prefix difference, and
-//! solves the k×k normal equations — O(k³), independent of `n`. This bench
-//! measures exactly those two candidate-evaluation costs at the sample
-//! sizes the pipeline sees (and one 10k stress size), for a 4-state
-//! General-form model with 3 variables (k = 16 design columns).
+//! The legacy path rebuilds the design and fits it from the observations
+//! per candidate (`fit_cost_model`, also the published fit): under the
+//! General form one Householder QR per state over that state's rows and
+//! its `p + 1` columns — O(n·(p+1)²). The Gram path keeps prefix sums of
+//! the per-observation outer products in probe-cost order, assembles a
+//! candidate's per-state blocks by prefix difference, and solves the
+//! block-diagonal normal equations one state's `(p+1)×(p+1)` block at a
+//! time — O(m·(p+1)³), independent of `n`. This bench measures exactly
+//! those two candidate-evaluation costs at the sample sizes the pipeline
+//! sees (and one 10k stress size), for a 4-state General-form model with
+//! 3 variables (k = 16 design columns in four 4-column blocks).
 //!
 //! The `vif/*` cases measure the multicollinearity screen of variable
 //! selection on the same sample: `vif/obs` runs the observation-space

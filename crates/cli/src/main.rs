@@ -2,6 +2,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -13,11 +14,20 @@ fn main() -> ExitCode {
     };
     match mdbs_cli::dispatch(&argv) {
         Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
+            let mut out = std::io::stdout().lock();
+            match writeln!(out, "{report}").and_then(|()| out.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                // The reader went away (`… | head`): the work is done and
+                // nobody is left to read the report.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    let _ = writeln!(std::io::stderr(), "error: writing the report: {e}");
+                    ExitCode::from(3)
+                }
+            }
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(std::io::stderr(), "error: {e}");
             ExitCode::from(e.exit_code())
         }
     }

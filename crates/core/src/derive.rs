@@ -229,15 +229,12 @@ pub(crate) fn derive_inner(
     tel.end_span(span);
 
     // States are determined against the basic variables (the variables the
-    // class is guaranteed to need); selection then refines the term set.
+    // class is guaranteed to need); selection then refines the term set and
+    // fits the published model on the partition.
     let basic = family.basic_indexes();
-    let basic_names: Vec<String> = basic
-        .iter()
-        .map(|&i| family.all()[i].name.to_string())
-        .collect();
     let span = tel.begin_span("derive.states");
     let clock0 = agent.clock_s();
-    let states_result = {
+    let search = {
         let mut source = AgentSource {
             agent,
             generator: &mut generator,
@@ -248,15 +245,14 @@ pub(crate) fn derive_inner(
             algorithm,
             &mut observations,
             &basic,
-            &basic_names,
             &cfg.states,
             &mut source,
             tel,
         )?
     };
-    tel.field(span, "states", states_result.model.num_states() as u64);
-    tel.field(span, "iterations", states_result.history.len() as u64);
-    tel.field(span, "merges", states_result.merges as u64);
+    tel.field(span, "states", search.states.len() as u64);
+    tel.field(span, "iterations", search.history.len() as u64);
+    tel.field(span, "merges", search.merges as u64);
     tel.field(span, "observations", observations.len() as u64);
     tel.field(span, "virtual_s", agent.clock_s() - clock0);
     tel.end_span(span);
@@ -265,7 +261,7 @@ pub(crate) fn derive_inner(
     let selection = select_variables_inner(
         family,
         &observations,
-        &states_result.model.states,
+        &search.states,
         cfg.states.form,
         &cfg.selection,
         tel,
@@ -315,8 +311,8 @@ pub(crate) fn derive_inner(
         class,
         model,
         one_state,
-        history: states_result.history,
-        merges: states_result.merges,
+        history: search.history,
+        merges: search.merges,
         observations,
         probe_estimator,
         avg_sample_cost,

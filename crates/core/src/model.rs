@@ -26,7 +26,9 @@ use crate::classes::QueryClass;
 use crate::observation::Observation;
 use crate::qualvar::StateSet;
 use crate::CoreError;
-use mdbs_stats::{GramAccumulator, GramFit, Matrix, OlsFit};
+use mdbs_stats::{
+    fit_block_diagonal, solve_block_diagonal, GramAccumulator, GramFit, Matrix, StatsError,
+};
 
 /// How the qualitative variable enters the regression equation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,10 +46,11 @@ pub enum ModelForm {
 /// Which fit machinery the state-determination and variable-selection
 /// searches use for their *candidate* evaluations.
 ///
-/// Either way the **published** model (the search winner) is refitted once
-/// through the canonical observation-space QR of [`fit_cost_model`], so the
-/// engines produce identical catalogs; the engine only decides how the
-/// dozens of intermediate candidate fits are scored.
+/// Either way the **published** model (the search winner) is fitted once,
+/// from the observations, by [`fit_cost_model`] (one Householder QR per
+/// contention state under the general form), so the engines produce
+/// identical catalogs; the engine only decides how the dozens of
+/// intermediate candidate fits are scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitEngine {
     /// Rebuild the design matrix and run a full O(n·k²) QR per candidate
@@ -60,6 +63,16 @@ pub enum FitEngine {
 }
 
 impl ModelForm {
+    /// The form a search fits over `states`: a single state admits only
+    /// the static method's one equation.
+    pub(crate) fn for_states(self, states: &StateSet) -> ModelForm {
+        if states.is_single() {
+            ModelForm::Coincident
+        } else {
+            self
+        }
+    }
+
     /// Number of raw coefficients for `m` states and `p` variables.
     pub fn num_params(self, m: usize, p: usize) -> usize {
         match self {
@@ -315,11 +328,15 @@ pub(crate) fn check_sample_counts(
 /// Fits a qualitative model from per-state sufficient-statistics blocks.
 ///
 /// Each block holds the Gram statistics of one state's observations over
-/// the local row `z = [1, x₁..x_p]`; the blocks are pooled into the full
-/// design via [`design_position`] and solved in O(k³) without touching any
-/// observation. Validation and error semantics mirror [`fit_cost_model`]
-/// exactly ([`CoreError::InsufficientSamples`] in the same order, rank
-/// deficiency as `CoreError::Numeric(StatsError::Singular)`).
+/// the local row `z = [1, x₁..x_p]`. Under the general form the state
+/// blocks are the diagonal blocks of the design's `XᵀX`, so they are
+/// solved block by block ([`solve_block_diagonal`], bit-identical to the
+/// assembled solve); the other forms share columns across states, so
+/// their blocks are pooled into the full design via [`design_position`]
+/// and solved at once. Either way no observation is touched. Validation
+/// and error semantics mirror [`fit_cost_model`] exactly
+/// ([`CoreError::InsufficientSamples`] in the same order, rank deficiency
+/// as `CoreError::Numeric(StatsError::Singular)`).
 pub(crate) fn fit_gram_from_blocks(
     form: ModelForm,
     p: usize,
@@ -328,6 +345,14 @@ pub(crate) fn fit_gram_from_blocks(
     let m = blocks.len();
     let counts: Vec<usize> = blocks.iter().map(|b| b.n()).collect();
     check_sample_counts(form, p, &counts)?;
+    if form == ModelForm::General {
+        if let Some(b) = blocks.iter().find(|b| b.k() != p + 1) {
+            return Err(CoreError::Numeric(StatsError::DimensionMismatch {
+                context: format!("state block of width {} for {p} variables", b.k()),
+            }));
+        }
+        return solve_block_diagonal(blocks, true).map_err(CoreError::Numeric);
+    }
     let k = form.num_params(m, p);
     let mut pooled = GramAccumulator::new(k);
     for (s, block) in blocks.iter().enumerate() {
@@ -346,6 +371,14 @@ pub(crate) fn fit_gram_from_blocks(
 /// [`min_obs_per_state`] observations, otherwise
 /// [`CoreError::InsufficientSamples`] is returned — callers (IUPMA/ICMA)
 /// react by drawing more samples or merging states.
+///
+/// The fit is one Householder QR per group of rows that share columns
+/// ([`fit_block_diagonal`]): under the general form state `s`'s rows touch
+/// only state `s`'s `p + 1` columns, so each state is its own group, over
+/// the local rows `z = [1, x₁..x_p]`; the other forms share columns across
+/// states and fit as one group, bit-identical to
+/// [`OlsFit::fit`](mdbs_stats::OlsFit::fit) of the design. R², SEE and F
+/// pool over every state.
 pub fn fit_cost_model(
     form: ModelForm,
     states: StateSet,
@@ -356,17 +389,30 @@ pub fn fit_cost_model(
     let m = states.len();
     let p = var_indexes.len();
     check_sample_counts(form, p, &counts_per_state(&states, observations))?;
-    let mut rows = Vec::with_capacity(observations.len());
-    let mut y = Vec::with_capacity(observations.len());
+    let per_state = form == ModelForm::General;
+    let groups = if per_state { m } else { 1 };
+    let mut rows = vec![Vec::new(); groups];
+    let mut ys = vec![Vec::new(); groups];
     for o in observations {
         let x = o.project(&var_indexes);
         let s = states.state_of(o.probe_cost);
-        rows.push(design_row(form, m, s, &x));
-        y.push(o.cost);
+        // A one-state general row is the local row [1, x₁..x_p].
+        let (g, row) = if per_state {
+            (s, design_row(form, 1, 0, &x))
+        } else {
+            (0, design_row(form, m, s, &x))
+        };
+        rows[g].push(row);
+        ys[g].push(o.cost);
     }
-    let design = Matrix::from_rows(&rows).map_err(CoreError::Numeric)?;
-    let ols = OlsFit::fit(&design, &y, true).map_err(CoreError::Numeric)?;
-    let coefficients = adjusted_coefficients(form, m, p, &ols.coefficients);
+    let blocks = rows
+        .iter()
+        .zip(ys)
+        .map(|(rows, y)| Ok((Matrix::from_rows(rows)?, y)))
+        .collect::<Result<Vec<_>, StatsError>>()
+        .map_err(CoreError::Numeric)?;
+    let fit = fit_block_diagonal(&blocks, true).map_err(CoreError::Numeric)?;
+    let coefficients = adjusted_coefficients(form, m, p, &fit.coefficients);
     Ok(CostModel {
         form,
         states,
@@ -374,13 +420,13 @@ pub fn fit_cost_model(
         var_names,
         coefficients,
         fit: FitStats {
-            r_squared: ols.r_squared,
-            adj_r_squared: ols.adj_r_squared,
-            see: ols.see,
-            f_statistic: ols.f_statistic,
-            f_p_value: ols.f_p_value,
-            n: ols.n,
-            k: ols.k,
+            r_squared: fit.summary.r_squared,
+            adj_r_squared: fit.summary.adj_r_squared,
+            see: fit.summary.see,
+            f_statistic: fit.summary.f_statistic,
+            f_p_value: fit.summary.f_p_value,
+            n: fit.n,
+            k: fit.k,
         },
     })
 }

@@ -25,7 +25,9 @@
 //! ([`gram_variance_inflation_factors`]) in O(p³), flat in n. Under
 //! [`FitEngine::Gram`] the add/eliminate candidate fits slice the same
 //! blocks. The observations are still scanned for the per-state
-//! correlations and residuals, and for the published model's fit.
+//! correlations and residuals, and for the published model's fit (one
+//! Householder QR per contention state under the general form, see
+//! [`fit_cost_model`]).
 
 use crate::model::{
     adjusted_coefficients, fit_cost_model, fit_gram_from_blocks, min_obs_per_state, CostModel,
@@ -61,7 +63,7 @@ pub struct SelectionConfig {
     /// backward/forward steps.
     pub vif_threshold: f64,
     /// How add/eliminate candidates are scored (the published winner is
-    /// always refitted through the canonical observation-space QR).
+    /// always fitted once, from the observations, by [`fit_cost_model`]).
     pub engine: FitEngine,
 }
 
@@ -152,23 +154,12 @@ pub(crate) fn select_variables_inner(
     })?;
     tel.inc("selection.vif_screened", screened as u64);
 
-    let form_for = |st: &StateSet| {
-        if st.is_single() {
-            ModelForm::Coincident
-        } else {
-            form
-        }
-    };
+    let form = form.for_states(states);
     let fit = |idx: &[usize], tel: &mut Telemetry| -> Result<Scored, CoreError> {
         match cfg.engine {
             FitEngine::FullRefit => {
-                let model = fit_cost_model(
-                    form_for(states),
-                    states.clone(),
-                    idx.to_vec(),
-                    names(idx),
-                    observations,
-                )?;
+                let model =
+                    fit_cost_model(form, states.clone(), idx.to_vec(), names(idx), observations)?;
                 Ok(Scored::from_model(model))
             }
             // Slices the per-state blocks (column subset) and solves in
@@ -182,8 +173,7 @@ pub(crate) fn select_variables_inner(
                     .collect::<Result<_, _>>()
                     .map_err(CoreError::Numeric)?;
                 let pooled_n: usize = sub.iter().map(|b| b.n()).sum();
-                let the_form = form_for(states);
-                let gram = fit_gram_from_blocks(the_form, idx.len(), &sub)?;
+                let gram = fit_gram_from_blocks(form, idx.len(), &sub)?;
                 tel.inc("fit.gram.solves", 1);
                 if gram.solved_by_cholesky {
                     tel.inc("fit.gram.cholesky", 1);
@@ -194,7 +184,7 @@ pub(crate) fn select_variables_inner(
                 Ok(Scored {
                     see: gram.see,
                     coefficients: adjusted_coefficients(
-                        the_form,
+                        form,
                         states.len(),
                         idx.len(),
                         &gram.coefficients,
@@ -282,13 +272,14 @@ pub(crate) fn select_variables_inner(
         }
     }
 
-    // The published model always comes from the canonical observation-space
-    // QR, so both engines produce identical selections *and* identical
+    // The published model is always fitted from the observations by
+    // `fit_cost_model` (one QR per contention state under the general
+    // form), so both engines produce identical selections *and* identical
     // model numerics; the Gram engine only accelerated the candidate scan.
     let model = match model.model {
         Some(model) => model,
         None => fit_cost_model(
-            form_for(states),
+            form,
             states.clone(),
             current.clone(),
             names(&current),

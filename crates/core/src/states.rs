@@ -61,8 +61,9 @@ pub struct StatesConfig {
     /// the partition refines), so stopping at the first flat step can
     /// strand the model at a too-coarse partition.
     pub patience: usize,
-    /// How candidate partitions are scored (the published winner is always
-    /// refitted through the canonical observation-space QR).
+    /// How candidate partitions are scored (the search returns only the
+    /// partition; its model is fitted once, from the observations, by
+    /// whoever publishes it).
     pub engine: FitEngine,
 }
 
@@ -123,8 +124,23 @@ pub struct StatesResult {
     pub merges: usize,
 }
 
+/// What the search itself settles: the partition, the phase-1 history and
+/// the number of phase-2 merges. Derivation needs only these — variable
+/// selection fits the published model on the partition — so the search
+/// fits no model of its own.
+#[derive(Debug)]
+pub(crate) struct StatesSearch {
+    /// The final contention-state partition.
+    pub(crate) states: StateSet,
+    /// Phase-1 iteration history, one entry per attempted `m`.
+    pub(crate) history: Vec<IterationStats>,
+    /// Number of merging adjustments applied in phase 2.
+    pub(crate) merges: usize,
+}
+
 /// Runs IUPMA or ICMA over `observations`, mutating the vector when the
-/// source supplies extra samples for thin states.
+/// source supplies extra samples for thin states, and fits the model of
+/// the partition it settles on ([`fit_cost_model`], once).
 ///
 /// When `ctx.telemetry` is enabled, records `states.*` counters (partition
 /// iterations, rank-deficient and collapsed proposals skipped, targeted
@@ -140,29 +156,38 @@ pub fn determine_states(
     source: &mut dyn ObservationSource,
     ctx: &mut crate::pipeline::PipelineCtx,
 ) -> Result<StatesResult, CoreError> {
-    determine_states_inner(
+    let search = determine_states_inner(
         algorithm,
         observations,
         var_indexes,
-        var_names,
         cfg,
         source,
         &mut ctx.telemetry,
-    )
+    )?;
+    let model = fit_cost_model(
+        cfg.form.for_states(&search.states),
+        search.states,
+        var_indexes.to_vec(),
+        var_names.to_vec(),
+        observations,
+    )?;
+    Ok(StatesResult {
+        model,
+        history: search.history,
+        merges: search.merges,
+    })
 }
 
 /// The determination body behind [`determine_states`], for callers that
-/// carry their own telemetry handle.
-#[allow(clippy::too_many_arguments)]
+/// carry their own telemetry handle and need only the partition.
 pub(crate) fn determine_states_inner(
     algorithm: StateAlgorithm,
     observations: &mut Vec<Observation>,
     var_indexes: &[usize],
-    var_names: &[String],
     cfg: &StatesConfig,
     source: &mut dyn ObservationSource,
     tel: &mut Telemetry,
-) -> Result<StatesResult, CoreError> {
+) -> Result<StatesSearch, CoreError> {
     if cfg.max_states == 0 {
         return Err(CoreError::Degenerate("max_states must be >= 1".into()));
     }
@@ -171,13 +196,6 @@ pub(crate) fn determine_states_inner(
     // comparator or a model with non-finite coefficients.
     let width = var_indexes.iter().max().map_or(0, |&j| j + 1);
     check_sample(observations, width, var_indexes)?;
-    let form_for = |states: &StateSet| {
-        if states.is_single() {
-            ModelForm::Coincident
-        } else {
-            cfg.form
-        }
-    };
 
     // The Gram engine accumulates every observation once, in probing-cost
     // order, so each candidate partition is fitted from prefix differences
@@ -188,23 +206,22 @@ pub(crate) fn determine_states_inner(
         FitEngine::Gram => Some(GramCache::build(observations, var_indexes, tel)?),
     };
 
-    let fit_candidate = |obs: &[Observation],
-                         states: StateSet,
-                         cache: &Option<GramCache>,
-                         tel: &mut Telemetry| {
-        let form = form_for(&states);
-        match cache {
-            None => {
-                let model =
-                    fit_cost_model(form, states, var_indexes.to_vec(), var_names.to_vec(), obs)?;
-                Ok(Candidate::from_model(model))
+    let fit_candidate =
+        |obs: &[Observation], states: StateSet, cache: &Option<GramCache>, tel: &mut Telemetry| {
+            let form = cfg.form.for_states(&states);
+            match cache {
+                None => {
+                    // Names only label the model; the search reads its numbers.
+                    let names = vec![String::new(); var_indexes.len()];
+                    let model = fit_cost_model(form, states, var_indexes.to_vec(), names, obs)?;
+                    Ok(Candidate::from_model(model))
+                }
+                Some(cache) => {
+                    let blocks = cache.blocks(&states)?;
+                    Candidate::from_blocks(form, states, var_indexes.len(), blocks, tel)
+                }
             }
-            Some(cache) => {
-                let blocks = cache.blocks(&states)?;
-                Candidate::from_blocks(form, states, var_indexes.len(), blocks, tel)
-            }
-        }
-    };
+        };
 
     // Phase 1, m = 1: the static special case (fit errors propagate — an
     // unusable sample aborts the derivation in either engine).
@@ -306,7 +323,7 @@ pub(crate) fn determine_states_inner(
                 let right = blocks.remove(i + 1);
                 blocks[i] += &right;
                 Candidate::from_blocks(
-                    form_for(&merged_states),
+                    cfg.form.for_states(&merged_states),
                     merged_states,
                     var_indexes.len(),
                     blocks,
@@ -318,31 +335,19 @@ pub(crate) fn determine_states_inner(
         tel.inc("states.merges", 1);
     }
 
-    // The published model always comes from the canonical observation-space
-    // QR, so both engines export identical catalogs; the Gram engine only
-    // accelerated the search.
-    let model = match best.model {
-        Some(model) => model,
-        None => fit_cost_model(
-            form_for(&best.states),
-            best.states,
-            var_indexes.to_vec(),
-            var_names.to_vec(),
-            observations,
-        )?,
-    };
-
-    Ok(StatesResult {
-        model,
+    // The search ends with the partition: whoever publishes a model fits
+    // it once, from the observations, so both engines export identical
+    // catalogs; the Gram engine only accelerated the search.
+    Ok(StatesSearch {
+        states: best.states,
         history,
         merges,
     })
 }
 
-/// One scored candidate partition during the search. The legacy engine
-/// carries the fully fitted model; the Gram engine carries the per-state
-/// accumulator blocks (so phase 2 can merge them) and defers building a
-/// `CostModel` until the search settles.
+/// One scored candidate partition during the search. The Gram engine
+/// also carries the per-state accumulator blocks, so phase 2 can merge
+/// them.
 struct Candidate {
     states: StateSet,
     r_squared: f64,
@@ -351,19 +356,16 @@ struct Candidate {
     coefficients: Vec<Vec<f64>>,
     /// Per-state Gram blocks (Gram engine only).
     blocks: Option<Vec<GramAccumulator>>,
-    /// The fitted model (legacy engine only).
-    model: Option<CostModel>,
 }
 
 impl Candidate {
     fn from_model(model: CostModel) -> Candidate {
         Candidate {
-            states: model.states.clone(),
+            states: model.states,
             r_squared: model.fit.r_squared,
             see: model.fit.see,
-            coefficients: model.coefficients.clone(),
+            coefficients: model.coefficients,
             blocks: None,
-            model: Some(model),
         }
     }
 
@@ -389,7 +391,6 @@ impl Candidate {
             r_squared: gram.r_squared,
             see: gram.see,
             blocks: Some(blocks),
-            model: None,
         })
     }
 

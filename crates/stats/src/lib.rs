@@ -44,9 +44,9 @@ pub use clustering::{cluster_1d, cluster_path_1d, Cluster1D};
 pub use correlation::pearson;
 pub use describe::Summary;
 pub use matrix::Matrix;
-pub use regression::{OlsFit, RegressionError};
+pub use regression::{fit_block_diagonal, BlockDiagonalFit, OlsFit, RegressionError};
 pub use rng::Rng;
-pub use suffstats::{GramAccumulator, GramFit, GramPrefix};
+pub use suffstats::{solve_block_diagonal, GramAccumulator, GramFit, GramPrefix};
 
 /// Error type shared by numerical routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -336,7 +336,8 @@ impl HouseholderQr {
     /// The least-squares solution `x = R⁻¹·(Qᵀy)[..n]` of `A·x ≈ y`:
     /// [`HouseholderQr::apply_qt`], then back substitution. Returns
     /// [`StatsError::Singular`] when a diagonal entry of R is at most
-    /// `1e-12` times the largest one (or `1e-12` when that is below 1).
+    /// [`QR_SINGULAR_RELATIVE_TOLERANCE`] times the largest one (or that
+    /// tolerance itself when the largest is below 1).
     pub fn solve(&self, y: &[f64]) -> Result<Vec<f64>, StatsError> {
         back_substitute(&self.r, &self.apply_qt(y)?)
     }
@@ -404,6 +405,11 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// Relative singularity threshold of every QR solve: a diagonal entry of R
+/// at most `QR_SINGULAR_RELATIVE_TOLERANCE` times the largest `|Rᵢᵢ|` (or
+/// times 1 when that is below 1) makes the system [`StatsError::Singular`].
+pub const QR_SINGULAR_RELATIVE_TOLERANCE: f64 = 1e-12;
+
 /// Solves `r · x = b` for upper-triangular `r` by back substitution.
 fn back_substitute(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
     let n = r.cols();
@@ -416,7 +422,7 @@ fn back_substitute(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
         let d = r[(i, i)];
         // Relative singularity threshold against the largest diagonal entry.
         let scale = (0..n).fold(0.0f64, |acc, k| acc.max(r[(k, k)].abs()));
-        if d.abs() <= 1e-12 * scale.max(1.0) {
+        if d.abs() <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0) {
             return Err(StatsError::Singular);
         }
         x[i] = sum / d;

@@ -17,7 +17,7 @@
 //!   (§3.3, eq. (2)).
 
 use crate::distributions::{f_p_value, student_t_quantile, t_p_value_two_sided};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, QR_SINGULAR_RELATIVE_TOLERANCE};
 use crate::StatsError;
 
 /// Convenient alias: regression routines share the crate error type.
@@ -122,10 +122,10 @@ pub struct CoefficientInference {
 
 /// Per-coefficient inference shared by the QR and Gram solvers: standard
 /// errors `√(σ²·diag((XᵀX)⁻¹))`, t statistics and their two-sided
-/// p-values.
+/// p-values. `inverse_diagonal` is `diag((XᵀX)⁻¹)`.
 pub fn coefficient_inference(
     coefficients: &[f64],
-    xtx_inverse: &Matrix,
+    inverse_diagonal: &[f64],
     sse: f64,
     n: usize,
     k: usize,
@@ -133,8 +133,8 @@ pub fn coefficient_inference(
     let df_resid = (n.saturating_sub(k)) as f64;
     let sigma2 = if df_resid > 0.0 { sse / df_resid } else { 0.0 };
     let mut coef_std_errors = Vec::with_capacity(k);
-    for i in 0..k {
-        coef_std_errors.push((sigma2 * xtx_inverse[(i, i)]).max(0.0).sqrt());
+    for &d in &inverse_diagonal[..k] {
+        coef_std_errors.push((sigma2 * d).max(0.0).sqrt());
     }
     let mut t_statistics = Vec::with_capacity(k);
     let mut t_p_values = Vec::with_capacity(k);
@@ -236,7 +236,8 @@ impl OlsFit {
         // Coefficient covariance: σ² (XᵀX)⁻¹ = σ² R⁻¹ R⁻ᵀ.
         let r_inv = qr.r().invert_upper_triangular()?;
         let xtx_inverse = r_inv.matmul(&r_inv.transpose())?;
-        let inference = coefficient_inference(&coefficients, &xtx_inverse, sse, n, k)?;
+        let inverse_diagonal: Vec<f64> = (0..k).map(|i| xtx_inverse[(i, i)]).collect();
+        let inference = coefficient_inference(&coefficients, &inverse_diagonal, sse, n, k)?;
 
         Ok(OlsFit {
             coefficients,
@@ -326,6 +327,102 @@ impl OlsFit {
         let t = student_t_quantile(1.0 - alpha / 2.0, df)?;
         Ok((yhat - t * se, yhat + t * se))
     }
+}
+
+/// The result of [`fit_block_diagonal`]: the coefficients and the
+/// whole-model diagnostics, without per-coefficient inference.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockDiagonalFit {
+    /// Estimated coefficients, block after block.
+    pub coefficients: Vec<f64>,
+    /// Residual sum of squares over every row.
+    pub sse: f64,
+    /// Total sum of squares over every row (see [`total_sum_of_squares`]).
+    pub sst: f64,
+    /// R², adjusted R², SEE and the overall F test of the pooled fit.
+    pub summary: FitSummary,
+    /// Number of observations.
+    pub n: usize,
+    /// Number of fitted parameters.
+    pub k: usize,
+}
+
+/// Least squares over a block-diagonal design, given as its diagonal
+/// blocks `(X_b, y_b)`: block `b`'s rows touch only its own columns, which
+/// follow block `b − 1`'s. The general qualitative model (paper Table 2)
+/// is one, with a block per contention state.
+///
+/// Each block is one Householder QR whose reflectors are applied to `y_b`
+/// ([`crate::matrix::HouseholderQr::solve`]), so the work is `Σ n_b·k_b²`
+/// rather than `n·k²` for the assembled design. The singularity rule is
+/// the assembled design's: a block with fewer rows than columns, or any
+/// `|Rᵢᵢ|` at most [`QR_SINGULAR_RELATIVE_TOLERANCE`] times the largest
+/// over every block, is [`StatsError::Singular`]. SSE and SST pool over
+/// every row into one [`fit_summary`].
+///
+/// A single block reproduces [`OlsFit::fit`]'s coefficients, sums of
+/// squares and summary bit for bit.
+pub fn fit_block_diagonal(
+    blocks: &[(Matrix, Vec<f64>)],
+    has_intercept: bool,
+) -> Result<BlockDiagonalFit, StatsError> {
+    if let Some((x, y)) = blocks.iter().find(|(x, y)| x.rows() != y.len()) {
+        return Err(StatsError::DimensionMismatch {
+            context: format!("fit: {} rows vs {} responses", x.rows(), y.len()),
+        });
+    }
+    let n: usize = blocks.iter().map(|(x, _)| x.rows()).sum();
+    let k: usize = blocks.iter().map(|(x, _)| x.cols()).sum();
+    if n < k + 1 {
+        return Err(StatsError::InsufficientData {
+            needed: k + 1,
+            got: n,
+        });
+    }
+    if blocks.iter().any(|(x, _)| x.rows() < x.cols()) {
+        return Err(StatsError::Singular);
+    }
+    let factors = blocks
+        .iter()
+        .map(|(x, _)| x.householder_qr())
+        .collect::<Result<Vec<_>, _>>()?;
+    let r_diagonal = || {
+        factors.iter().flat_map(|qr| {
+            let r = qr.r();
+            (0..r.rows()).map(move |i| r[(i, i)].abs())
+        })
+    };
+    let scale = r_diagonal().fold(0.0f64, f64::max);
+    if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
+        return Err(StatsError::Singular);
+    }
+    let mut coefficients = Vec::with_capacity(k);
+    let mut block_sse = Vec::with_capacity(blocks.len());
+    for ((x, y), qr) in blocks.iter().zip(&factors) {
+        let beta = qr.solve(y)?;
+        let fitted = x.matvec(&beta)?;
+        block_sse.push(
+            y.iter()
+                .zip(&fitted)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>(),
+        );
+        coefficients.extend(beta);
+    }
+    let sse: f64 = block_sse.iter().sum();
+    let responses = || blocks.iter().flat_map(|(_, y)| y);
+    let yty: f64 = responses().map(|v| v * v).sum();
+    let sum_y: f64 = responses().sum();
+    let sst = total_sum_of_squares(yty, sum_y, n, has_intercept);
+    let summary = fit_summary(sse, sst, n, k, has_intercept)?;
+    Ok(BlockDiagonalFit {
+        coefficients,
+        sse,
+        sst,
+        summary,
+        n,
+        k,
+    })
 }
 
 #[cfg(test)]

@@ -33,15 +33,16 @@
 //! observation-space QR solver in [`crate::regression::OlsFit`] so callers'
 //! skip/propagate logic is engine-agnostic.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, QR_SINGULAR_RELATIVE_TOLERANCE};
 use crate::regression::{coefficient_inference, fit_summary, total_sum_of_squares};
 use crate::StatsError;
 
 /// Relative pivot tolerance of the Cholesky factorization: a pivot below
 /// `CHOLESKY_RELATIVE_TOLERANCE × max diagonal entry` is treated as rank
 /// deficiency and triggers the QR fallback. The value mirrors the
-/// `1e-12` relative threshold of the QR back substitution but is two
-/// orders looser because forming XᵀX squares the condition number.
+/// relative threshold of the QR back substitution
+/// ([`QR_SINGULAR_RELATIVE_TOLERANCE`]) but is two orders looser because
+/// forming XᵀX squares the condition number.
 pub const CHOLESKY_RELATIVE_TOLERANCE: f64 = 1e-10;
 
 /// Sufficient statistics of a least-squares problem: `XᵀX`, `Xᵀy`, `Σy²`,
@@ -413,70 +414,141 @@ impl GramAccumulator {
 
     /// Solves the accumulated least-squares problem and computes the full
     /// [`crate::regression::OlsFit`]-style diagnostic suite from the
-    /// sufficient statistics alone.
+    /// sufficient statistics alone: the one-block case of
+    /// [`solve_block_diagonal`].
     ///
     /// Requires one spare degree of freedom (`n ≥ k + 1`), like the
     /// observation-space solver. Rank deficiency surfaces as
     /// [`StatsError::Singular`] whether Cholesky or the QR fallback
     /// detected it.
     pub fn solve(&self, has_intercept: bool) -> Result<GramFit, StatsError> {
-        let (k, n) = (self.k, self.n);
-        if n < k + 1 {
-            return Err(StatsError::InsufficientData {
-                needed: k + 1,
-                got: n,
-            });
-        }
-        let (coefficients, xtx_inverse, cholesky) = match cholesky_factor(k, &self.xtx) {
-            Ok(l) => {
-                let beta = cholesky_solve(k, &l, &self.xty);
-                let inv = cholesky_inverse(k, &l);
-                (beta, inv, true)
-            }
-            Err(StatsError::Singular) => {
-                // QR on the k×k Gram matrix: β = R⁻¹Qᵀ(Xᵀy) and
-                // (XᵀX)⁻¹ = R⁻¹Qᵀ. Still-singular systems error here.
-                let a = Matrix::from_vec(k, k, self.xtx.clone())?;
-                let (q, r) = a.qr()?;
-                let inv = r.invert_upper_triangular()?.matmul(&q.transpose())?;
-                let beta = inv.matvec(&self.xty)?;
-                (beta, inv, false)
-            }
-            Err(e) => return Err(e),
-        };
-
-        // SSE = yᵀy − 2βᵀ(Xᵀy) + βᵀ(XᵀX)β, clamped: the quadratic form is
-        // exact algebra but loses absolute precision ~ε·yᵀy, which can dip
-        // below zero for near-perfect fits.
-        let bxy: f64 = coefficients.iter().zip(&self.xty).map(|(b, v)| b * v).sum();
-        let mut bxxb = 0.0;
-        for i in 0..k {
-            let row = &self.xtx[i * k..(i + 1) * k];
-            let xi: f64 = row.iter().zip(&coefficients).map(|(a, b)| a * b).sum();
-            bxxb += coefficients[i] * xi;
-        }
-        let sse = (self.yty - 2.0 * bxy + bxxb).max(0.0);
-        let sst = total_sum_of_squares(self.yty, self.sum_y, n, has_intercept);
-        let summary = fit_summary(sse, sst, n, k, has_intercept)?;
-        let inference = coefficient_inference(&coefficients, &xtx_inverse, sse, n, k)?;
-
-        Ok(GramFit {
-            coefficients,
-            sse,
-            sst,
-            r_squared: summary.r_squared,
-            adj_r_squared: summary.adj_r_squared,
-            see: summary.see,
-            f_statistic: summary.f_statistic,
-            f_p_value: summary.f_p_value,
-            coef_std_errors: inference.std_errors,
-            t_statistics: inference.t_statistics,
-            t_p_values: inference.t_p_values,
-            n,
-            k,
-            solved_by_cholesky: cholesky,
-        })
+        solve_block_diagonal(std::slice::from_ref(self), has_intercept)
     }
+
+    /// The diagonal of `XᵀX`.
+    fn diagonal(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.k).map(|i| self.xtx[i * self.k + i])
+    }
+}
+
+/// Solves a least-squares problem whose `XᵀX` is block-diagonal, given its
+/// diagonal blocks in column order: block `b`'s columns follow block
+/// `b − 1`'s and no row touches two blocks. The general qualitative model
+/// (paper Table 2) is one: state `s`'s observations touch only state `s`'s
+/// `p + 1` columns. A single block is [`GramAccumulator::solve`].
+///
+/// The result is the solve of the assembled `k × k` matrix bit for bit,
+/// because the exact zeros off the blocks add and subtract nothing, as
+/// long as every decision is taken over the whole matrix:
+///
+/// * the Cholesky pivot tolerance is relative to the largest diagonal
+///   entry of any block;
+/// * every block goes through Cholesky, or, when any pivot of any block
+///   degenerates, every block goes through the QR fallback;
+/// * the fallback's R-diagonal singularity threshold is relative to the
+///   largest `|Rᵢᵢ|` of any block;
+/// * SSE accumulates over the global column order.
+///
+/// The work is `Σ k_b³` rather than `(Σ k_b)³`.
+pub fn solve_block_diagonal(
+    blocks: &[GramAccumulator],
+    has_intercept: bool,
+) -> Result<GramFit, StatsError> {
+    let k: usize = blocks.iter().map(|b| b.k).sum();
+    let n: usize = blocks.iter().map(|b| b.n).sum();
+    if n < k + 1 {
+        return Err(StatsError::InsufficientData {
+            needed: k + 1,
+            got: n,
+        });
+    }
+    let max_diag = blocks
+        .iter()
+        .flat_map(GramAccumulator::diagonal)
+        .fold(0.0f64, |m, d| m.max(d.abs()));
+    let tol = CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0);
+    let factors: Result<Vec<Vec<f64>>, StatsError> = blocks
+        .iter()
+        .map(|b| cholesky_factor_with_tolerance(b.k, &b.xtx, tol))
+        .collect();
+    let mut coefficients = Vec::with_capacity(k);
+    let mut inverse_diagonal = Vec::with_capacity(k);
+    let cholesky = match factors {
+        Ok(factors) => {
+            for (b, l) in blocks.iter().zip(&factors) {
+                coefficients.extend(cholesky_solve(b.k, l, &b.xty));
+                inverse_diagonal.extend(cholesky_inverse_diagonal(b.k, l));
+            }
+            true
+        }
+        Err(StatsError::Singular) => {
+            // QR on each Gram block: β = R⁻¹Qᵀ(Xᵀy) and (XᵀX)⁻¹ = R⁻¹Qᵀ.
+            // Still-singular systems error here.
+            let factors = blocks
+                .iter()
+                .map(|b| Matrix::from_vec(b.k, b.k, b.xtx.clone())?.qr())
+                .collect::<Result<Vec<_>, _>>()?;
+            let r_diagonal = || {
+                factors
+                    .iter()
+                    .flat_map(|(_, r)| (0..r.rows()).map(move |i| r[(i, i)].abs()))
+            };
+            let scale = r_diagonal().fold(0.0f64, f64::max);
+            if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
+                return Err(StatsError::Singular);
+            }
+            for (b, (q, r)) in blocks.iter().zip(&factors) {
+                let inv = r.invert_upper_triangular()?.matmul(&q.transpose())?;
+                coefficients.extend(inv.matvec(&b.xty)?);
+                inverse_diagonal.extend((0..b.k).map(|i| inv[(i, i)]));
+            }
+            false
+        }
+        Err(e) => return Err(e),
+    };
+
+    // SSE = yᵀy − 2βᵀ(Xᵀy) + βᵀ(XᵀX)β, clamped: the quadratic form is
+    // exact algebra but loses absolute precision ~ε·yᵀy, which can dip
+    // below zero for near-perfect fits.
+    let bxy: f64 = coefficients
+        .iter()
+        .zip(blocks.iter().flat_map(|b| &b.xty))
+        .map(|(b, v)| b * v)
+        .sum();
+    let mut bxxb = 0.0;
+    let mut offset = 0;
+    for b in blocks {
+        let beta = &coefficients[offset..offset + b.k];
+        for (i, row) in b.xtx.chunks_exact(b.k).enumerate() {
+            let xi: f64 = row.iter().zip(beta).map(|(a, c)| a * c).sum();
+            bxxb += beta[i] * xi;
+        }
+        offset += b.k;
+    }
+    let (yty, sum_y) = blocks
+        .iter()
+        .fold((0.0, 0.0), |(q, s), b| (q + b.yty, s + b.sum_y));
+    let sse = (yty - 2.0 * bxy + bxxb).max(0.0);
+    let sst = total_sum_of_squares(yty, sum_y, n, has_intercept);
+    let summary = fit_summary(sse, sst, n, k, has_intercept)?;
+    let inference = coefficient_inference(&coefficients, &inverse_diagonal, sse, n, k)?;
+
+    Ok(GramFit {
+        coefficients,
+        sse,
+        sst,
+        r_squared: summary.r_squared,
+        adj_r_squared: summary.adj_r_squared,
+        see: summary.see,
+        f_statistic: summary.f_statistic,
+        f_p_value: summary.f_p_value,
+        coef_std_errors: inference.std_errors,
+        t_statistics: inference.t_statistics,
+        t_p_values: inference.t_p_values,
+        n,
+        k,
+        solved_by_cholesky: cholesky,
+    })
 }
 
 impl std::ops::AddAssign<&GramAccumulator> for GramAccumulator {
@@ -615,7 +687,12 @@ impl GramPrefix {
 /// tolerance (see [`CHOLESKY_RELATIVE_TOLERANCE`]).
 pub(crate) fn cholesky_factor(k: usize, a: &[f64]) -> Result<Vec<f64>, StatsError> {
     let max_diag = (0..k).fold(0.0f64, |m, i| m.max(a[i * k + i].abs()));
-    let tol = CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0);
+    cholesky_factor_with_tolerance(k, a, CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0))
+}
+
+/// [`cholesky_factor`] with an absolute pivot tolerance `tol`: a pivot at
+/// or below it is [`StatsError::Singular`].
+fn cholesky_factor_with_tolerance(k: usize, a: &[f64], tol: f64) -> Result<Vec<f64>, StatsError> {
     let mut l = vec![0.0; k * k];
     for i in 0..k {
         for j in 0..=i {
@@ -657,18 +734,16 @@ fn cholesky_solve(k: usize, l: &[f64], b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// `(L·Lᵀ)⁻¹` column by column (unit right-hand sides).
-fn cholesky_inverse(k: usize, l: &[f64]) -> Matrix {
-    let mut inv = Matrix::zeros(k, k);
-    for j in 0..k {
-        let mut e = vec![0.0; k];
-        e[j] = 1.0;
-        let col = cholesky_solve(k, l, &e);
-        for i in 0..k {
-            inv[(i, j)] = col[i];
-        }
-    }
-    inv
+/// The diagonal of `(L·Lᵀ)⁻¹`: entry `j` of the solve against the unit
+/// vector `e_j`.
+fn cholesky_inverse_diagonal(k: usize, l: &[f64]) -> Vec<f64> {
+    (0..k)
+        .map(|j| {
+            let mut e = vec![0.0; k];
+            e[j] = 1.0;
+            cholesky_solve(k, l, &e)[j]
+        })
+        .collect()
 }
 
 /// Appends `v` in the compact variable-length float encoding: one length
