@@ -15,9 +15,9 @@ cargo test -q --offline --workspace
 echo "==> mdbs-lint (determinism/hermeticity policy, twice, byte-compared)"
 # Exit 0 with nothing printed means a clean tree; any finding fails the
 # gate. Running twice and byte-comparing both the text and the --json
-# output asserts the lint's own determinism promise (the workspace passes
-# — serial-only-escape, unregistered-metric, expired-deprecation — run
-# inside the same invocation, so they are covered by the same cmp).
+# output asserts the lint's own determinism promise (the workspace pass,
+# unregistered-metric, runs inside the same invocation, so it is covered
+# by the same cmp).
 LINT_DIR="${TMPDIR:-/tmp}/mdbs-ci-lint.$$"
 mkdir -p "$LINT_DIR"
 ./target/release/mdbs-lint . --json "$LINT_DIR/first.json" > "$LINT_DIR/first.txt" || {
@@ -287,6 +287,14 @@ echo "==> SQL fuzz gate (seeded to_sql mutations, debug build)"
 # byte flips, token edits; 12k cases, well under a second in debug) must
 # end in a typed SqlError or a query that classifies.
 cargo test -q --offline -p mdbs-bench --test sql_fuzz
+
+echo "==> JSON fuzz gate (seeded stats re-parse mutations, debug build)"
+# Redundant with the workspace test run by design: no line of a telemetry
+# or flight-recorder file may panic or overflow the stack of the JSON
+# reader or `stats`, and every mutation of a rendered record (prefix cuts,
+# byte flips, bracket runs up to 100k deep; over 10k cases, under a
+# second in debug) must end in a typed error or a parsed record.
+cargo test -q --offline -p mdbs-cli --test json_fuzz
 
 echo "==> bench --json smoke (catalog_store size/load criteria)"
 # The bench self-asserts the binary format's acceptance criteria: >= 3x

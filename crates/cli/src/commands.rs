@@ -974,7 +974,7 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
 /// The testable body of `stats`: parses `text` (one JSON object per line)
 /// and renders the tables. Fails on the first line that is not a record
 /// this workspace could have written.
-fn render_stats(path: &str, text: &str) -> Result<String, CliError> {
+pub fn render_stats(path: &str, text: &str) -> Result<String, CliError> {
     use mdbs_obs::json::{parse, Json};
 
     fn num(obj: &Json, key: &str) -> f64 {

@@ -59,11 +59,7 @@
 //! [`EstimateQuery`] and returning an
 //! [`crate::registry::EstimateDetail`] carrying the corrected estimate,
 //! the raw model output, the applied factor, the confidence, the snapshot
-//! version and the detected contention state. The historical
-//! `estimate_local_cost` / `estimate_with_version` / `estimate_detailed`
-//! trio survived one release as `#[deprecated]` delegating shims and is
-//! gone (the `expired-deprecation` lint rule now enforces that grace
-//! policy mechanically).
+//! version and the detected contention state.
 
 use crate::catalog::SiteId;
 use crate::registry::EstimateDetail;
@@ -201,7 +197,6 @@ impl CorrectionLedger {
     /// creating (and LRU-evicting) as needed. The relative error is
     /// `(raw − observed) / observed` with the denominator floored away
     /// from zero, exactly like the accuracy ledger's.
-    // ctx: serial-only
     pub fn observe(&mut self, site: &str, state: &str, raw: f64, observed: f64) -> CellUpdate {
         let denom = observed.abs().max(1e-12);
         let rel = (raw - observed) / denom;
@@ -269,7 +264,6 @@ impl CorrectionLedger {
     /// Suspends a cell: it keeps folding evidence but stops correcting, so
     /// raw estimate quality reaches the drift monitor. Returns `true` when
     /// the cell existed and was not already suspended.
-    // ctx: serial-only
     pub fn suspend(&mut self, site: &str, state: &str) -> bool {
         match self.cells.get_mut(&(site.to_string(), state.to_string())) {
             Some(cell) if !cell.suspended => {
@@ -283,7 +277,6 @@ impl CorrectionLedger {
     /// Drops every cell of a site — called when the site's model is
     /// republished (refit or rederivation): the learned bias described the
     /// old snapshot.
-    // ctx: serial-only
     pub fn reset_site(&mut self, site: &str) {
         self.cells.retain(|(s, _), _| s != site);
     }
@@ -349,7 +342,7 @@ pub struct EstimateQuery<'a> {
 }
 
 impl<'a> EstimateQuery<'a> {
-    /// An uncorrected query — the exact semantics of the deprecated trio.
+    /// An uncorrected query: the estimate is the model's raw output.
     pub fn raw(
         site: &'a SiteId,
         schema: &'a LocalCatalog,

@@ -335,7 +335,6 @@ impl ModelMaintainer {
     /// series (`maintenance.good_fraction` histogram, one sample per call)
     /// and the `maintenance.drift_flags` counter for calls that report the
     /// model as drifted.
-    // ctx: serial-only
     pub fn observe(&mut self, observed: f64, estimated: f64, ctx: &mut PipelineCtx) -> bool {
         self.observe_inner(observed, estimated, &mut ctx.telemetry)
     }
@@ -359,7 +358,6 @@ impl ModelMaintainer {
     /// When `ctx.telemetry` is enabled, wraps the attempts in a
     /// `maintenance.rederive` span (attempt count, winning R², window
     /// quality at trigger time) and counts `maintenance.rederivations`.
-    // ctx: serial-only
     pub fn rederive(
         &mut self,
         agent: &mut MdbsAgent,
@@ -415,7 +413,6 @@ impl ModelMaintainer {
     /// registry) so callers can stamp maintenance records with the exact
     /// version the refit produced. Counted as
     /// `maintenance.incremental_refits`.
-    // ctx: serial-only
     pub fn refit_incremental(
         &mut self,
         site: &SiteId,
@@ -496,7 +493,6 @@ fn rederive_best(
 /// Returns the number of models rebuilt. Jobs fail independently; the
 /// first error is returned after every successful rebuild has been
 /// applied, so a degenerate site cannot wedge the rest of the fleet.
-// ctx: serial-only
 pub fn rederive_drifted<F>(
     fleet: &mut [(SiteId, ModelMaintainer)],
     workers: Option<usize>,

@@ -57,6 +57,20 @@ pub fn effective_workers(requested: Option<usize>, jobs: usize) -> usize {
 ///
 /// `f` receives the job's index and the job itself; it must not panic (a
 /// panicking job propagates out of `run_jobs` once the scope unwinds).
+///
+/// `F: Fn + Sync` keeps every order-sensitive fold (ledger, registry,
+/// flight recorder, maintenance: all `&mut self`) on the calling thread,
+/// which folds the job-ordered results serially. A `Fn` closure cannot
+/// borrow what it captures mutably, so a worker cannot call one:
+///
+/// ```compile_fail,E0596
+/// use mdbs_core::{pool, CorrectionConfig, CorrectionLedger};
+///
+/// let mut ledger = CorrectionLedger::new(CorrectionConfig::default());
+/// let ledger = &mut ledger;
+/// let costs = vec![1.0_f64, 2.0, 3.0];
+/// pool::run_jobs(costs, 2, |_, c| ledger.observe("oracle", "S1", c, c));
+/// ```
 // lint:allow(no-raw-threads): this file IS the sanctioned thread pool; everything else fans out through it
 #[allow(clippy::disallowed_methods)]
 pub fn run_jobs<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> (Vec<R>, PoolReport)

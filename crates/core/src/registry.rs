@@ -84,7 +84,6 @@ impl ModelRegistry {
 
     /// Publishes (or replaces) the model for a site/class pair, returning
     /// the new model's version.
-    // ctx: serial-only
     pub fn publish(&mut self, site: SiteId, class: QueryClass, model: CostModel) -> u64 {
         self.version += 1;
         self.publishes += 1;

@@ -35,17 +35,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod context;
-pub mod deprecation;
 pub mod graph;
 pub mod rules;
 pub mod scanner;
 pub mod telemetry_registry;
 
 pub use rules::{
-    check_manifest_text, check_rust_source, ALL_RULES, BAD_WAIVER, EXPIRED_DEPRECATION,
-    HERMETIC_MANIFESTS, NO_AMBIENT_ENTROPY, NO_RAW_THREADS, NO_UNORDERED_ITERATION, NO_UNSAFE,
-    NO_WALL_CLOCK, SERIAL_ONLY_ESCAPE, UNREGISTERED_METRIC,
+    check_manifest_text, check_rust_source, ALL_RULES, BAD_WAIVER, HERMETIC_MANIFESTS,
+    NO_AMBIENT_ENTROPY, NO_RAW_THREADS, NO_UNORDERED_ITERATION, NO_UNSAFE, NO_WALL_CLOCK,
+    UNREGISTERED_METRIC,
 };
 
 use mdbs_obs::json::Json;
@@ -114,19 +112,19 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// One source file prepared for the workspace passes: its scanned token
-/// stream plus the extracted call-graph structure.
+/// One source file prepared for the telemetry pass: its scanned token
+/// stream plus its call sites.
 #[derive(Debug)]
 pub struct AnalyzedFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// The scanner's view: tokens, strings, waivers, ctx annotations.
+    /// The scanner's view: tokens, strings, waivers.
     pub scanned: scanner::ScannedFile,
-    /// The structural view: fn defs, call sites, worker regions.
+    /// The structural view: call sites and `#[cfg(test)]` ranges.
     pub graph: graph::FileGraph,
 }
 
-/// Scans and extracts one source file for the workspace passes.
+/// Scans and extracts one source file for the telemetry pass.
 pub fn analyze_source(path: &str, source: &str) -> AnalyzedFile {
     let scanned = scanner::scan(source);
     let graph = graph::extract(&scanned);
@@ -236,9 +234,9 @@ pub fn check_manifests(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
-/// True when `rel` is production source the workspace passes analyze:
+/// True when `rel` is production source the telemetry pass analyzes:
 /// `crates/<crate>/src/**.rs` (integration tests, fixtures and examples
-/// are out of scope — tests may exercise serving invariants deliberately).
+/// are out of scope — tests may emit names the registry does not carry).
 pub fn is_workspace_pass_source(rel: &str) -> bool {
     let Some(rest) = rel.strip_prefix("crates/") else {
         return false;
@@ -251,8 +249,8 @@ pub fn is_workspace_pass_source(rel: &str) -> bool {
 
 /// Runs every rule over the whole workspace at `root`: all `.rs` files
 /// (skipping `target/`, dot-directories and `fixtures/`) plus all
-/// manifests, then the three workspace passes (context analysis, the
-/// telemetry-name registry, deprecation expiry) over `crates/*/src`.
+/// manifests, then the workspace pass (the telemetry-name registry) over
+/// `crates/*/src`.
 /// Findings come back sorted and deduplicated, so rendering them is
 /// byte-stable across runs and machines.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
@@ -268,17 +266,11 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             analyzed.push(analyze_source(&rel, &text));
         }
     }
-    findings.extend(context::check_context(&analyzed));
     let registry_text = fs::read_to_string(root.join(telemetry_registry::REGISTRY_PATH)).ok();
     findings.extend(telemetry_registry::check_telemetry(
         &analyzed,
         registry_text.as_deref(),
     ));
-    if let Ok(manifest) = fs::read_to_string(root.join("Cargo.toml")) {
-        if let Some(version) = deprecation::workspace_version(&manifest) {
-            findings.extend(deprecation::check_deprecations(&analyzed, &version));
-        }
-    }
     findings.sort();
     findings.dedup();
     Ok(findings)

@@ -13,9 +13,7 @@
 //! | `no-unsafe` | any `unsafe` token; crate roots missing `#![forbid(unsafe_code)]` |
 //! | `hermetic-manifests` | manifest dependencies outside the in-tree path-crate whitelist |
 //! | `bad-waiver` | a `lint:allow` waiver with no rule, no justification, or an unknown rule |
-//! | `serial-only-escape` | a worker-context call path into a `// ctx: serial-only` fn (workspace pass, [`crate::context`]) |
 //! | `unregistered-metric` | a telemetry name not in `crates/lint/telemetry.registry` (workspace pass, [`crate::telemetry_registry`]) |
-//! | `expired-deprecation` | a `#[deprecated]` item past its one-release grace period (workspace pass, [`crate::deprecation`]) |
 //!
 //! A finding is suppressed by an inline waiver `// lint:allow(rule):
 //! <justification>` on the finding's line or the line directly above. The
@@ -54,18 +52,12 @@ pub const NO_UNSAFE: &str = "no-unsafe";
 pub const HERMETIC_MANIFESTS: &str = "hermetic-manifests";
 /// Rule id: a malformed or unknown-rule waiver comment.
 pub const BAD_WAIVER: &str = "bad-waiver";
-/// Rule id: a worker-context call path into a `// ctx: serial-only` fn
-/// (and `ctx:` annotation hygiene). See [`crate::context`].
-pub const SERIAL_ONLY_ESCAPE: &str = "serial-only-escape";
 /// Rule id: a telemetry name emitted but not registered (or registry
 /// drift). See [`crate::telemetry_registry`].
 pub const UNREGISTERED_METRIC: &str = "unregistered-metric";
-/// Rule id: a `#[deprecated]` item past its one-release grace period, or
-/// missing the `since` note that tracks it. See [`crate::deprecation`].
-pub const EXPIRED_DEPRECATION: &str = "expired-deprecation";
 
 /// Every rule id, in report order.
-pub const ALL_RULES: [&str; 10] = [
+pub const ALL_RULES: [&str; 8] = [
     NO_WALL_CLOCK,
     NO_AMBIENT_ENTROPY,
     NO_RAW_THREADS,
@@ -73,9 +65,7 @@ pub const ALL_RULES: [&str; 10] = [
     NO_UNSAFE,
     HERMETIC_MANIFESTS,
     BAD_WAIVER,
-    SERIAL_ONLY_ESCAPE,
     UNREGISTERED_METRIC,
-    EXPIRED_DEPRECATION,
 ];
 
 /// Files allowed to touch `Instant`/`SystemTime`: the telemetry `wall_ms`

@@ -49,31 +49,20 @@ pub struct MalformedWaiver {
 
 /// A string literal observed while scanning. Strings stay invisible to the
 /// token stream (the per-file rules must not see their contents), but the
-/// workspace passes need them: the telemetry pass reads metric names out of
-/// constructor calls, the deprecation pass reads `since = "X.Y.Z"` values.
+/// telemetry pass needs them: it reads metric names out of constructor
+/// calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StringLit {
     /// 1-based line the literal starts on.
     pub line: usize,
     /// The literal's body, verbatim source text between the delimiters
-    /// (escape sequences are *not* processed — registry names and version
-    /// strings never contain them).
+    /// (escape sequences are *not* processed — registry names never
+    /// contain them).
     pub value: String,
     /// Index into [`ScannedFile::tokens`] of the first token *after* this
     /// literal. A call pattern `name (` at token `i`/`i+1` has this string
     /// as its first argument iff `token_index == i + 2`.
     pub token_index: usize,
-}
-
-/// A context annotation comment: `// ctx: <value>`, e.g.
-/// `// ctx: serial-only` directly above (or trailing) a fn definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CtxAnnotation {
-    /// 1-based line the annotation comment is on.
-    pub line: usize,
-    /// The annotation value, trimmed (`serial-only` is the only one the
-    /// context pass understands; anything else is a hygiene finding).
-    pub value: String,
 }
 
 /// The result of scanning one source file.
@@ -86,10 +75,8 @@ pub struct ScannedFile {
     /// `lint:allow` comments that fail to parse or lack a justification.
     pub malformed_waivers: Vec<MalformedWaiver>,
     /// String literals in source order, with the token position they
-    /// occupy. Invisible to `tokens`; used by the workspace passes only.
+    /// occupy. Invisible to `tokens`; used by the telemetry pass only.
     pub strings: Vec<StringLit>,
-    /// `// ctx: <value>` annotations in source order.
-    pub ctx_annotations: Vec<CtxAnnotation>,
 }
 
 impl ScannedFile {
@@ -156,7 +143,6 @@ pub fn scan(source: &str) -> ScannedFile {
                 }
                 let text: String = chars[start..j].iter().collect();
                 parse_waiver_comment(&text, line, &mut out);
-                parse_ctx_comment(&text, line, &mut out);
                 i = j;
             }
             '/' if i + 1 < n && chars[i + 1] == '*' => {
@@ -350,25 +336,6 @@ fn parse_waiver_comment(comment: &str, line: usize, out: &mut ScannedFile) {
     });
 }
 
-/// The context-annotation grammar inside a line comment: `ctx: <value>`.
-///
-/// Like waivers, an annotation must be the *whole* comment (the text after
-/// `//`, trimmed, must begin with `ctx:`), and doc comments never carry
-/// one — prose may discuss the syntax freely.
-fn parse_ctx_comment(comment: &str, line: usize, out: &mut ScannedFile) {
-    if comment.starts_with('/') || comment.starts_with('!') {
-        return; // doc comment
-    }
-    let trimmed = comment.trim_start();
-    let Some(rest) = trimmed.strip_prefix("ctx:") else {
-        return;
-    };
-    out.ctx_annotations.push(CtxAnnotation {
-        line,
-        value: rest.trim().to_string(),
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,7 +459,7 @@ mod tests {
 
     #[test]
     fn raw_string_with_hash_guards_containing_fn_and_parens_stays_opaque() {
-        // The call-graph pass must not see `fn evil(` inside the literal as
+        // Call-site extraction must not see `fn evil(` inside the literal as
         // a definition or call site — and the literal value is captured.
         let src = r###"let t = r##"fn evil() { pool::run_jobs(x) }"##; next()"###;
         let s = scan(src);
@@ -518,7 +485,7 @@ mod tests {
     fn char_vs_lifetime_inside_generic_call_sites() {
         // `split::<'a, Vec<char>>('x', 'y')` — lifetimes tokenize away,
         // char args vanish, the call pattern `split (`…`)` survives for the
-        // call-graph pass (after the turbofish punctuation).
+        // call-site extraction (after the turbofish punctuation).
         let s = scan("split::<'a, Vec<char>>('x', 'y'); done");
         let texts: Vec<&str> = s.tokens.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
@@ -529,20 +496,5 @@ mod tests {
             ]
         );
         assert!(s.strings.is_empty());
-    }
-
-    #[test]
-    fn ctx_annotations_parse_and_doc_comments_do_not() {
-        let s = scan("// ctx: serial-only\nfn fold() {}\n/// ctx: serial-only\nfn doc() {}");
-        assert_eq!(s.ctx_annotations.len(), 1);
-        assert_eq!(s.ctx_annotations[0].line, 1);
-        assert_eq!(s.ctx_annotations[0].value, "serial-only");
-    }
-
-    #[test]
-    fn ctx_text_inside_a_string_is_not_an_annotation() {
-        let s = scan(r#"let x = "ctx: serial-only";"#);
-        assert!(s.ctx_annotations.is_empty());
-        assert_eq!(s.strings.len(), 1);
     }
 }

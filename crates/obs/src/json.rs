@@ -181,11 +181,19 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document (rejecting trailing garbage).
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a cap a line of 50,000 `[`
+/// overflows the main thread's stack; no record this workspace writes
+/// nests past a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (rejecting trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -199,6 +207,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -243,8 +253,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -252,6 +262,20 @@ impl Parser<'_> {
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -337,13 +361,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character (input is &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or escape in one
+                    // slice. Both stoppers are ASCII, so the run ends on a
+                    // char boundary (the input is &str), and validating
+                    // only the run keeps the parse linear in the line.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -462,6 +492,42 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input once per character would
+        // make this quadratic: seconds for a 120 kB string.
+        let body = "é[{\\\"".repeat(20_000);
+        let text = format!("{{\"s\":\"{body}\"}}");
+        let v = parse(&text).unwrap();
+        let expected = "é[{\"".repeat(20_000);
+        assert_eq!(v.get("s").unwrap().as_str(), Some(expected.as_str()));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        // Deeper than the cap fails at the opener of level 129: `[` is one
+        // byte a level, `{"a":` five.
+        for (text, at) in [
+            (arrays(50_000), MAX_DEPTH),
+            (objects(50_000), 5 * MAX_DEPTH),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert_eq!(
+                (e.message.as_str(), e.at),
+                ("nesting deeper than 128 levels", at)
+            );
+        }
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let mut v = &parse(&objects(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = v.get("a").unwrap();
+        }
+        assert_eq!(*v, Json::Int(1));
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl FlightRecorder {
 
     /// Records one request lifecycle (`kind = "request"`). The ring keeps
     /// only the most recent `capacity` of these, evicting oldest-first.
-    // ctx: serial-only
     pub fn record_request(&mut self, fields: Vec<(String, Json)>) {
         if self.capacity == 0 {
             return;
@@ -118,7 +117,6 @@ impl FlightRecorder {
 
     /// Records a maintenance / heartbeat / anomaly event; these are never
     /// evicted (each one explains a model or serving-state change).
-    // ctx: serial-only
     pub fn record_event(&mut self, kind: &str, fields: Vec<(String, Json)>) {
         if self.capacity == 0 {
             return;
@@ -269,7 +267,6 @@ impl AccuracyLedger {
     /// Folds one (estimate, observed) pair into the `(site, state)` row.
     /// The relative error is `(estimate − observed) / observed` (the
     /// denominator is floored away from zero to stay finite).
-    // ctx: serial-only
     pub fn record(&mut self, site: &str, state: &str, estimate: f64, observed: f64) {
         let denom = observed.abs().max(1e-12);
         let rel = (estimate - observed) / denom;
