@@ -75,9 +75,10 @@ cargo test -q --offline -p mdbs-stats --test block_solve_parity
 
 echo "==> pinned catalog digests (derived catalogs byte-identical to the pins)"
 # Redundant with the workspace test run by design: two FNV-1a digests of
-# four derived text catalogs (IUPMA/uniform, ICMA/clustered, the
-# single-model path and an ICMA derivation that resamples thin clusters)
-# are pinned — one over every byte, one over everything but the coef/fit
+# six derived text catalogs (IUPMA/uniform, ICMA/clustered, the
+# single-model path, an ICMA derivation that resamples thin clusters, and
+# the two all-class catalogs whose join selections react most to search
+# numerics) are pinned — one over every byte, one over everything but the coef/fit
 # lines — so a change meant to leave derivation output alone proves it
 # here, and a solver change that only moves low bits proves the states,
 # variables and Gram blocks stayed put; the --jobs gates below only

@@ -1,7 +1,8 @@
 //! End-to-end derivation benchmarks: the full multi-states pipeline
 //! (sampling → probing → state determination → variable selection → fit)
-//! per query class, plus ablations over the regression form and the
-//! probing-cost estimator — the design choices DESIGN.md calls out.
+//! per query class, sampling alone (`sampling/collect_observations/*`),
+//! plus ablations over the regression form and the probing-cost
+//! estimator — the design choices DESIGN.md calls out.
 
 use mdbs_bench::harness::Harness;
 use mdbs_bench::workloads::Site;
@@ -10,7 +11,7 @@ use mdbs_core::derive::{collect_observations, derive_cost_model, DerivationConfi
 use mdbs_core::model::{fit_cost_model, ModelForm};
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::qualvar::StateSet;
-use mdbs_core::sampling::SampleGenerator;
+use mdbs_core::sampling::{planned_sample_size, SampleGenerator};
 use mdbs_core::states::{StateAlgorithm, StatesConfig};
 
 fn quick_cfg() -> DerivationConfig {
@@ -44,6 +45,29 @@ fn main() {
             )
             .expect("derivation succeeds")
         });
+    }
+
+    // Sampling alone, as derive runs it: eq. (4)'s sample size at the
+    // default state budget, the eq. (2) probe log on. Each iteration starts
+    // from a clone of one agent, so every run draws the same environment.
+    for (class, name) in [
+        (QueryClass::UnaryNoIndex, "unary_g1"),
+        (QueryClass::JoinNoIndex, "join_g3"),
+    ] {
+        let n = planned_sample_size(class.family(), StatesConfig::default().max_states);
+        let prototype = Site::Oracle.dynamic_agent(61);
+        h.bench(
+            &format!("sampling/collect_observations/{name}"),
+            2,
+            30,
+            || {
+                let mut agent = prototype.clone();
+                let mut generator = SampleGenerator::new(62);
+                let mut probe_log = Vec::with_capacity(n);
+                collect_observations(&mut agent, class, n, &mut generator, Some(&mut probe_log))
+                    .expect("collection succeeds")
+            },
+        );
     }
 
     // Ablation: the same observations fitted under each regression form of

@@ -114,3 +114,38 @@ fn icma_resampled_catalog_is_pinned() {
     );
     assert_eq!(full_digest(&text), (0x15c2_0623_a240_2a7f, 2_713), "full");
 }
+
+/// Every class under ICMA with the clustered profile: its join-class
+/// selections are among the most sensitive in the 16-catalog sweep to the
+/// numerics of the candidate search (a scale-invariant Cholesky pivot
+/// test changed them).
+#[test]
+fn icma_clustered_all_classes_catalog_is_pinned() {
+    let text = derive_text(
+        "icma-clustered-all",
+        "derive --site all --class all --algorithm icma --profile clustered --seed 2 --jobs 1",
+    );
+    assert_eq!(
+        structure_digest(&text),
+        (0x2b1c_3cb6_cc53_82bf, 25_446),
+        "structure"
+    );
+    assert_eq!(full_digest(&text), (0x9a72_9a67_44fc_bced, 31_897), "full");
+}
+
+/// Every class under IUPMA with the uniform profile, at the seed whose
+/// join-class selections the same pivot-test change moved.
+#[test]
+fn iupma_uniform_all_classes_catalog_is_pinned() {
+    let text = derive_text(
+        "iupma-uniform-all",
+        "derive --site all --class all --algorithm iupma --profile uniform:20:125 \
+         --seed 4 --jobs 1",
+    );
+    assert_eq!(
+        structure_digest(&text),
+        (0x567f_eb14_dd1a_4b97, 33_736),
+        "structure"
+    );
+    assert_eq!(full_digest(&text), (0x425d_a61b_63f6_309e, 41_804), "full");
+}

@@ -219,7 +219,7 @@ impl CostModel {
 /// `design_position(..)[j]`.
 ///
 /// This is the single source of truth for the column layout — the
-/// observation-space [`design_row`] and the Gram-assembly path
+/// observation-space rows of [`fit_cost_model`] and the Gram-assembly path
 /// ([`fit_gram_from_blocks`]) both derive from it, so the two engines fit
 /// the *same* design by construction.
 pub(crate) fn design_position(form: ModelForm, m: usize, p: usize, state: usize) -> Vec<usize> {
@@ -239,18 +239,6 @@ pub(crate) fn design_position(form: ModelForm, m: usize, p: usize, state: usize)
         }
         ModelForm::General => (state * (p + 1)..(state + 1) * (p + 1)).collect(),
     }
-}
-
-/// Builds the design-matrix row of one observation under a given form.
-fn design_row(form: ModelForm, m: usize, state: usize, x: &[f64]) -> Vec<f64> {
-    let p = x.len();
-    let mut row = vec![0.0; form.num_params(m, p)];
-    let pos = design_position(form, m, p, state);
-    row[pos[0]] = 1.0;
-    for (j, &v) in x.iter().enumerate() {
-        row[pos[j + 1]] = v;
-    }
-    row
 }
 
 /// Recovers the adjusted per-state coefficient table `b_{j,i}` from the raw
@@ -388,27 +376,42 @@ pub fn fit_cost_model(
 ) -> Result<CostModel, CoreError> {
     let m = states.len();
     let p = var_indexes.len();
-    check_sample_counts(form, p, &counts_per_state(&states, observations))?;
+    let counts = counts_per_state(&states, observations);
+    check_sample_counts(form, p, &counts)?;
+    // Each group's design rows go straight into one row-major buffer:
+    // zeros, then the intercept and the variables at the state's
+    // `design_position` columns. A one-state general row is the local row
+    // [1, x₁..x_p].
     let per_state = form == ModelForm::General;
-    let groups = if per_state { m } else { 1 };
-    let mut rows = vec![Vec::new(); groups];
-    let mut ys = vec![Vec::new(); groups];
+    let (width, positions, group_rows) = if per_state {
+        let local = design_position(form, 1, p, 0);
+        (p + 1, vec![local; m], counts)
+    } else {
+        let positions = (0..m).map(|s| design_position(form, m, p, s)).collect();
+        (form.num_params(m, p), positions, vec![observations.len()])
+    };
+    let mut data: Vec<Vec<f64>> = group_rows
+        .iter()
+        .map(|&r| Vec::with_capacity(r * width))
+        .collect();
+    let mut ys: Vec<Vec<f64>> = group_rows.iter().map(|&r| Vec::with_capacity(r)).collect();
     for o in observations {
-        let x = o.project(&var_indexes);
         let s = states.state_of(o.probe_cost);
-        // A one-state general row is the local row [1, x₁..x_p].
-        let (g, row) = if per_state {
-            (s, design_row(form, 1, 0, &x))
-        } else {
-            (0, design_row(form, m, s, &x))
-        };
-        rows[g].push(row);
+        let g = if per_state { s } else { 0 };
+        let pos = &positions[s];
+        let start = data[g].len();
+        data[g].resize(start + width, 0.0);
+        let row = &mut data[g][start..];
+        row[pos[0]] = 1.0;
+        for (&col, &i) in pos[1..].iter().zip(&var_indexes) {
+            row[col] = o.x[i];
+        }
         ys[g].push(o.cost);
     }
-    let blocks = rows
-        .iter()
+    let blocks = data
+        .into_iter()
         .zip(ys)
-        .map(|(rows, y)| Ok((Matrix::from_rows(rows)?, y)))
+        .map(|(data, y)| Ok((Matrix::from_vec(y.len(), width, data)?, y)))
         .collect::<Result<Vec<_>, StatsError>>()
         .map_err(CoreError::Numeric)?;
     let fit = fit_block_diagonal(&blocks, true).map_err(CoreError::Numeric)?;
@@ -497,11 +500,12 @@ impl ModelAccumulator {
     /// Folds new observations into the per-state blocks (rank-1 updates;
     /// the observations are not retained).
     pub fn absorb(&mut self, observations: &[Observation]) {
+        let mut z = Vec::with_capacity(self.var_indexes.len() + 1);
         for o in observations {
             let s = self.states.state_of(o.probe_cost);
-            let mut z = Vec::with_capacity(self.var_indexes.len() + 1);
+            z.clear();
             z.push(1.0);
-            z.extend(o.project(&self.var_indexes));
+            z.extend(self.var_indexes.iter().map(|&i| o.x[i]));
             self.blocks[s]
                 .add_row(&z, o.cost)
                 .expect("block width matches var_indexes by construction");

@@ -19,6 +19,7 @@ use crate::model::{CostModel, FitStats, ModelAccumulator, ModelForm};
 use crate::probing::ProbeCostEstimator;
 use crate::qualvar::StateSet;
 use crate::CoreError;
+use std::fmt::{self, Write as _};
 
 /// Current format version tag.
 pub const FORMAT_VERSION: &str = "v1";
@@ -50,14 +51,38 @@ fn pin_line<T>(line: usize, r: Result<T, CoreError>) -> Result<T, CoreError> {
     })
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else {
-        format!("{v}")
+/// A `String` takes every write, so a catalog writer's `fmt::Result` is
+/// always `Ok`.
+const STRING_WRITE: &str = "writing to a String cannot fail";
+
+/// Writes `values` separated by single spaces and ends the line: the tail
+/// of a `tag v₁ v₂ …` line. Floats print in Rust's shortest round-trip
+/// form (`inf`, `-inf` and `NaN` included), straight into `out`.
+fn write_values<T: fmt::Display>(
+    out: &mut String,
+    values: impl IntoIterator<Item = T>,
+) -> fmt::Result {
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        write!(out, "{v}")?;
     }
+    out.push('\n');
+    Ok(())
+}
+
+/// Writes a `tag i₁:name₁ i₂:name₂ …` line.
+fn write_labels(out: &mut String, tag: &str, indexes: &[usize], names: &[String]) -> fmt::Result {
+    write!(out, "{tag} ")?;
+    for (k, (i, n)) in indexes.iter().zip(names).enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        write!(out, "{i}:{n}")?;
+    }
+    out.push('\n');
+    Ok(())
 }
 
 fn parse_f64(s: &str) -> Result<f64, CoreError> {
@@ -113,33 +138,29 @@ impl CostModel {
     /// Serializes the model to a catalog entry.
     pub fn to_catalog_entry(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("costmodel {FORMAT_VERSION}\n"));
-        out.push_str(&format!("form {}\n", self.form.as_str()));
-        let edges: Vec<String> = self.states.edges().iter().map(|&e| fmt_f64(e)).collect();
-        out.push_str(&format!("states {}\n", edges.join(" ")));
-        let vars: Vec<String> = self
-            .var_indexes
-            .iter()
-            .zip(&self.var_names)
-            .map(|(i, n)| format!("{i}:{n}"))
-            .collect();
-        out.push_str(&format!("vars {}\n", vars.join(" ")));
-        out.push_str(&format!(
-            "fit {} {} {} {} {} {} {}\n",
-            fmt_f64(self.fit.r_squared),
-            fmt_f64(self.fit.adj_r_squared),
-            fmt_f64(self.fit.see),
-            fmt_f64(self.fit.f_statistic),
-            fmt_f64(self.fit.f_p_value),
-            self.fit.n,
-            self.fit.k
-        ));
+        self.write_catalog_entry(&mut out).expect(STRING_WRITE);
+        out
+    }
+
+    /// Appends [`Self::to_catalog_entry`]'s text to `out`.
+    fn write_catalog_entry(&self, out: &mut String) -> fmt::Result {
+        writeln!(out, "costmodel {FORMAT_VERSION}")?;
+        writeln!(out, "form {}", self.form.as_str())?;
+        out.push_str("states ");
+        write_values(out, self.states.edges())?;
+        write_labels(out, "vars", &self.var_indexes, &self.var_names)?;
+        let fit = &self.fit;
+        writeln!(
+            out,
+            "fit {} {} {} {} {} {} {}",
+            fit.r_squared, fit.adj_r_squared, fit.see, fit.f_statistic, fit.f_p_value, fit.n, fit.k
+        )?;
         for (s, coefs) in self.coefficients.iter().enumerate() {
-            let cs: Vec<String> = coefs.iter().map(|&c| fmt_f64(c)).collect();
-            out.push_str(&format!("coef {s} {}\n", cs.join(" ")));
+            write!(out, "coef {s} ")?;
+            write_values(out, coefs)?;
         }
         out.push_str("end\n");
-        out
+        Ok(())
     }
 
     /// Parses a catalog entry produced by [`Self::to_catalog_entry`].
@@ -284,31 +305,26 @@ impl ModelAccumulator {
     /// so import reproduces the accumulator bit for bit.
     pub fn to_catalog_entry(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("gramacc {FORMAT_VERSION}\n"));
-        out.push_str(&format!("form {}\n", self.form().as_str()));
-        let edges: Vec<String> = self.states().edges().iter().map(|&e| fmt_f64(e)).collect();
-        out.push_str(&format!("states {}\n", edges.join(" ")));
-        let vars: Vec<String> = self
-            .var_indexes()
-            .iter()
-            .zip(self.var_names())
-            .map(|(i, n)| format!("{i}:{n}"))
-            .collect();
-        out.push_str(&format!("vars {}\n", vars.join(" ")));
+        self.write_catalog_entry(&mut out).expect(STRING_WRITE);
+        out
+    }
+
+    /// Appends [`Self::to_catalog_entry`]'s text to `out`.
+    fn write_catalog_entry(&self, out: &mut String) -> fmt::Result {
+        writeln!(out, "gramacc {FORMAT_VERSION}")?;
+        writeln!(out, "form {}", self.form().as_str())?;
+        out.push_str("states ");
+        write_values(out, self.states().edges())?;
+        write_labels(out, "vars", self.var_indexes(), self.var_names())?;
         for (s, b) in self.blocks().iter().enumerate() {
-            out.push_str(&format!(
-                "block {s} {} {} {}\n",
-                b.n(),
-                fmt_f64(b.yty()),
-                fmt_f64(b.sum_y())
-            ));
-            let xtx: Vec<String> = b.xtx().iter().map(|&v| fmt_f64(v)).collect();
-            out.push_str(&format!("xtx {}\n", xtx.join(" ")));
-            let xty: Vec<String> = b.xty().iter().map(|&v| fmt_f64(v)).collect();
-            out.push_str(&format!("xty {}\n", xty.join(" ")));
+            writeln!(out, "block {s} {} {} {}", b.n(), b.yty(), b.sum_y())?;
+            out.push_str("xtx ");
+            write_values(out, b.xtx())?;
+            out.push_str("xty ");
+            write_values(out, b.xty())?;
         }
         out.push_str("end\n");
-        out
+        Ok(())
     }
 
     /// Parses a catalog entry produced by [`Self::to_catalog_entry`].
@@ -450,20 +466,20 @@ impl ModelAccumulator {
 impl ProbeCostEstimator {
     /// Serializes the estimator to a catalog entry.
     pub fn to_catalog_entry(&self) -> String {
-        let sel: Vec<String> = self
-            .selected
-            .iter()
-            .zip(&self.names)
-            .map(|(i, n)| format!("{i}:{n}"))
-            .collect();
-        let coefs: Vec<String> = self.coefficients.iter().map(|&c| fmt_f64(c)).collect();
-        format!(
-            "probeest {FORMAT_VERSION}\nparams {}\ncoef {}\nfit {} {}\nend\n",
-            sel.join(" "),
-            coefs.join(" "),
-            fmt_f64(self.r_squared),
-            fmt_f64(self.see)
-        )
+        let mut out = String::new();
+        self.write_catalog_entry(&mut out).expect(STRING_WRITE);
+        out
+    }
+
+    /// Appends [`Self::to_catalog_entry`]'s text to `out`.
+    fn write_catalog_entry(&self, out: &mut String) -> fmt::Result {
+        writeln!(out, "probeest {FORMAT_VERSION}")?;
+        write_labels(out, "params", &self.selected, &self.names)?;
+        out.push_str("coef ");
+        write_values(out, &self.coefficients)?;
+        writeln!(out, "fit {} {}", self.r_squared, self.see)?;
+        out.push_str("end\n");
+        Ok(())
     }
 
     /// Parses a catalog entry produced by [`Self::to_catalog_entry`].
@@ -558,28 +574,35 @@ impl GlobalCatalog {
     /// byte-identity gates are unaffected; any other version adds a
     /// `snapshot-version N` line right after the header.
     pub fn export_versioned(&self, version: u64) -> String {
-        let mut out = format!("mdbs-catalog {FORMAT_VERSION}\n");
+        let mut out = String::new();
+        self.write_versioned(&mut out, version).expect(STRING_WRITE);
+        out
+    }
+
+    /// Appends [`Self::export_versioned`]'s text to `out`.
+    fn write_versioned(&self, out: &mut String, version: u64) -> fmt::Result {
+        writeln!(out, "mdbs-catalog {FORMAT_VERSION}")?;
         if version > 0 {
-            out.push_str(&format!("snapshot-version {version}\n"));
+            writeln!(out, "snapshot-version {version}")?;
         }
         let mut sites: Vec<SiteId> = self.sites().into_iter().collect();
         sites.sort();
         for site in sites {
             for class in self.classes_for(&site) {
                 let model = self.model(&site, class).expect("class listed for site");
-                out.push_str(&format!("entry {} {}\n", site, class.as_str()));
-                out.push_str(&model.to_catalog_entry());
+                writeln!(out, "entry {} {}", site, class.as_str())?;
+                model.write_catalog_entry(out)?;
                 if let Some(acc) = self.accumulator(&site, class) {
-                    out.push_str(&format!("gram-entry {} {}\n", site, class.as_str()));
-                    out.push_str(&acc.to_catalog_entry());
+                    writeln!(out, "gram-entry {} {}", site, class.as_str())?;
+                    acc.write_catalog_entry(out)?;
                 }
             }
             if let Some(est) = self.probe_estimator(&site) {
-                out.push_str(&format!("probe-entry {site}\n"));
-                out.push_str(&est.to_catalog_entry());
+                writeln!(out, "probe-entry {site}")?;
+                est.write_catalog_entry(out)?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Parses a catalog produced by [`Self::export`], discarding the

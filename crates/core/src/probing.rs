@@ -39,19 +39,26 @@ impl ProbeCostEstimator {
             });
         }
         let all_names = SystemStats::probe_predictor_names();
-        let mut selected: Vec<usize> = (0..all_names.len()).collect();
+        // Every sample's predictors, read once: row r is
+        // preds[r·q..(r+1)·q].
+        let q = all_names.len();
+        let preds: Vec<f64> = samples
+            .iter()
+            .flat_map(|(s, _)| s.probe_predictors())
+            .collect();
+        let mut selected: Vec<usize> = (0..q).collect();
         // Drop constant predictors up front (zero variance breaks OLS).
         selected.retain(|&j| {
-            let col: Vec<f64> = samples
+            let first = preds[j];
+            preds
                 .iter()
-                .map(|(s, _)| s.probe_predictors()[j])
-                .collect();
-            let first = col[0];
-            col.iter().any(|v| (v - first).abs() > 1e-12)
+                .skip(j)
+                .step_by(q)
+                .any(|v| (v - first).abs() > 1e-12)
         });
         let y: Vec<f64> = samples.iter().map(|(_, c)| *c).collect();
         loop {
-            let fitted = Self::fit_subset(samples, &y, &selected)?;
+            let fitted = Self::fit_subset(&preds, q, &y, &selected)?;
             // Find the least significant predictor (skip the intercept).
             let worst = fitted
                 .t_p_values
@@ -76,22 +83,21 @@ impl ProbeCostEstimator {
         }
     }
 
+    /// Fits the intercept and the `selected` columns of the row-major
+    /// `preds` (rows of width `q`) to `y`.
     fn fit_subset(
-        samples: &[(SystemStats, f64)],
+        preds: &[f64],
+        q: usize,
         y: &[f64],
         selected: &[usize],
     ) -> Result<OlsFit, CoreError> {
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|(s, _)| {
-                let preds = s.probe_predictors();
-                let mut row = Vec::with_capacity(selected.len() + 1);
-                row.push(1.0);
-                row.extend(selected.iter().map(|&j| preds[j]));
-                row
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).map_err(CoreError::Numeric)?;
+        let width = selected.len() + 1;
+        let mut data = Vec::with_capacity(y.len() * width);
+        for row in preds.chunks_exact(q) {
+            data.push(1.0);
+            data.extend(selected.iter().map(|&j| row[j]));
+        }
+        let x = Matrix::from_vec(y.len(), width, data).map_err(CoreError::Numeric)?;
         OlsFit::fit(&x, y, true).map_err(CoreError::Numeric)
     }
 

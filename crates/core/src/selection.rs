@@ -131,12 +131,18 @@ pub(crate) fn select_variables_inner(
         .iter()
         .map(|g| g.iter().map(|o| o.cost).collect())
         .collect();
+    let columns = state_columns(&groups, width);
+    // Each variable's relevance to the response, scored once: the
+    // screens and the backward step rank by it repeatedly.
+    let relevance: Vec<f64> = (0..width)
+        .map(|j| avg_abs_corr(&columns, &y_by_state, j))
+        .collect();
 
     // Step 1: basic set, pre-filtered by max-over-states correlation.
     let mut current: Vec<usize> = family
         .basic_indexes()
         .into_iter()
-        .filter(|&j| max_abs_corr(&groups, &y_by_state, j) >= cfg.min_corr)
+        .filter(|&j| max_abs_corr(&columns, &y_by_state, j) >= cfg.min_corr)
         .collect();
     if current.is_empty() {
         // Degenerate workload; fall back to the full basic set and let the
@@ -149,9 +155,7 @@ pub(crate) fn select_variables_inner(
     // Step 1b: multicollinearity screen on the starting set. Among a
     // collinear group, the variable least correlated with the response is
     // the one sacrificed.
-    let screened = drop_high_vif(&mut current, &moments, cfg.vif_threshold, |j| {
-        avg_abs_corr(&groups, &y_by_state, j)
-    })?;
+    let screened = drop_high_vif(&mut current, &moments, cfg.vif_threshold, |j| relevance[j])?;
     tel.inc("selection.vif_screened", screened as u64);
 
     let form = form.for_states(states);
@@ -203,8 +207,8 @@ pub(crate) fn select_variables_inner(
         let &cand = current
             .iter()
             .min_by(|&&a, &&b| {
-                avg_abs_corr(&groups, &y_by_state, a)
-                    .partial_cmp(&avg_abs_corr(&groups, &y_by_state, b))
+                relevance[a]
+                    .partial_cmp(&relevance[b])
                     .expect("correlations are finite")
             })
             .expect("non-empty set");
@@ -239,17 +243,22 @@ pub(crate) fn select_variables_inner(
             })
             .collect();
         // Candidate: largest average per-state |corr| with the residuals.
+        let scores: Vec<f64> = pool
+            .iter()
+            .map(|&j| avg_abs_corr(&columns, &residuals_by_state, j))
+            .collect();
         let (pos, &cand) = pool
             .iter()
             .enumerate()
-            .max_by(|(_, &a), (_, &b)| {
-                avg_abs_corr(&groups, &residuals_by_state, a)
-                    .partial_cmp(&avg_abs_corr(&groups, &residuals_by_state, b))
+            .max_by(|(a, _), (b, _)| {
+                scores[*a]
+                    .partial_cmp(&scores[*b])
                     .expect("correlations are finite")
             })
             .expect("non-empty pool");
+        let score = scores[pos];
         pool.swap_remove(pos);
-        if avg_abs_corr(&groups, &residuals_by_state, cand) < cfg.min_corr {
+        if score < cfg.min_corr {
             break; // Nothing left that explains the residuals.
         }
         let mut augmented = current.clone();
@@ -406,35 +415,50 @@ fn group_by_state<'a>(
     groups
 }
 
+/// Every candidate variable's values within each state, gathered once:
+/// `columns[s][j]` is variable `j` over state `s`'s observations, in
+/// observation order.
+fn state_columns(groups: &[Vec<&Observation>], width: usize) -> Vec<Vec<Vec<f64>>> {
+    groups
+        .iter()
+        .map(|g| {
+            (0..width)
+                .map(|j| g.iter().map(|o| o.x[j]).collect())
+                .collect()
+        })
+        .collect()
+}
+
 /// |Pearson correlation| between variable `j` and a per-state target,
 /// aggregated as the maximum over states (ignoring states that are too
 /// small to measure).
-fn max_abs_corr(groups: &[Vec<&Observation>], target: &[Vec<f64>], j: usize) -> f64 {
-    per_state_corrs(groups, target, j)
-        .into_iter()
-        .fold(0.0, f64::max)
+fn max_abs_corr(columns: &[Vec<Vec<f64>>], target: &[Vec<f64>], j: usize) -> f64 {
+    per_state_corrs(columns, target, j).fold(0.0, f64::max)
 }
 
 /// Same, aggregated as the average over measurable states.
-fn avg_abs_corr(groups: &[Vec<&Observation>], target: &[Vec<f64>], j: usize) -> f64 {
-    let corrs = per_state_corrs(groups, target, j);
-    if corrs.is_empty() {
+fn avg_abs_corr(columns: &[Vec<Vec<f64>>], target: &[Vec<f64>], j: usize) -> f64 {
+    let mut measured = 0;
+    let sum: f64 = per_state_corrs(columns, target, j)
+        .inspect(|_| measured += 1)
+        .sum();
+    if measured == 0 {
         0.0
     } else {
-        corrs.iter().sum::<f64>() / corrs.len() as f64
+        sum / measured as f64
     }
 }
 
-fn per_state_corrs(groups: &[Vec<&Observation>], target: &[Vec<f64>], j: usize) -> Vec<f64> {
-    groups
+fn per_state_corrs<'a>(
+    columns: &'a [Vec<Vec<f64>>],
+    target: &'a [Vec<f64>],
+    j: usize,
+) -> impl Iterator<Item = f64> + 'a {
+    columns
         .iter()
         .zip(target)
-        .filter(|(g, _)| g.len() >= 3)
-        .map(|(g, t)| {
-            let xs: Vec<f64> = g.iter().map(|o| o.x[j]).collect();
-            pearson(&xs, t).abs()
-        })
-        .collect()
+        .filter(|(_, t)| t.len() >= 3)
+        .map(move |(cols, t)| pearson(&cols[j], t).abs())
 }
 
 /// While any variable's VIF exceeds the threshold, removes — among those

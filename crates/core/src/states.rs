@@ -416,24 +416,28 @@ impl GramCache {
         var_indexes: &[usize],
         tel: &mut Telemetry,
     ) -> Result<GramCache, CoreError> {
-        let mut order: Vec<usize> = (0..observations.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            observations[a]
-                .probe_cost
-                .partial_cmp(&observations[b].probe_cost)
+        // (probing cost, index) pairs sort without an indirection per
+        // comparison; the index breaks ties, so the order is total.
+        let mut order: Vec<(f64, usize)> = observations
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.probe_cost, i))
+            .collect();
+        order.sort_unstable_by(|(pa, a), (pb, b)| {
+            pa.partial_cmp(pb)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+                .then(a.cmp(b))
         });
-        let mut prefix = GramPrefix::new(var_indexes.len() + 1);
-        let mut probes = Vec::with_capacity(observations.len());
-        for &i in &order {
+        let mut prefix = GramPrefix::with_capacity(var_indexes.len() + 1, observations.len());
+        let mut z = Vec::with_capacity(var_indexes.len() + 1);
+        for &(_, i) in &order {
             let o = &observations[i];
-            let mut z = Vec::with_capacity(var_indexes.len() + 1);
+            z.clear();
             z.push(1.0);
-            z.extend(o.project(var_indexes));
+            z.extend(var_indexes.iter().map(|&j| o.x[j]));
             prefix.push(&z, o.cost).map_err(CoreError::Numeric)?;
-            probes.push(o.probe_cost);
         }
+        let probes = order.into_iter().map(|(probe, _)| probe).collect();
         tel.inc("fit.gram.prefix_builds", 1);
         Ok(GramCache { probes, prefix })
     }

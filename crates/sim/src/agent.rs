@@ -102,6 +102,9 @@ pub struct MdbsAgent {
     clock_s: f64,
     trace: Option<ExecutionTrace>,
     metrics: Option<MetricsRegistry>,
+    /// [`Self::probing_query`], built on the first probe and dropped by
+    /// every schema change (`catalog_mut`).
+    probe_query: Option<Query>,
 }
 
 impl MdbsAgent {
@@ -122,6 +125,7 @@ impl MdbsAgent {
             clock_s: 0.0,
             trace: None,
             metrics: None,
+            probe_query: None,
         }
     }
 
@@ -299,13 +303,26 @@ impl MdbsAgent {
     /// Executes the probing query under the current load and returns its
     /// observed cost.
     pub fn probe(&mut self) -> f64 {
-        let q = self.probing_query();
+        let q = match self.probe_query.take() {
+            Some(q) => q,
+            None => self.probing_query(),
+        };
         if let Some(metrics) = &mut self.metrics {
             metrics.inc("engine.probes", 1);
         }
-        self.run(&q)
+        let cost = self
+            .run(&q)
             .expect("probing query references a catalog table")
-            .cost_s
+            .cost_s;
+        self.probe_query = Some(q);
+        cost
+    }
+
+    /// The local schema for a change: copied first if shared, and the
+    /// cached probing query dropped, since the smallest table may change.
+    fn catalog_mut(&mut self) -> &mut LocalCatalog {
+        self.probe_query = None;
+        Arc::make_mut(&mut self.catalog)
     }
 
     fn table(&self, id: TableId) -> Result<&TableDef, AgentError> {
@@ -316,12 +333,12 @@ impl MdbsAgent {
     /// temporary table for shipped tuples during global query execution.
     /// Panics on a duplicate id (caller controls temp-table ids).
     pub fn register_table(&mut self, table: TableDef) {
-        Arc::make_mut(&mut self.catalog).add_table(table);
+        self.catalog_mut().add_table(table);
     }
 
     /// Drops a (temporary) table; returns whether it existed.
     pub fn drop_table(&mut self, id: TableId) -> bool {
-        self.catalog.table(id).is_some() && Arc::make_mut(&mut self.catalog).remove_table(id)
+        self.catalog.table(id).is_some() && self.catalog_mut().remove_table(id)
     }
 
     /// Applies an occasionally-changing environmental factor (paper §2):
@@ -355,7 +372,8 @@ impl MdbsAgent {
                 column,
                 kind,
             } => {
-                let t = Arc::make_mut(&mut self.catalog)
+                let t = self
+                    .catalog_mut()
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 let col = t
@@ -368,7 +386,8 @@ impl MdbsAgent {
                 col.index = *kind;
             }
             E::DropIndex { table, column } => {
-                let t = Arc::make_mut(&mut self.catalog)
+                let t = self
+                    .catalog_mut()
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 let col = t
@@ -386,7 +405,8 @@ impl MdbsAgent {
                         "growth factor must be positive, got {factor}"
                     )));
                 }
-                let t = Arc::make_mut(&mut self.catalog)
+                let t = self
+                    .catalog_mut()
                     .table_mut(*table)
                     .ok_or(EventError::UnknownTable(*table))?;
                 t.cardinality = ((t.cardinality as f64 * factor).round() as u64).max(1);
@@ -729,6 +749,83 @@ mod tests {
             assert_eq!(prototype.tables(), pristine.tables());
             assert!(Arc::ptr_eq(&untouched.shared_catalog(), &prototype));
         }
+    }
+
+    #[test]
+    fn probing_query_cache_follows_schema_changes() {
+        use crate::catalog::IndexKind;
+        use crate::events::EnvironmentEvent as E;
+        let base = agent();
+        let tables = base.catalog().tables();
+        let smallest = tables.iter().min_by_key(|t| t.cardinality).unwrap().clone();
+        let largest = tables.iter().map(|t| t.cardinality).max().unwrap();
+        let mut smaller = smallest.clone();
+        smaller.id = TableId(100);
+        smaller.cardinality = smallest.cardinality / 2;
+        let id = smallest.id;
+        // Each change to the smallest table, and whether it moves the
+        // probing query to another table.
+        type Change<'a> = (&'a dyn Fn(&mut MdbsAgent), bool);
+        let changes: [Change; 5] = [
+            (&|a| a.register_table(smaller.clone()), true),
+            (&|a| assert!(a.drop_table(id)), true),
+            (
+                &|a| {
+                    let factor = 2.0 * largest as f64 / smallest.cardinality as f64;
+                    a.apply_event(&E::TableGrowth { table: id, factor })
+                        .unwrap()
+                },
+                true,
+            ),
+            (
+                &|a| {
+                    a.apply_event(&E::CreateIndex {
+                        table: id,
+                        column: 4,
+                        kind: IndexKind::NonClustered,
+                    })
+                    .unwrap()
+                },
+                false,
+            ),
+            (
+                &|a| {
+                    a.apply_event(&E::DropIndex {
+                        table: id,
+                        column: 2,
+                    })
+                    .unwrap()
+                },
+                false,
+            ),
+        ];
+        for (i, (change, moves)) in changes.into_iter().enumerate() {
+            let mut a = agent();
+            a.enable_trace(4);
+            a.probe(); // Fills the cache.
+            let before = a.probing_query().describe();
+            change(&mut a);
+            a.probe();
+            let probed = &a.trace().unwrap().entries().last().unwrap().query;
+            assert_eq!(*probed, a.probing_query().describe(), "change {i}");
+            assert_eq!(*probed != before, moves, "change {i}: {before} -> {probed}");
+        }
+        // A clone carries the cache and probes exactly like the original.
+        let mut a = agent();
+        a.set_load_builder(LoadBuilder::new(ContentionProfile::Uniform {
+            lo: 5.0,
+            hi: 125.0,
+        }));
+        a.enable_trace(16);
+        a.probe();
+        let mut b = a.clone();
+        for _ in 0..5 {
+            a.tick();
+            b.tick();
+            assert_eq!(a.probe().to_bits(), b.probe().to_bits());
+        }
+        let (ta, tb) = (a.trace().unwrap(), b.trace().unwrap());
+        assert!(ta.entries().eq(tb.entries()));
     }
 
     #[test]

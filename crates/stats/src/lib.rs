@@ -13,8 +13,9 @@
 //!   factorization and least-squares / linear-system solvers,
 //! * [`regression`] — ordinary least squares with the full diagnostic suite,
 //! * [`suffstats`] — incremental sufficient-statistics (Gram-matrix)
-//!   regression: rank-1 updates, block merges, column subsets, prefix sums
-//!   and an O(k³) solver that reproduces the full diagnostic suite,
+//!   regression: rank-1 updates, block merges, column subsets, prefix sums,
+//!   an O(k³) solver for the coefficients and fit summary, and the
+//!   per-coefficient inference on demand,
 //! * [`distributions`] — Γ/β special functions and Normal, Student-t and
 //!   F cumulative distribution functions,
 //! * [`correlation`] — Pearson simple correlation,
@@ -46,7 +47,9 @@ pub use describe::Summary;
 pub use matrix::Matrix;
 pub use regression::{fit_block_diagonal, BlockDiagonalFit, OlsFit, RegressionError};
 pub use rng::Rng;
-pub use suffstats::{solve_block_diagonal, GramAccumulator, GramFit, GramPrefix};
+pub use suffstats::{
+    gram_coefficient_inference, solve_block_diagonal, GramAccumulator, GramFit, GramPrefix,
+};
 
 /// Error type shared by numerical routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -163,12 +163,15 @@ impl Matrix {
     /// Householder QR factorization that keeps the reflectors instead of
     /// forming Q.
     ///
-    /// Requires `rows >= cols`. R is reduced column by column in O(m·n²);
-    /// every applied reflector `H_k = I − 2vvᵀ/(vᵀv)` is kept as
-    /// `(k, vᵀv, v[k..m])`, so `Q = H_0·H_1·…` is available implicitly
-    /// through [`HouseholderQr::apply_qt`] (O(m·n) per vector) and
-    /// explicitly through [`HouseholderQr::q`]. A column that is already
-    /// zero at and below the diagonal keeps no reflector.
+    /// Requires `rows >= cols`. R is reduced column by column in O(m·n²)
+    /// on a column-major working copy, so every norm, dot product and
+    /// update runs down one contiguous column slice (in the order of the
+    /// row-major loops it replaced, bit for bit); every applied reflector
+    /// `H_k = I − 2vvᵀ/(vᵀv)` is kept as `(k, vᵀv, v[k..m])`, so
+    /// `Q = H_0·H_1·…` is available implicitly through
+    /// [`HouseholderQr::apply_qt`] (O(m·n) per vector) and explicitly
+    /// through [`HouseholderQr::q`]. A column that is already zero at and
+    /// below the diagonal keeps no reflector.
     pub fn householder_qr(&self) -> Result<HouseholderQr, StatsError> {
         let (m, n) = (self.rows, self.cols);
         if m < n {
@@ -176,49 +179,46 @@ impl Matrix {
                 context: format!("qr: need rows >= cols, got {m}x{n}"),
             });
         }
-        // Work on a copy; keep every applied reflector as (k, ‖v‖², v[k..m]).
-        let mut r = self.clone();
-        let mut reflectors: Vec<(usize, f64, Vec<f64>)> = Vec::with_capacity(n);
-        let mut v = vec![0.0; m];
-        for k in 0..n {
-            // Build the Householder vector for column k below the diagonal.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
+        // Column-major copy: column j is cols[j·m..(j+1)·m].
+        let mut cols = vec![0.0; m * n];
+        for (i, row) in self.data.chunks_exact(n.max(1)).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                cols[j * m + i] = x;
             }
-            let norm = norm.sqrt();
+        }
+        let mut reflectors: Vec<(usize, f64, Vec<f64>)> = Vec::with_capacity(n);
+        for k in 0..n {
+            // The Householder vector of column k at and below the diagonal.
+            let below = &cols[k * m + k..(k + 1) * m];
+            let norm = below.iter().fold(0.0, |acc, &x| acc + x * x).sqrt();
             if norm == 0.0 {
                 continue; // Column already zero below (and at) the diagonal.
             }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut vnorm2 = 0.0;
-            for i in k..m {
-                v[i] = r[(i, k)];
-                if i == k {
-                    v[i] -= alpha;
-                }
-                vnorm2 += v[i] * v[i];
-            }
+            let alpha = if below[0] >= 0.0 { -norm } else { norm };
+            let mut v = below.to_vec();
+            v[0] -= alpha;
+            let vnorm2 = v.iter().fold(0.0, |acc, &x| acc + x * x);
             if vnorm2 == 0.0 {
                 continue;
             }
             // Apply H = I - 2 v vᵀ / (vᵀv) to R (columns k..n).
-            for j in k..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
+            for col in cols[k * m..].chunks_exact_mut(m) {
+                let tail = &mut col[k..];
+                let dot = v
+                    .iter()
+                    .zip(tail.iter())
+                    .fold(0.0, |acc, (v, r)| acc + v * r);
                 let scale = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    r[(i, j)] -= scale * v[i];
+                for (r, &vi) in tail.iter_mut().zip(&v) {
+                    *r -= scale * vi;
                 }
             }
-            reflectors.push((k, vnorm2, v[k..m].to_vec()));
+            reflectors.push((k, vnorm2, v));
         }
         let mut r_thin = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                r_thin[(i, j)] = r[(i, j)];
+        for (j, col) in cols.chunks_exact(m.max(1)).enumerate() {
+            for (i, &x) in col[..=j].iter().enumerate() {
+                r_thin[(i, j)] = x;
             }
         }
         Ok(HouseholderQr {
@@ -413,6 +413,8 @@ pub const QR_SINGULAR_RELATIVE_TOLERANCE: f64 = 1e-12;
 /// Solves `r · x = b` for upper-triangular `r` by back substitution.
 fn back_substitute(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
     let n = r.cols();
+    // Relative singularity threshold against the largest diagonal entry.
+    let scale = (0..n).fold(0.0f64, |acc, k| acc.max(r[(k, k)].abs()));
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut sum = b[i];
@@ -420,8 +422,6 @@ fn back_substitute(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
             sum -= r[(i, j)] * x[j];
         }
         let d = r[(i, i)];
-        // Relative singularity threshold against the largest diagonal entry.
-        let scale = (0..n).fold(0.0f64, |acc, k| acc.max(r[(k, k)].abs()));
         if d.abs() <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0) {
             return Err(StatsError::Singular);
         }

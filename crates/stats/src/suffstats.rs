@@ -34,7 +34,9 @@
 //! skip/propagate logic is engine-agnostic.
 
 use crate::matrix::{Matrix, QR_SINGULAR_RELATIVE_TOLERANCE};
-use crate::regression::{coefficient_inference, fit_summary, total_sum_of_squares};
+use crate::regression::{
+    coefficient_inference, fit_summary, total_sum_of_squares, CoefficientInference,
+};
 use crate::StatsError;
 
 /// Relative pivot tolerance of the Cholesky factorization: a pivot below
@@ -257,13 +259,7 @@ impl GramAccumulator {
     /// the response moments.
     pub fn add_row(&mut self, row: &[f64], y: f64) -> Result<(), StatsError> {
         self.check_row(row)?;
-        for (i, &ri) in row.iter().enumerate() {
-            let base = i * self.k;
-            for (j, &rj) in row.iter().enumerate() {
-                self.xtx[base + j] += ri * rj;
-            }
-            self.xty[i] += ri * y;
-        }
+        add_rank_one(&mut self.xtx, &mut self.xty, row, y);
         self.yty += y * y;
         self.sum_y += y;
         self.n += 1;
@@ -280,12 +276,12 @@ impl GramAccumulator {
                 "remove_row on an empty accumulator".into(),
             ));
         }
-        for (i, &ri) in row.iter().enumerate() {
-            let base = i * self.k;
-            for (j, &rj) in row.iter().enumerate() {
-                self.xtx[base + j] -= ri * rj;
+        let rows = self.xtx.chunks_exact_mut(self.k.max(1));
+        for ((xtx_row, xty_i), &ri) in rows.zip(&mut self.xty).zip(row) {
+            for (a, &rj) in xtx_row.iter_mut().zip(row) {
+                *a -= ri * rj;
             }
-            self.xty[i] -= ri * y;
+            *xty_i -= ri * y;
         }
         self.yty -= y * y;
         self.sum_y -= y;
@@ -379,43 +375,9 @@ impl GramAccumulator {
         })
     }
 
-    /// Subtracts another accumulator (for prefix differences); `other` must
-    /// describe a subset of this one's rows.
-    fn difference(&self, other: &GramAccumulator) -> Result<GramAccumulator, StatsError> {
-        if other.k != self.k {
-            return Err(StatsError::DimensionMismatch {
-                context: format!("difference: width {} vs {}", other.k, self.k),
-            });
-        }
-        if other.n > self.n {
-            return Err(StatsError::InvalidArgument(
-                "difference: subtrahend has more rows".into(),
-            ));
-        }
-        Ok(GramAccumulator {
-            k: self.k,
-            n: self.n - other.n,
-            xtx: self
-                .xtx
-                .iter()
-                .zip(&other.xtx)
-                .map(|(a, b)| a - b)
-                .collect(),
-            xty: self
-                .xty
-                .iter()
-                .zip(&other.xty)
-                .map(|(a, b)| a - b)
-                .collect(),
-            yty: self.yty - other.yty,
-            sum_y: self.sum_y - other.sum_y,
-        })
-    }
-
-    /// Solves the accumulated least-squares problem and computes the full
-    /// [`crate::regression::OlsFit`]-style diagnostic suite from the
-    /// sufficient statistics alone: the one-block case of
-    /// [`solve_block_diagonal`].
+    /// Solves the accumulated least-squares problem and computes the
+    /// coefficients and fit summary from the sufficient statistics alone:
+    /// the one-block case of [`solve_block_diagonal`].
     ///
     /// Requires one spare degree of freedom (`n ≥ k + 1`), like the
     /// observation-space solver. Rank deficiency surfaces as
@@ -449,7 +411,11 @@ impl GramAccumulator {
 ///   largest `|Rᵢᵢ|` of any block;
 /// * SSE accumulates over the global column order.
 ///
-/// The work is `Σ k_b³` rather than `(Σ k_b)³`.
+/// The work is `Σ k_b³` rather than `(Σ k_b)³`. The solve computes no
+/// per-coefficient inference: the states search, variable selection and
+/// maintenance refits read only the coefficients and the fit summary.
+/// [`gram_coefficient_inference`] recomputes standard errors, t statistics
+/// and their p-values on demand, by the route this solve took.
 pub fn solve_block_diagonal(
     blocks: &[GramAccumulator],
     has_intercept: bool,
@@ -462,45 +428,22 @@ pub fn solve_block_diagonal(
             got: n,
         });
     }
-    let max_diag = blocks
-        .iter()
-        .flat_map(GramAccumulator::diagonal)
-        .fold(0.0f64, |m, d| m.max(d.abs()));
-    let tol = CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0);
+    let tol = block_pivot_tolerance(blocks);
     let factors: Result<Vec<Vec<f64>>, StatsError> = blocks
         .iter()
         .map(|b| cholesky_factor_with_tolerance(b.k, &b.xtx, tol))
         .collect();
     let mut coefficients = Vec::with_capacity(k);
-    let mut inverse_diagonal = Vec::with_capacity(k);
     let cholesky = match factors {
         Ok(factors) => {
             for (b, l) in blocks.iter().zip(&factors) {
                 coefficients.extend(cholesky_solve(b.k, l, &b.xty));
-                inverse_diagonal.extend(cholesky_inverse_diagonal(b.k, l));
             }
             true
         }
         Err(StatsError::Singular) => {
-            // QR on each Gram block: β = R⁻¹Qᵀ(Xᵀy) and (XᵀX)⁻¹ = R⁻¹Qᵀ.
-            // Still-singular systems error here.
-            let factors = blocks
-                .iter()
-                .map(|b| Matrix::from_vec(b.k, b.k, b.xtx.clone())?.qr())
-                .collect::<Result<Vec<_>, _>>()?;
-            let r_diagonal = || {
-                factors
-                    .iter()
-                    .flat_map(|(_, r)| (0..r.rows()).map(move |i| r[(i, i)].abs()))
-            };
-            let scale = r_diagonal().fold(0.0f64, f64::max);
-            if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
-                return Err(StatsError::Singular);
-            }
-            for (b, (q, r)) in blocks.iter().zip(&factors) {
-                let inv = r.invert_upper_triangular()?.matmul(&q.transpose())?;
+            for (b, inv) in blocks.iter().zip(qr_gram_inverses(blocks)?) {
                 coefficients.extend(inv.matvec(&b.xty)?);
-                inverse_diagonal.extend((0..b.k).map(|i| inv[(i, i)]));
             }
             false
         }
@@ -531,8 +474,6 @@ pub fn solve_block_diagonal(
     let sse = (yty - 2.0 * bxy + bxxb).max(0.0);
     let sst = total_sum_of_squares(yty, sum_y, n, has_intercept);
     let summary = fit_summary(sse, sst, n, k, has_intercept)?;
-    let inference = coefficient_inference(&coefficients, &inverse_diagonal, sse, n, k)?;
-
     Ok(GramFit {
         coefficients,
         sse,
@@ -542,13 +483,81 @@ pub fn solve_block_diagonal(
         see: summary.see,
         f_statistic: summary.f_statistic,
         f_p_value: summary.f_p_value,
-        coef_std_errors: inference.std_errors,
-        t_statistics: inference.t_statistics,
-        t_p_values: inference.t_p_values,
         n,
         k,
         solved_by_cholesky: cholesky,
     })
+}
+
+/// The Cholesky pivot tolerance of a block-diagonal solve: relative to the
+/// largest diagonal entry of any block.
+fn block_pivot_tolerance(blocks: &[GramAccumulator]) -> f64 {
+    let max_diag = blocks
+        .iter()
+        .flat_map(GramAccumulator::diagonal)
+        .fold(0.0f64, |m, d| m.max(d.abs()));
+    CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0)
+}
+
+/// The QR fallback's inverse of every Gram block, `(XᵀX)⁻¹ = R⁻¹Qᵀ` from
+/// the QR of the block itself, or [`StatsError::Singular`] when an R
+/// diagonal entry of any block is at most [`QR_SINGULAR_RELATIVE_TOLERANCE`]
+/// times the largest one of any block.
+fn qr_gram_inverses(blocks: &[GramAccumulator]) -> Result<Vec<Matrix>, StatsError> {
+    let factors = blocks
+        .iter()
+        .map(|b| Matrix::from_vec(b.k, b.k, b.xtx.clone())?.qr())
+        .collect::<Result<Vec<_>, _>>()?;
+    let r_diagonal = || {
+        factors
+            .iter()
+            .flat_map(|(_, r)| (0..r.rows()).map(move |i| r[(i, i)].abs()))
+    };
+    let scale = r_diagonal().fold(0.0f64, f64::max);
+    if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
+        return Err(StatsError::Singular);
+    }
+    factors
+        .iter()
+        .map(|(q, r)| r.invert_upper_triangular()?.matmul(&q.transpose()))
+        .collect()
+}
+
+/// Standard errors, t statistics and two-sided t p-values of a
+/// [`solve_block_diagonal`] fit, recomputed from the blocks it solved.
+///
+/// The diagonal of `(XᵀX)⁻¹` comes by the route the fit took
+/// ([`GramFit::solved_by_cholesky`]): one Cholesky solve per unit vector
+/// against each block's factor, or the diagonal of each block's QR
+/// fallback inverse `R⁻¹Qᵀ`, with the solve's own tolerances. The values
+/// are bit for bit what the solve computed when it still carried them.
+/// `blocks` must be the ones `fit` was solved from.
+pub fn gram_coefficient_inference(
+    blocks: &[GramAccumulator],
+    fit: &GramFit,
+) -> Result<CoefficientInference, StatsError> {
+    let k: usize = blocks.iter().map(|b| b.k).sum();
+    if k != fit.k || fit.coefficients.len() != k {
+        return Err(StatsError::DimensionMismatch {
+            context: format!(
+                "inference: blocks of width {k} for a fit of {} coefficients",
+                fit.coefficients.len()
+            ),
+        });
+    }
+    let mut inverse_diagonal = Vec::with_capacity(k);
+    if fit.solved_by_cholesky {
+        let tol = block_pivot_tolerance(blocks);
+        for b in blocks {
+            let l = cholesky_factor_with_tolerance(b.k, &b.xtx, tol)?;
+            inverse_diagonal.extend(cholesky_inverse_diagonal(b.k, &l));
+        }
+    } else {
+        for (b, inv) in blocks.iter().zip(qr_gram_inverses(blocks)?) {
+            inverse_diagonal.extend((0..b.k).map(|i| inv[(i, i)]));
+        }
+    }
+    coefficient_inference(&fit.coefficients, &inverse_diagonal, fit.sse, fit.n, k)
 }
 
 impl std::ops::AddAssign<&GramAccumulator> for GramAccumulator {
@@ -570,9 +579,11 @@ impl std::ops::Add<&GramAccumulator> for GramAccumulator {
     }
 }
 
-/// The result of a sufficient-statistics OLS solve: the same diagnostic
-/// suite as [`crate::regression::OlsFit`], minus the per-observation fitted
-/// values and residuals (which cannot be reconstructed from the statistics).
+/// The result of a sufficient-statistics OLS solve: the coefficients and
+/// fit summary of [`crate::regression::OlsFit`], without the
+/// per-observation fitted values and residuals (which cannot be
+/// reconstructed from the statistics) or the per-coefficient inference
+/// (see [`gram_coefficient_inference`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GramFit {
     /// Estimated coefficients, one per design column.
@@ -591,12 +602,6 @@ pub struct GramFit {
     pub f_statistic: f64,
     /// Upper-tail p-value of the F statistic.
     pub f_p_value: f64,
-    /// Standard error of each coefficient.
-    pub coef_std_errors: Vec<f64>,
-    /// t statistic of each coefficient.
-    pub t_statistics: Vec<f64>,
-    /// Two-sided p-value of each coefficient's t statistic.
-    pub t_p_values: Vec<f64>,
     /// Number of observations.
     pub n: usize,
     /// Number of fitted parameters.
@@ -626,28 +631,45 @@ impl GramFit {
 /// Accumulate rows once (in probing-cost order, for the contention-state
 /// use case) and the statistics of any contiguous range `[a, b)` come back
 /// as a prefix difference in O(k²) — no rescan of the observations.
+///
+/// The prefixes live in one flat buffer, one slot of stride `k² + k + 2`
+/// per prefix (`XᵀX` row-major, `Xᵀy`, `Σy²`, `Σy`; the row count of slot
+/// `i` is `i`), so a push copies one slot forward and adds one row into it
+/// with [`GramAccumulator::add_row`]'s arithmetic in its order.
 #[derive(Debug, Clone)]
 pub struct GramPrefix {
-    /// `prefix[i]` holds rows `0..i`; `prefix.len() == rows pushed + 1`.
-    prefix: Vec<GramAccumulator>,
+    k: usize,
+    /// Slot `i` holds rows `0..i`; there are `rows pushed + 1` slots.
+    sums: Vec<f64>,
 }
 
 impl GramPrefix {
     /// An empty prefix structure for rows of width `k`.
     pub fn new(k: usize) -> GramPrefix {
-        GramPrefix {
-            prefix: vec![GramAccumulator::new(k)],
-        }
+        GramPrefix::with_capacity(k, 0)
+    }
+
+    /// An empty prefix structure for rows of width `k`, with room for
+    /// `rows` pushes.
+    pub fn with_capacity(k: usize, rows: usize) -> GramPrefix {
+        let stride = Self::stride_of(k);
+        let mut sums = Vec::with_capacity((rows + 1) * stride);
+        sums.resize(stride, 0.0);
+        GramPrefix { k, sums }
+    }
+
+    fn stride_of(k: usize) -> usize {
+        k * k + k + 2
     }
 
     /// Design-row width `k`.
     pub fn k(&self) -> usize {
-        self.prefix[0].k
+        self.k
     }
 
     /// Number of rows accumulated.
     pub fn len(&self) -> usize {
-        self.prefix.len() - 1
+        self.sums.len() / Self::stride_of(self.k) - 1
     }
 
     /// True when no rows have been pushed.
@@ -657,10 +679,28 @@ impl GramPrefix {
 
     /// Appends the next row in sequence.
     pub fn push(&mut self, row: &[f64], y: f64) -> Result<(), StatsError> {
-        let mut next = self.prefix.last().expect("prefix is never empty").clone();
-        next.add_row(row, y)?;
-        self.prefix.push(next);
+        let k = self.k;
+        if row.len() != k {
+            return Err(StatsError::DimensionMismatch {
+                context: format!("gram row has {} values, accumulator holds {k}", row.len()),
+            });
+        }
+        let stride = Self::stride_of(k);
+        let last = self.sums.len() - stride;
+        self.sums.extend_from_within(last..);
+        let next = &mut self.sums[last + stride..];
+        let (xtx, rest) = next.split_at_mut(k * k);
+        let (xty, moments) = rest.split_at_mut(k);
+        add_rank_one(xtx, xty, row, y);
+        moments[0] += y * y;
+        moments[1] += y;
         Ok(())
+    }
+
+    /// Slot `i`: the sums over rows `0..i`.
+    fn slot(&self, i: usize) -> &[f64] {
+        let stride = Self::stride_of(self.k);
+        &self.sums[i * stride..(i + 1) * stride]
     }
 
     /// Sufficient statistics of the contiguous row range `[a, b)`.
@@ -671,13 +711,30 @@ impl GramPrefix {
                 self.len()
             )));
         }
-        self.prefix[b].difference(&self.prefix[a])
+        let k = self.k;
+        let mut diff = self.slot(b).iter().zip(self.slot(a)).map(|(x, y)| x - y);
+        let xtx = diff.by_ref().take(k * k).collect();
+        let xty = diff.by_ref().take(k).collect();
+        Ok(GramAccumulator {
+            k,
+            n: b - a,
+            xtx,
+            xty,
+            yty: diff.next().expect("slot holds Σy²"),
+            sum_y: diff.next().expect("slot holds Σy"),
+        })
     }
+}
 
-    /// Statistics of the full row sequence (`range(0, len)` without the
-    /// subtraction).
-    pub fn total(&self) -> &GramAccumulator {
-        self.prefix.last().expect("prefix is never empty")
+/// `XᵀX += row·rowᵀ` and `Xᵀy += row·y` over a row-major `k × k` block and
+/// its `k` right-hand sides, entry by entry in row order.
+fn add_rank_one(xtx: &mut [f64], xty: &mut [f64], row: &[f64], y: f64) {
+    let rows = xtx.chunks_exact_mut(row.len().max(1));
+    for ((xtx_row, xty_i), &ri) in rows.zip(xty).zip(row) {
+        for (a, &rj) in xtx_row.iter_mut().zip(row) {
+            *a += ri * rj;
+        }
+        *xty_i += ri * y;
     }
 }
 
@@ -885,10 +942,11 @@ mod tests {
         assert!(close(gram.see, ols.see));
         assert!(close(gram.f_statistic, ols.f_statistic));
         assert!(close(gram.f_p_value, ols.f_p_value));
-        for (a, b) in gram.coef_std_errors.iter().zip(&ols.coef_std_errors) {
+        let inference = gram_coefficient_inference(std::slice::from_ref(&acc), &gram).unwrap();
+        for (a, b) in inference.std_errors.iter().zip(&ols.coef_std_errors) {
             assert!(close(*a, *b), "std err {a} vs {b}");
         }
-        for (a, b) in gram.t_statistics.iter().zip(&ols.t_statistics) {
+        for (a, b) in inference.t_statistics.iter().zip(&ols.t_statistics) {
             assert!(close(*a, *b), "t {a} vs {b}");
         }
         assert_eq!((gram.n, gram.k), (ols.n, ols.k));
@@ -971,7 +1029,7 @@ mod tests {
         }
         assert!(prefix.range(10, 5).is_err());
         assert!(prefix.range(0, 91).is_err());
-        assert_eq!(prefix.total().n(), 90);
+        assert_eq!(prefix.range(0, prefix.len()).unwrap().n(), 90);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! of its solvers now work one block at a time, and these tests hold them
 //! to the dense solves of the assembled design that they replaced:
 //!
-//! * `solve_block_diagonal` on the per-state Gram blocks is bit-identical
-//!   to the dense `k × k` Gram solve (kept below verbatim, with its
-//!   Cholesky helpers) over Cholesky, QR-fallback and singular systems;
+//! * `solve_block_diagonal` on the per-state Gram blocks, with
+//!   `gram_coefficient_inference` for the standard errors, t statistics and
+//!   p-values, is bit-identical to the dense `k × k` Gram solve (kept below
+//!   verbatim, with its Cholesky helpers) over Cholesky, QR-fallback and
+//!   singular systems;
 //! * `fit_block_diagonal` on the per-state observation blocks agrees with
 //!   `OlsFit::fit` of the assembled observation-space design within the
 //!   `C·m·ε·κ(R)` bound of `qr_thin.rs` — the Householder reflectors of the
@@ -18,12 +20,20 @@ use mdbs_stats::matrix::Matrix;
 use mdbs_stats::regression::{fit_summary, total_sum_of_squares, CoefficientInference, OlsFit};
 use mdbs_stats::rng::Rng;
 use mdbs_stats::suffstats::CHOLESKY_RELATIVE_TOLERANCE;
-use mdbs_stats::{fit_block_diagonal, solve_block_diagonal, GramAccumulator, GramFit, StatsError};
+use mdbs_stats::{
+    fit_block_diagonal, gram_coefficient_inference, solve_block_diagonal, GramAccumulator, GramFit,
+    StatsError,
+};
 
 // ---- The dense Gram solve the block solver replaced, verbatim except for
-// ---- reading the accumulator through its getters.
+// ---- reading the accumulator through its getters and returning the
+// ---- per-coefficient inference beside the fit (the block solve leaves it
+// ---- to `gram_coefficient_inference`).
 
-fn dense_solve(acc: &GramAccumulator, has_intercept: bool) -> Result<GramFit, StatsError> {
+fn dense_solve(
+    acc: &GramAccumulator,
+    has_intercept: bool,
+) -> Result<(GramFit, CoefficientInference), StatsError> {
     let (k, n) = (acc.k(), acc.n());
     if n < k + 1 {
         return Err(StatsError::InsufficientData {
@@ -57,7 +67,7 @@ fn dense_solve(acc: &GramAccumulator, has_intercept: bool) -> Result<GramFit, St
     let sst = total_sum_of_squares(acc.yty(), acc.sum_y(), n, has_intercept);
     let summary = fit_summary(sse, sst, n, k, has_intercept)?;
     let inference = coefficient_inference(&coefficients, &xtx_inverse, sse, n, k)?;
-    Ok(GramFit {
+    let fit = GramFit {
         coefficients,
         sse,
         sst,
@@ -66,13 +76,11 @@ fn dense_solve(acc: &GramAccumulator, has_intercept: bool) -> Result<GramFit, St
         see: summary.see,
         f_statistic: summary.f_statistic,
         f_p_value: summary.f_p_value,
-        coef_std_errors: inference.std_errors,
-        t_statistics: inference.t_statistics,
-        t_p_values: inference.t_p_values,
         n,
         k,
         solved_by_cholesky: cholesky,
-    })
+    };
+    Ok((fit, inference))
 }
 
 fn cholesky_factor(k: usize, a: &[f64]) -> Result<Vec<f64>, StatsError> {
@@ -273,7 +281,7 @@ fn block_gram_solve_is_bit_identical_to_the_dense_solve() {
             solve_block_diagonal(&blocks, true),
             dense_solve(&dense, true),
         ) {
-            (Ok(got), Ok(want)) => {
+            (Ok(got), Ok((want, want_inference))) => {
                 assert_same_bits(&at, "coefficients", &got.coefficients, &want.coefficients);
                 assert_same_bits(
                     &at,
@@ -297,14 +305,25 @@ fn block_gram_solve_is_bit_identical_to_the_dense_solve() {
                         want.f_p_value,
                     ],
                 );
+                let inference = gram_coefficient_inference(&blocks, &got).unwrap();
                 assert_same_bits(
                     &at,
                     "std errors",
-                    &got.coef_std_errors,
-                    &want.coef_std_errors,
+                    &inference.std_errors,
+                    &want_inference.std_errors,
                 );
-                assert_same_bits(&at, "t", &got.t_statistics, &want.t_statistics);
-                assert_same_bits(&at, "t p-values", &got.t_p_values, &want.t_p_values);
+                assert_same_bits(
+                    &at,
+                    "t",
+                    &inference.t_statistics,
+                    &want_inference.t_statistics,
+                );
+                assert_same_bits(
+                    &at,
+                    "t p-values",
+                    &inference.t_p_values,
+                    &want_inference.t_p_values,
+                );
                 assert_eq!((got.n, got.k), (want.n, want.k), "{at}");
                 assert_eq!(got.solved_by_cholesky, want.solved_by_cholesky, "{at}");
                 if want.solved_by_cholesky {

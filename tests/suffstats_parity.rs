@@ -26,7 +26,7 @@ use mdbs_core::states::{determine_states, NoResampling, StateAlgorithm, StatesCo
 use mdbs_core::GlobalCatalog;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
-use mdbs_stats::{GramAccumulator, Matrix, OlsFit, Rng};
+use mdbs_stats::{gram_coefficient_inference, GramAccumulator, Matrix, OlsFit, Rng};
 
 /// Mixed absolute/relative closeness at the parity tolerance.
 fn close(a: f64, b: f64) -> bool {
@@ -69,6 +69,8 @@ fn gram_solve_matches_full_qr_statistics() {
             let x = Matrix::from_rows(&rows).expect("rectangular");
             let qr = OlsFit::fit(&x, &y, has_intercept).expect("full rank");
             let gram = acc.solve(has_intercept).expect("full rank");
+            let inference =
+                gram_coefficient_inference(std::slice::from_ref(&acc), &gram).expect("full rank");
 
             let what = format!("n={n} k={k} intercept={has_intercept}");
             assert_eq!(gram.n, qr.n, "{what}: n");
@@ -80,17 +82,17 @@ fn gram_solve_matches_full_qr_statistics() {
                     &format!("{what}: β[{j}]"),
                 );
                 assert_close(
-                    gram.coef_std_errors[j],
+                    inference.std_errors[j],
                     qr.coef_std_errors[j],
                     &format!("{what}: se[{j}]"),
                 );
                 assert_close(
-                    gram.t_statistics[j],
+                    inference.t_statistics[j],
                     qr.t_statistics[j],
                     &format!("{what}: t[{j}]"),
                 );
                 assert_close(
-                    gram.t_p_values[j],
+                    inference.t_p_values[j],
                     qr.t_p_values[j],
                     &format!("{what}: t_p[{j}]"),
                 );
