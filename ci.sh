@@ -306,4 +306,25 @@ cargo bench -q --offline --bench catalog_store -- --json "$CAT_BENCH_JSON" > /de
 ./target/release/bench-json-check "$CAT_BENCH_JSON"
 rm -f "$CAT_BENCH_JSON"
 
+echo "==> perfbench: both workloads, end to end and traced (exit 0, \"correct\":true)"
+# perfbench's output checks (catalogs byte-identical at --jobs 1 and 2,
+# archive -> restore round trips, replay answers against a shadow pass,
+# the traced layer table's self time) run only when perfbench runs, so a
+# one-second run of each workload in both modes keeps them in the gate. A
+# failed check exits non-zero; the last stdout line is the JSON verdict.
+PB_OUT="${TMPDIR:-/tmp}/mdbs-ci-perfbench.$$.txt"
+for workload in serve_drift derive_catalog; do
+  for trace in 0 1; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace "$trace" > "$PB_OUT"
+    tail -n 1 "$PB_OUT" | grep -q '"correct":true' || {
+      echo "perfbench $workload --trace $trace did not report \"correct\":true:" >&2
+      tail -n 1 "$PB_OUT" >&2
+      rm -f "$PB_OUT"
+      exit 1
+    }
+  done
+done
+rm -f "$PB_OUT"
+
 echo "==> ci.sh: all checks passed"

@@ -133,7 +133,7 @@ mod tests {
         let points = run_test_suite(
             &mut agent,
             QueryClass::UnaryNoIndex,
-            &[&derived.model, &derived.one_state],
+            &[&derived.model, &derived.one_state().unwrap()],
             12,
             902,
         )

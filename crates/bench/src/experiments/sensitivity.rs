@@ -94,10 +94,11 @@ fn sweep_point(
         &cfg,
         &mut PipelineCtx::seeded(902),
     )?;
+    let one_state = derived.one_state()?;
     let points = run_test_suite(
         &mut agent,
         QueryClass::UnaryNoIndex,
-        &[&derived.model, &derived.one_state],
+        &[&derived.model, &one_state],
         test_queries,
         903,
     )?;
@@ -105,7 +106,7 @@ fn sweep_point(
         parameter,
         states: derived.model.num_states(),
         r_squared: derived.model.fit.r_squared,
-        one_state_r_squared: derived.one_state.fit.r_squared,
+        one_state_r_squared: one_state.fit.r_squared,
         multi: quality(&test_points(&points, 0)),
         one_state: quality(&test_points(&points, 1)),
     })

@@ -25,7 +25,11 @@
 //!
 //! `--json PATH` (or `--json=PATH`) additionally writes the report as a
 //! machine-readable JSON document when [`Harness::finish`] runs, so CI can
-//! track results without scraping the human-oriented table.
+//! track results without scraping the human-oriented table. Cargo runs a
+//! bench target with its package directory (`crates/bench`) as the
+//! working directory, so a relative `PATH` lands there, not where
+//! `cargo bench` was invoked; the closing line prints the absolute path
+//! of the file written.
 
 use mdbs_obs::json::Json;
 use std::hint::black_box;
@@ -204,15 +208,20 @@ impl Harness {
     }
 
     /// Prints the closing line and, when `--json PATH` was given, writes
-    /// the JSON report. Call once at the end of `main`.
+    /// the JSON report and names its absolute path in that line. Call once
+    /// at the end of `main`.
     pub fn finish(self) {
-        if let Some(path) = &self.json_path {
+        let written = self.json_path.as_ref().map(|path| {
             std::fs::write(path, self.to_json().render() + "\n")
                 .unwrap_or_else(|e| panic!("writing bench JSON to {path}: {e}"));
-            println!("json report -> {path}");
-        }
+            std::fs::canonicalize(path)
+                .unwrap_or_else(|e| panic!("resolving bench JSON path {path}: {e}"))
+        });
+        let report = written.map_or(String::new(), |p| {
+            format!(", json report -> {}", p.display())
+        });
         println!(
-            "== {}: {} measurement(s) ==\n",
+            "== {}: {} measurement(s){report} ==\n",
             self.title,
             self.results.len()
         );

@@ -394,7 +394,7 @@ fn cmd_derive(args: &Args) -> Result<String, CliError> {
         ));
         out.push_str(&format!(
             "  one-state comparison R^2 = {:.3}\n",
-            derived.one_state.fit.r_squared
+            derived.one_state()?.fit.r_squared
         ));
         out.push_str("\nper-state cost equations:\n");
         out.push_str(&derived.model.render());

@@ -13,17 +13,19 @@
 //!    ([`crate::selection`]),
 //! 5. fit the probing-cost estimator of eq. (2) ([`crate::probing`]),
 //! 6. return the final model plus everything a report needs (iteration
-//!    history, the one-state comparison model, sample statistics).
+//!    history, sample statistics, the model's sufficient statistics); the
+//!    one-state comparison model is fitted on demand
+//!    ([`DerivedModel::one_state`]).
 
 use crate::catalog::SiteId;
 use crate::classes::QueryClass;
-use crate::model::{fit_cost_model, CostModel, ModelForm};
+use crate::model::{fit_cost_model, CostModel, ModelAccumulator, ModelForm};
 use crate::observation::Observation;
 use crate::pipeline::PipelineCtx;
 use crate::pool;
 use crate::probing::ProbeCostEstimator;
 use crate::sampling::{planned_sample_size, SampleGenerator};
-use crate::selection::{select_variables_inner, SelectionConfig};
+use crate::selection::{select_variables_inner, Selection, SelectionConfig};
 use crate::states::{
     determine_states_inner, IterationStats, ObservationSource, StateAlgorithm, StatesConfig,
 };
@@ -82,9 +84,16 @@ pub struct DerivedModel {
     pub class: QueryClass,
     /// The multi-states cost model.
     pub model: CostModel,
-    /// The one-state comparison model (Static Approach 2): same sample,
-    /// same selected variables, single contention state.
-    pub one_state: CostModel,
+    /// The model's sufficient statistics (one Gram block per contention
+    /// state over the selected variables), what a published catalog
+    /// persists so incremental refits resume from the whole sample. A
+    /// derivation reads them off selection's state blocks, bit for bit
+    /// [`ModelAccumulator::from_observations`] of `model` over
+    /// `observations`; a maintainer restored from a catalog carries the
+    /// persisted blocks instead. Only derivation and maintenance set it,
+    /// so it always matches `model`; read it through
+    /// [`DerivedModel::accumulator`].
+    pub(crate) accumulator: ModelAccumulator,
     /// Phase-1 iteration history of the state determination.
     pub history: Vec<IterationStats>,
     /// Number of phase-2 merging adjustments.
@@ -95,6 +104,32 @@ pub struct DerivedModel {
     pub probe_estimator: Option<ProbeCostEstimator>,
     /// Mean observed cost of the sample queries (reported in Table 5).
     pub avg_sample_cost: f64,
+}
+
+impl DerivedModel {
+    /// The model's sufficient statistics: one Gram block per contention
+    /// state over the selected variables (see the field's documentation).
+    pub fn accumulator(&self) -> &ModelAccumulator {
+        &self.accumulator
+    }
+
+    /// The one-state comparison model (Static Approach 2): the same sample
+    /// and selected variables, one contention state. Fitted on each call:
+    /// batch derivation, publishing and serving never read it.
+    pub fn one_state(&self) -> Result<CostModel, CoreError> {
+        fit_one_state(&self.model, &self.observations)
+    }
+}
+
+/// The one-state comparison model of `model` over its fitting sample.
+fn fit_one_state(model: &CostModel, observations: &[Observation]) -> Result<CostModel, CoreError> {
+    fit_cost_model(
+        ModelForm::Coincident,
+        crate::qualvar::StateSet::single(),
+        model.var_indexes.clone(),
+        model.var_names.clone(),
+        observations,
+    )
 }
 
 /// Collects `n` observations for a class: tick the environment, measure the
@@ -266,22 +301,23 @@ pub(crate) fn derive_inner(
         &cfg.selection,
         tel,
     )?;
-    let model = selection.model;
+    let Selection {
+        model, accumulator, ..
+    } = selection;
     tel.field(span, "variables", model.var_indexes.len() as u64);
     tel.field(span, "names", model.var_names.join(","));
     tel.end_span(span);
 
-    // The one-state comparison model: identical sample and variables, but
-    // the static method's single contention state.
+    // The traced span reports the one-state comparison model; nothing else
+    // in a derivation reads it, so it is fitted only while telemetry is on,
+    // and a failed fit is reported in the span rather than failing a
+    // derivation that never needed it.
     let span = tel.begin_span("derive.fit");
-    let one_state = fit_cost_model(
-        ModelForm::Coincident,
-        crate::qualvar::StateSet::single(),
-        model.var_indexes.clone(),
-        model.var_names.clone(),
-        &observations,
-    )?;
-
+    let one_state = if tel.is_enabled() {
+        Some(fit_one_state(&model, &observations))
+    } else {
+        None
+    };
     let probe_estimator = if cfg.fit_probe_estimator {
         Some(ProbeCostEstimator::fit(&probe_log, 0.05)?)
     } else {
@@ -289,7 +325,11 @@ pub(crate) fn derive_inner(
     };
     tel.field(span, "r_squared", model.fit.r_squared);
     tel.field(span, "see", model.fit.see);
-    tel.field(span, "one_state_r_squared", one_state.fit.r_squared);
+    match &one_state {
+        Some(Ok(one_state)) => tel.field(span, "one_state_r_squared", one_state.fit.r_squared),
+        Some(Err(e)) => tel.field(span, "one_state_error", e.to_string()),
+        None => {}
+    }
     tel.field(span, "probe_estimator", probe_estimator.is_some());
     tel.end_span(span);
 
@@ -310,7 +350,7 @@ pub(crate) fn derive_inner(
     Ok(DerivedModel {
         class,
         model,
-        one_state,
+        accumulator,
         history: search.history,
         merges: search.merges,
         observations,
@@ -555,11 +595,12 @@ mod tests {
         )
         .unwrap();
         assert!(derived.model.num_states() >= 2, "stayed single-state");
+        let one_state = derived.one_state().unwrap();
         assert!(
-            derived.model.fit.r_squared > derived.one_state.fit.r_squared,
+            derived.model.fit.r_squared > one_state.fit.r_squared,
             "multi {} vs one-state {}",
             derived.model.fit.r_squared,
-            derived.one_state.fit.r_squared
+            one_state.fit.r_squared
         );
         assert!(derived.model.fit.r_squared > 0.9);
         assert!(derived.avg_sample_cost > 0.0);

@@ -236,21 +236,17 @@ pub struct ModelMaintainer {
     pub rederive_attempts: usize,
     /// How many times [`ModelMaintainer::refit_incremental`] has run.
     pub incremental_refits: usize,
-    /// Sufficient statistics of the production model's fitting sample,
-    /// kept current so incremental refits never rescan observations.
-    accumulator: ModelAccumulator,
 }
 
 impl ModelMaintainer {
-    /// Wraps an existing derivation.
+    /// Wraps an existing derivation; its accumulator backs incremental
+    /// refits.
     pub fn new(
         derived: DerivedModel,
         maintenance: MaintenanceConfig,
         derivation: DerivationConfig,
         algorithm: StateAlgorithm,
     ) -> Self {
-        let accumulator =
-            ModelAccumulator::from_observations(&derived.model, &derived.observations);
         ModelMaintainer {
             derived,
             monitor: DriftMonitor::new(maintenance),
@@ -259,7 +255,6 @@ impl ModelMaintainer {
             rederivations: 0,
             rederive_attempts: 3,
             incremental_refits: 0,
-            accumulator,
         }
     }
 
@@ -285,7 +280,7 @@ impl ModelMaintainer {
     ) -> Result<Self, CoreError> {
         let derived = DerivedModel {
             class,
-            one_state: model.clone(),
+            accumulator: ModelAccumulator::from_observations(&model, &[]),
             model,
             history: Vec::new(),
             merges: 0,
@@ -303,7 +298,7 @@ impl ModelMaintainer {
     /// The sufficient statistics backing incremental refits (persisted in
     /// the catalog as `gram-entry` blocks).
     pub fn accumulator(&self) -> &ModelAccumulator {
-        &self.accumulator
+        &self.derived.accumulator
     }
 
     /// Replaces the stored sufficient statistics (e.g. when restoring a
@@ -319,7 +314,7 @@ impl ModelMaintainer {
                 "accumulator does not match the production model".into(),
             ));
         }
-        self.accumulator = accumulator;
+        self.derived.accumulator = accumulator;
         Ok(())
     }
 
@@ -389,8 +384,6 @@ impl ModelMaintainer {
             tel,
         )?;
         self.derived = best;
-        self.accumulator =
-            ModelAccumulator::from_observations(&self.derived.model, &self.derived.observations);
         self.monitor.reset();
         self.rederivations += 1;
         tel.inc("maintenance.rederivations", 1);
@@ -420,12 +413,12 @@ impl ModelMaintainer {
         registry: Option<&mut ModelRegistry>,
         ctx: &mut PipelineCtx,
     ) -> Result<Option<u64>, CoreError> {
-        self.accumulator.absorb(new_observations);
+        self.derived.accumulator.absorb(new_observations);
         let tel = &mut ctx.telemetry;
         let span = tel.begin_span("maintenance.refit_incremental");
         tel.field(span, "class", format!("{:?}", self.derived.class));
         tel.field(span, "absorbed", new_observations.len() as u64);
-        let model = self.accumulator.refit()?;
+        let model = self.derived.accumulator.refit()?;
         self.derived
             .observations
             .extend_from_slice(new_observations);
@@ -433,8 +426,11 @@ impl ModelMaintainer {
         self.monitor.reset();
         self.incremental_refits += 1;
         tel.inc("maintenance.incremental_refits", 1);
-        tel.inc("fit.gram.rescans_avoided", self.accumulator.n() as u64);
-        tel.field(span, "n", self.accumulator.n() as u64);
+        tel.inc(
+            "fit.gram.rescans_avoided",
+            self.derived.accumulator.n() as u64,
+        );
+        tel.field(span, "n", self.derived.accumulator.n() as u64);
         tel.field(span, "r_squared", self.derived.model.fit.r_squared);
         let published = registry.map(|registry| {
             registry.publish(site.clone(), self.derived.class, self.derived.model.clone())
@@ -559,8 +555,6 @@ where
         match result {
             Ok(derived) => {
                 let (_, maintainer) = &mut fleet[i];
-                maintainer.accumulator =
-                    ModelAccumulator::from_observations(&derived.model, &derived.observations);
                 maintainer.derived = derived;
                 maintainer.monitor.reset();
                 maintainer.rederivations += 1;

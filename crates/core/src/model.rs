@@ -27,7 +27,8 @@ use crate::observation::Observation;
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_stats::{
-    fit_block_diagonal, solve_block_diagonal, GramAccumulator, GramFit, Matrix, StatsError,
+    fit_block_diagonal, solve_block_diagonal_in, GramAccumulator, GramFit, GramWorkspace, Matrix,
+    StatsError,
 };
 
 /// How the qualitative variable enters the regression equation.
@@ -318,17 +319,19 @@ pub(crate) fn check_sample_counts(
 /// Each block holds the Gram statistics of one state's observations over
 /// the local row `z = [1, x₁..x_p]`. Under the general form the state
 /// blocks are the diagonal blocks of the design's `XᵀX`, so they are
-/// solved block by block ([`solve_block_diagonal`], bit-identical to the
-/// assembled solve); the other forms share columns across states, so
+/// solved block by block ([`solve_block_diagonal_in`], bit-identical to
+/// the assembled solve); the other forms share columns across states, so
 /// their blocks are pooled into the full design via [`design_position`]
-/// and solved at once. Either way no observation is touched. Validation
-/// and error semantics mirror [`fit_cost_model`] exactly
-/// ([`CoreError::InsufficientSamples`] in the same order, rank deficiency
-/// as `CoreError::Numeric(StatsError::Singular)`).
+/// and solved at once. Either way no observation is touched, and the
+/// factors live in the caller's workspace. Validation and error semantics
+/// mirror [`fit_cost_model`] exactly ([`CoreError::InsufficientSamples`]
+/// in the same order, rank deficiency as
+/// `CoreError::Numeric(StatsError::Singular)`).
 pub(crate) fn fit_gram_from_blocks(
     form: ModelForm,
     p: usize,
     blocks: &[GramAccumulator],
+    ws: &mut GramWorkspace,
 ) -> Result<GramFit, CoreError> {
     let m = blocks.len();
     let counts: Vec<usize> = blocks.iter().map(|b| b.n()).collect();
@@ -339,7 +342,7 @@ pub(crate) fn fit_gram_from_blocks(
                 context: format!("state block of width {} for {p} variables", b.k()),
             }));
         }
-        return solve_block_diagonal(blocks, true).map_err(CoreError::Numeric);
+        return solve_block_diagonal_in(blocks, true, ws).map_err(CoreError::Numeric);
     }
     let k = form.num_params(m, p);
     let mut pooled = GramAccumulator::new(k);
@@ -348,7 +351,7 @@ pub(crate) fn fit_gram_from_blocks(
             .merge_placed(block, &design_position(form, m, p, s))
             .map_err(CoreError::Numeric)?;
     }
-    pooled.solve(true).map_err(CoreError::Numeric)
+    solve_block_diagonal_in(std::slice::from_ref(&pooled), true, ws).map_err(CoreError::Numeric)
 }
 
 /// Fits a qualitative regression cost model.
@@ -546,7 +549,7 @@ impl ModelAccumulator {
     /// independent of how many observations were absorbed.
     pub fn refit(&self) -> Result<CostModel, CoreError> {
         let p = self.var_indexes.len();
-        let gram = fit_gram_from_blocks(self.form, p, &self.blocks)?;
+        let gram = fit_gram_from_blocks(self.form, p, &self.blocks, &mut GramWorkspace::default())?;
         let coefficients =
             adjusted_coefficients(self.form, self.states.len(), p, &gram.coefficients);
         Ok(CostModel {

@@ -31,13 +31,34 @@ impl Observation {
 /// finite, every observation carries at least `width` variables, and the
 /// pooled second moments of the row `[1, x[vars]…]` and the cost do not
 /// overflow (a value of |v| ≳ 1e154 squares to ∞). The first offence is a
-/// [`CoreError::Degenerate`]; state determination and variable selection
-/// both run this one check.
+/// [`CoreError::Degenerate`].
+///
+/// This is `check_values` followed by `check_moments` of one pooled pass.
+/// The states search and variable selection accumulate the same moments
+/// anyway (prefix sums, state blocks), so they run `check_values` and
+/// test their own totals instead; the `FullRefit` states search, which
+/// accumulates nothing, runs this.
 pub fn check_sample(
     observations: &[Observation],
     width: usize,
     vars: &[usize],
 ) -> Result<(), CoreError> {
+    check_values(observations, width)?;
+    let mut pooled = GramAccumulator::new(vars.len() + 1);
+    let mut z = Vec::with_capacity(vars.len() + 1);
+    for o in observations {
+        z.clear();
+        z.push(1.0);
+        z.extend(vars.iter().map(|&j| o.x[j]));
+        pooled.add_row(&z, o.cost).map_err(CoreError::Numeric)?;
+    }
+    check_moments(&pooled)
+}
+
+/// The per-value half of [`check_sample`]: every cost, probe cost and
+/// variable is finite and every observation carries at least `width`
+/// variables.
+pub(crate) fn check_values(observations: &[Observation], width: usize) -> Result<(), CoreError> {
     let finite = |o: &Observation| {
         o.cost.is_finite() && o.probe_cost.is_finite() && o.x.iter().all(|v| v.is_finite())
     };
@@ -52,16 +73,15 @@ pub fn check_sample(
             observations[i].x.len()
         )));
     }
-    let mut pooled = GramAccumulator::new(vars.len() + 1);
-    let mut z = Vec::with_capacity(vars.len() + 1);
-    for o in observations {
-        z.clear();
-        z.push(1.0);
-        z.extend(vars.iter().map(|&j| o.x[j]));
-        pooled.add_row(&z, o.cost).map_err(CoreError::Numeric)?;
-    }
-    let moments = pooled.xtx().iter().chain(pooled.xty());
-    if !(moments.copied().all(f64::is_finite) && pooled.yty().is_finite()) {
+    Ok(())
+}
+
+/// The overflow half of [`check_sample`]: every entry of a sample's total
+/// second moments is finite. An overflowing row leaves `±∞` or `NaN` in
+/// any total it was added to, whatever the grouping.
+pub(crate) fn check_moments(total: &GramAccumulator) -> Result<(), CoreError> {
+    let moments = total.xtx().iter().chain(total.xty());
+    if !(moments.copied().all(f64::is_finite) && total.yty().is_finite()) {
         return Err(CoreError::Degenerate(
             "the second moments of the observations overflow".into(),
         ));

@@ -24,23 +24,25 @@
 //! candidate's own — is read off a column subset of those blocks
 //! ([`gram_variance_inflation_factors`]) in O(p³), flat in n. Under
 //! [`FitEngine::Gram`] the add/eliminate candidate fits slice the same
-//! blocks. The observations are still scanned for the per-state
-//! correlations and residuals, and for the published model's fit (one
-//! Householder QR per contention state under the general form, see
-//! [`fit_cost_model`]).
+//! blocks, and the published model's sufficient statistics
+//! ([`Selection::accumulator`]) are its columns of them. The observations
+//! are still scanned for the per-state correlations (each state's columns
+//! centred once, see [`Centered`]) and the forward step's residuals (group
+//! by group), and for the published model's fit (one Householder QR per
+//! contention state under the general form, see [`fit_cost_model`]).
 
 use crate::model::{
     adjusted_coefficients, fit_cost_model, fit_gram_from_blocks, min_obs_per_state, CostModel,
-    FitEngine, ModelForm,
+    FitEngine, ModelAccumulator, ModelForm,
 };
-use crate::observation::{check_sample, Observation};
+use crate::observation::{check_moments, check_values, Observation};
 use crate::qualvar::StateSet;
 use crate::variables::VariableFamily;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
-use mdbs_stats::pearson;
 use mdbs_stats::vif::gram_variance_inflation_factors;
-use mdbs_stats::GramAccumulator;
+use mdbs_stats::Centered;
+use mdbs_stats::{GramAccumulator, GramWorkspace};
 
 /// Tuning knobs of the selection procedure.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +90,11 @@ pub struct Selection {
     pub var_names: Vec<String>,
     /// The model fitted on the chosen variables.
     pub model: CostModel,
+    /// The model's sufficient statistics: the chosen variables' columns of
+    /// the per-state Gram blocks selection accumulated, bit for bit
+    /// [`ModelAccumulator::from_observations`] of `model` over the same
+    /// observations.
+    pub accumulator: ModelAccumulator,
 }
 
 /// Runs the full mixed procedure for `family` over `observations`
@@ -121,15 +128,18 @@ pub(crate) fn select_variables_inner(
     // Correlations, VIFs and fits are only ordered over finite data.
     let all = family.all();
     let width = all.len();
-    check_sample(observations, width, &(0..width).collect::<Vec<_>>())?;
+    check_values(observations, width)?;
     let names =
         |idx: &[usize]| -> Vec<String> { idx.iter().map(|&i| all[i].name.to_string()).collect() };
     let moments = StateMoments::new(observations, states, all.len())?;
+    // The pooled block is the sample's second moments: the overflow check
+    // reads them there.
+    check_moments(&moments.pooled)?;
     tel.inc("fit.gram.prefix_builds", 1);
     let groups = group_by_state(states, observations);
-    let y_by_state: Vec<Vec<f64>> = groups
+    let y_by_state: Vec<Centered> = groups
         .iter()
-        .map(|g| g.iter().map(|o| o.cost).collect())
+        .map(|g| Centered::from_vec(g.iter().map(|o| o.cost).collect()))
         .collect();
     let columns = state_columns(&groups, width);
     // Each variable's relevance to the response, scored once: the
@@ -159,7 +169,11 @@ pub(crate) fn select_variables_inner(
     tel.inc("selection.vif_screened", screened as u64);
 
     let form = form.for_states(states);
-    let fit = |idx: &[usize], tel: &mut Telemetry| -> Result<Scored, CoreError> {
+    // One set of column-subset blocks and one solver workspace serve
+    // every candidate fit of the search.
+    let mut sub = vec![GramAccumulator::new(0); moments.blocks.len()];
+    let mut ws = GramWorkspace::default();
+    let mut fit = |idx: &[usize], tel: &mut Telemetry| -> Result<Scored, CoreError> {
         match cfg.engine {
             FitEngine::FullRefit => {
                 let model =
@@ -170,14 +184,11 @@ pub(crate) fn select_variables_inner(
             // O(k³): the observations are never rescanned.
             FitEngine::Gram => {
                 let cols = StateMoments::columns(idx);
-                let sub: Vec<GramAccumulator> = moments
-                    .blocks
-                    .iter()
-                    .map(|b| b.subset(&cols))
-                    .collect::<Result<_, _>>()
-                    .map_err(CoreError::Numeric)?;
+                for (block, out) in moments.blocks.iter().zip(&mut sub) {
+                    block.subset_into(&cols, out).map_err(CoreError::Numeric)?;
+                }
                 let pooled_n: usize = sub.iter().map(|b| b.n()).sum();
-                let gram = fit_gram_from_blocks(form, idx.len(), &sub)?;
+                let gram = fit_gram_from_blocks(form, idx.len(), &sub, &mut ws)?;
                 tel.inc("fit.gram.solves", 1);
                 if gram.solved_by_cholesky {
                     tel.inc("fit.gram.cholesky", 1);
@@ -234,12 +245,17 @@ pub(crate) fn select_variables_inner(
     // Step 3: forward selection over the secondary variables.
     let mut pool: Vec<usize> = family.secondary_indexes();
     while !pool.is_empty() {
-        let residuals_by_state: Vec<Vec<f64>> = groups
+        // Residuals group by group: each group's state is known, so no
+        // observation is looked up again.
+        let residuals_by_state: Vec<Centered> = groups
             .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|o| o.cost - model.estimate(states, &current, o))
-                    .collect()
+            .enumerate()
+            .map(|(s, g)| {
+                Centered::from_vec(
+                    g.iter()
+                        .map(|o| o.cost - model.estimate_in_state(s, &current, o))
+                        .collect(),
+                )
             })
             .collect();
         // Candidate: largest average per-state |corr| with the residuals.
@@ -295,11 +311,13 @@ pub(crate) fn select_variables_inner(
             observations,
         )?,
     };
+    let accumulator = moments.accumulator(&model)?;
 
     Ok(Selection {
         var_names: names(&current),
         var_indexes: current,
         model,
+        accumulator,
     })
 }
 
@@ -321,11 +339,10 @@ impl Scored {
         }
     }
 
-    /// Predicts one observation's cost — the same arithmetic as
-    /// [`CostModel::estimate_observation`], evaluated from the adjusted
-    /// coefficients without materializing a model.
-    fn estimate(&self, states: &StateSet, var_indexes: &[usize], o: &Observation) -> f64 {
-        let s = states.state_of(o.probe_cost);
+    /// Predicts the cost of an observation of contention state `s` — the
+    /// same arithmetic as [`CostModel::estimate_in_state`], evaluated from
+    /// the adjusted coefficients without materializing a model.
+    fn estimate_in_state(&self, s: usize, var_indexes: &[usize], o: &Observation) -> f64 {
         let b = &self.coefficients[s.min(self.coefficients.len() - 1)];
         let mut y = b[0];
         for (j, &vi) in var_indexes.iter().enumerate() {
@@ -347,8 +364,9 @@ struct StateMoments {
 
 impl StateMoments {
     /// Accumulates `observations` by state. Callers pass a sample that
-    /// [`check_sample`] accepted, so no `inf` or `NaN` moment reaches a
-    /// comparison.
+    /// [`check_values`] accepted (every value finite, every row wide
+    /// enough) and then run [`check_moments`] on `pooled`, so no `inf` or
+    /// `NaN` moment reaches a comparison.
     fn new(
         observations: &[Observation],
         states: &StateSet,
@@ -377,6 +395,27 @@ impl StateMoments {
         std::iter::once(0)
             .chain(vars.iter().map(|&j| j + 1))
             .collect()
+    }
+
+    /// The published model's sufficient statistics: its variables'
+    /// columns of every state block. Each block entry accumulated its own
+    /// products in observation order, so this is bit for bit
+    /// [`ModelAccumulator::from_observations`] over the same sample.
+    fn accumulator(&self, model: &CostModel) -> Result<ModelAccumulator, CoreError> {
+        let cols = StateMoments::columns(&model.var_indexes);
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|b| b.subset(&cols))
+            .collect::<Result<_, _>>()
+            .map_err(CoreError::Numeric)?;
+        ModelAccumulator::from_parts(
+            model.form,
+            model.states.clone(),
+            model.var_indexes.clone(),
+            model.var_names.clone(),
+            blocks,
+        )
     }
 
     /// VIFs of the variables `vars[positions]`, computed within every
@@ -415,15 +454,15 @@ fn group_by_state<'a>(
     groups
 }
 
-/// Every candidate variable's values within each state, gathered once:
-/// `columns[s][j]` is variable `j` over state `s`'s observations, in
-/// observation order.
-fn state_columns(groups: &[Vec<&Observation>], width: usize) -> Vec<Vec<Vec<f64>>> {
+/// Every candidate variable's values within each state, gathered and
+/// centred once: `columns[s][j]` is variable `j` over state `s`'s
+/// observations, in observation order.
+fn state_columns(groups: &[Vec<&Observation>], width: usize) -> Vec<Vec<Centered>> {
     groups
         .iter()
         .map(|g| {
             (0..width)
-                .map(|j| g.iter().map(|o| o.x[j]).collect())
+                .map(|j| Centered::from_vec(g.iter().map(|o| o.x[j]).collect()))
                 .collect()
         })
         .collect()
@@ -432,12 +471,12 @@ fn state_columns(groups: &[Vec<&Observation>], width: usize) -> Vec<Vec<Vec<f64>
 /// |Pearson correlation| between variable `j` and a per-state target,
 /// aggregated as the maximum over states (ignoring states that are too
 /// small to measure).
-fn max_abs_corr(columns: &[Vec<Vec<f64>>], target: &[Vec<f64>], j: usize) -> f64 {
+fn max_abs_corr(columns: &[Vec<Centered>], target: &[Centered], j: usize) -> f64 {
     per_state_corrs(columns, target, j).fold(0.0, f64::max)
 }
 
 /// Same, aggregated as the average over measurable states.
-fn avg_abs_corr(columns: &[Vec<Vec<f64>>], target: &[Vec<f64>], j: usize) -> f64 {
+fn avg_abs_corr(columns: &[Vec<Centered>], target: &[Centered], j: usize) -> f64 {
     let mut measured = 0;
     let sum: f64 = per_state_corrs(columns, target, j)
         .inspect(|_| measured += 1)
@@ -450,15 +489,15 @@ fn avg_abs_corr(columns: &[Vec<Vec<f64>>], target: &[Vec<f64>], j: usize) -> f64
 }
 
 fn per_state_corrs<'a>(
-    columns: &'a [Vec<Vec<f64>>],
-    target: &'a [Vec<f64>],
+    columns: &'a [Vec<Centered>],
+    target: &'a [Centered],
     j: usize,
 ) -> impl Iterator<Item = f64> + 'a {
     columns
         .iter()
         .zip(target)
         .filter(|(_, t)| t.len() >= 3)
-        .map(move |(cols, t)| pearson(&cols[j], t).abs())
+        .map(move |(cols, t)| cols[j].correlation(t).abs())
 }
 
 /// While any variable's VIF exceeds the threshold, removes — among those

@@ -27,11 +27,11 @@ use crate::model::{
     adjusted_coefficients, counts_per_state, fit_cost_model, fit_gram_from_blocks,
     min_obs_per_state, CostModel, FitEngine, ModelForm,
 };
-use crate::observation::{check_sample, Observation};
+use crate::observation::{check_moments, check_sample, check_values, Observation};
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
-use mdbs_stats::{cluster_path_1d, Cluster1D, GramAccumulator, GramPrefix};
+use mdbs_stats::{cluster_path_1d, Cluster1D, GramAccumulator, GramPrefix, GramWorkspace};
 
 /// Which state-determination algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,37 +195,51 @@ pub(crate) fn determine_states_inner(
     // non-finite or overflowing sample is a typed error, not a panic in a
     // comparator or a model with non-finite coefficients.
     let width = var_indexes.iter().max().map_or(0, |&j| j + 1);
-    check_sample(observations, width, var_indexes)?;
 
     // The Gram engine accumulates every observation once, in probing-cost
     // order, so each candidate partition is fitted from prefix differences
     // without rescanning the sample. Rebuilt only when `populate_or_merge`
     // draws extra observations (`fit.gram.prefix_builds` counts those).
+    // Its prefix total is the sample's second moments, so the overflow
+    // check reads them there instead of accumulating them again.
     let mut cache = match cfg.engine {
-        FitEngine::FullRefit => None,
-        FitEngine::Gram => Some(GramCache::build(observations, var_indexes, tel)?),
+        FitEngine::FullRefit => {
+            check_sample(observations, width, var_indexes)?;
+            None
+        }
+        FitEngine::Gram => {
+            check_values(observations, width)?;
+            let cache = GramCache::build(observations, var_indexes, tel)?;
+            check_moments(&cache.total()?)?;
+            Some(cache)
+        }
     };
 
-    let fit_candidate =
-        |obs: &[Observation], states: StateSet, cache: &Option<GramCache>, tel: &mut Telemetry| {
-            let form = cfg.form.for_states(&states);
-            match cache {
-                None => {
-                    // Names only label the model; the search reads its numbers.
-                    let names = vec![String::new(); var_indexes.len()];
-                    let model = fit_cost_model(form, states, var_indexes.to_vec(), names, obs)?;
-                    Ok(Candidate::from_model(model))
-                }
-                Some(cache) => {
-                    let blocks = cache.blocks(&states)?;
-                    Candidate::from_blocks(form, states, var_indexes.len(), blocks, tel)
-                }
+    // One solver workspace serves every candidate fit of the search.
+    let mut ws = GramWorkspace::default();
+    let fit_candidate = |obs: &[Observation],
+                         states: StateSet,
+                         cache: &Option<GramCache>,
+                         ws: &mut GramWorkspace,
+                         tel: &mut Telemetry| {
+        let form = cfg.form.for_states(&states);
+        match cache {
+            None => {
+                // Names only label the model; the search reads its numbers.
+                let names = vec![String::new(); var_indexes.len()];
+                let model = fit_cost_model(form, states, var_indexes.to_vec(), names, obs)?;
+                Ok(Candidate::from_model(model))
             }
-        };
+            Some(cache) => {
+                let blocks = cache.blocks(&states)?;
+                Candidate::from_blocks(form, states, var_indexes.len(), blocks, ws, tel)
+            }
+        }
+    };
 
     // Phase 1, m = 1: the static special case (fit errors propagate — an
     // unusable sample aborts the derivation in either engine).
-    let mut best = fit_candidate(observations, StateSet::single(), &cache, tel)?;
+    let mut best = fit_candidate(observations, StateSet::single(), &cache, &mut ws, tel)?;
     let mut history = vec![IterationStats {
         states: 1,
         r_squared: best.r_squared,
@@ -282,7 +296,7 @@ pub(crate) fn determine_states_inner(
         // not viable, the same situation as a collapsed proposal above, so
         // it is skipped rather than aborting the whole derivation. Other
         // numeric failures still propagate.
-        let candidate = match fit_candidate(observations, states, &cache, tel) {
+        let candidate = match fit_candidate(observations, states, &cache, &mut ws, tel) {
             Ok(candidate) => candidate,
             Err(CoreError::Numeric(mdbs_stats::StatsError::Singular)) => {
                 tel.inc("states.rank_deficient_skipped", 1);
@@ -318,7 +332,7 @@ pub(crate) fn determine_states_inner(
     while let Some(i) = first_merge_candidate(&best.coefficients, cfg.merge_threshold) {
         let merged_states = best.states.merge_with_next(i)?;
         best = match best.blocks {
-            None => fit_candidate(observations, merged_states, &cache, tel)?,
+            None => fit_candidate(observations, merged_states, &cache, &mut ws, tel)?,
             Some(mut blocks) => {
                 let right = blocks.remove(i + 1);
                 blocks[i] += &right;
@@ -327,6 +341,7 @@ pub(crate) fn determine_states_inner(
                     merged_states,
                     var_indexes.len(),
                     blocks,
+                    &mut ws,
                     tel,
                 )?
             }
@@ -374,10 +389,11 @@ impl Candidate {
         states: StateSet,
         p: usize,
         blocks: Vec<GramAccumulator>,
+        ws: &mut GramWorkspace,
         tel: &mut Telemetry,
     ) -> Result<Candidate, CoreError> {
         let pooled_n: usize = blocks.iter().map(|b| b.n()).sum();
-        let gram = fit_gram_from_blocks(form, p, &blocks)?;
+        let gram = fit_gram_from_blocks(form, p, &blocks, ws)?;
         tel.inc("fit.gram.solves", 1);
         if gram.solved_by_cholesky {
             tel.inc("fit.gram.cholesky", 1);
@@ -440,6 +456,13 @@ impl GramCache {
         let probes = order.into_iter().map(|(probe, _)| probe).collect();
         tel.inc("fit.gram.prefix_builds", 1);
         Ok(GramCache { probes, prefix })
+    }
+
+    /// The sufficient statistics of the whole sample.
+    fn total(&self) -> Result<GramAccumulator, CoreError> {
+        self.prefix
+            .range(0, self.prefix.len())
+            .map_err(CoreError::Numeric)
     }
 
     /// Per-state sufficient-statistics blocks of a partition: because the

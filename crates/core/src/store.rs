@@ -122,11 +122,8 @@ impl CatalogSnapshot {
         let class = derived.class;
         self.catalog
             .insert_model(site.clone(), class, derived.model.clone());
-        self.catalog.insert_accumulator(
-            site.clone(),
-            class,
-            ModelAccumulator::from_observations(&derived.model, &derived.observations),
-        );
+        self.catalog
+            .insert_accumulator(site.clone(), class, derived.accumulator.clone());
         if let Some(est) = &derived.probe_estimator {
             self.catalog
                 .insert_probe_estimator(site.clone(), est.clone());

@@ -18,7 +18,7 @@
 use crate::access::{JoinAccess, UnaryAccess};
 use crate::catalog::{LocalCatalog, TableDef, TableId};
 use crate::contention::{Load, LoadBuilder};
-use crate::engine::{cost_join, cost_unary};
+use crate::engine::{cost_join, cost_unary, ResourceDemand};
 use crate::machine::{Machine, MachineSpec};
 use crate::query::{Predicate, Query, UnaryQuery};
 use crate::selectivity::{JoinSizes, UnarySizes};
@@ -102,9 +102,21 @@ pub struct MdbsAgent {
     clock_s: f64,
     trace: Option<ExecutionTrace>,
     metrics: Option<MetricsRegistry>,
-    /// [`Self::probing_query`], built on the first probe and dropped by
-    /// every schema change (`catalog_mut`).
-    probe_query: Option<Query>,
+    /// [`Self::probing_query`] and its idle-machine plan, built on the
+    /// first probe and dropped by every schema change (`catalog_mut`) and
+    /// vendor change (`vendor_mut`).
+    probe_plan: Option<Plan>,
+}
+
+/// A query with what the local DBS planned for it: the idle-machine
+/// demand, the operator and the cardinalities. A pure function of the
+/// schema and the vendor profile.
+#[derive(Debug, Clone)]
+struct Plan {
+    query: Query,
+    demand: ResourceDemand,
+    access: ChosenAccess,
+    sizes: ExecutionSizes,
 }
 
 impl MdbsAgent {
@@ -125,7 +137,7 @@ impl MdbsAgent {
             clock_s: 0.0,
             trace: None,
             metrics: None,
-            probe_query: None,
+            probe_plan: None,
         }
     }
 
@@ -224,7 +236,17 @@ impl MdbsAgent {
     /// Executes a local query under the *current* load and returns the
     /// observed cost. Call [`Self::tick`] first to move the environment.
     pub fn run(&mut self, query: &Query) -> Result<Execution, AgentError> {
-        let (demand, access, sizes) = match query {
+        let (demand, access, sizes) = self.plan(query)?;
+        Ok(self.execute(query, demand, access, sizes))
+    }
+
+    /// What the local DBS plans for `query`: its idle-machine demand, the
+    /// chosen operator and the cardinalities.
+    fn plan(
+        &self,
+        query: &Query,
+    ) -> Result<(ResourceDemand, ChosenAccess, ExecutionSizes), AgentError> {
+        Ok(match query {
             Query::Unary(u) => {
                 let t = self.table(u.table)?;
                 let (d, a, s) = cost_unary(t, u, &self.vendor);
@@ -236,7 +258,18 @@ impl MdbsAgent {
                 let (d, a, s) = cost_join(l, r, j, &self.vendor);
                 (d, ChosenAccess::Join(a), ExecutionSizes::Join(s))
             }
-        };
+        })
+    }
+
+    /// Executes a planned query under the current load: stretches its
+    /// demand, draws the noise, and advances the clock, metrics and trace.
+    fn execute(
+        &mut self,
+        query: &Query,
+        demand: ResourceDemand,
+        access: ChosenAccess,
+        sizes: ExecutionSizes,
+    ) -> Execution {
         let (init, io, cpu) = self
             .machine
             .elapsed_parts(demand.init_s, demand.io_s, demand.cpu_s);
@@ -273,12 +306,12 @@ impl MdbsAgent {
                 procs: self.machine.load().procs,
             });
         }
-        Ok(Execution {
+        Execution {
             cost_s: cost,
             access,
             sizes,
             procs_at_execution: self.machine.load().procs,
-        })
+        }
     }
 
     /// The canonical probing query: a cheap unary query on the smallest
@@ -301,28 +334,46 @@ impl MdbsAgent {
     }
 
     /// Executes the probing query under the current load and returns its
-    /// observed cost.
+    /// observed cost. The query is planned once and reused until the
+    /// schema or the vendor profile changes.
     pub fn probe(&mut self) -> f64 {
-        let q = match self.probe_query.take() {
-            Some(q) => q,
-            None => self.probing_query(),
+        let plan = match self.probe_plan.take() {
+            Some(plan) => plan,
+            None => {
+                let query = self.probing_query();
+                let (demand, access, sizes) = self
+                    .plan(&query)
+                    .expect("probing query references a catalog table");
+                Plan {
+                    query,
+                    demand,
+                    access,
+                    sizes,
+                }
+            }
         };
         if let Some(metrics) = &mut self.metrics {
             metrics.inc("engine.probes", 1);
         }
         let cost = self
-            .run(&q)
-            .expect("probing query references a catalog table")
+            .execute(&plan.query, plan.demand, plan.access, plan.sizes)
             .cost_s;
-        self.probe_query = Some(q);
+        self.probe_plan = Some(plan);
         cost
     }
 
     /// The local schema for a change: copied first if shared, and the
-    /// cached probing query dropped, since the smallest table may change.
+    /// cached probe plan dropped, since the smallest table may change.
     fn catalog_mut(&mut self) -> &mut LocalCatalog {
-        self.probe_query = None;
+        self.probe_plan = None;
         Arc::make_mut(&mut self.catalog)
+    }
+
+    /// The vendor profile for a change, with the cached probe plan
+    /// dropped, since its demand depends on the profile.
+    fn vendor_mut(&mut self) -> &mut VendorProfile {
+        self.probe_plan = None;
+        &mut self.vendor
     }
 
     fn table(&self, id: TableId) -> Result<&TableDef, AgentError> {
@@ -357,7 +408,10 @@ impl MdbsAgent {
                         "physical memory must be positive, got {new_phys_mem_mb}"
                     )));
                 }
-                self.machine.spec_mut().phys_mem_mb = *new_phys_mem_mb;
+                self.machine.set_spec(MachineSpec {
+                    phys_mem_mb: *new_phys_mem_mb,
+                    ..self.machine.spec().clone()
+                });
             }
             E::BufferPoolResize { pages } => {
                 if *pages < 3 {
@@ -365,7 +419,7 @@ impl MdbsAgent {
                         "buffer pool needs at least 3 pages, got {pages}"
                     )));
                 }
-                self.vendor.buffer_pages = *pages;
+                self.vendor_mut().buffer_pages = *pages;
             }
             E::CreateIndex {
                 table,
@@ -417,8 +471,9 @@ impl MdbsAgent {
                         "I/O cost factor must be positive, got {io_cost_factor}"
                     )));
                 }
-                self.vendor.seq_page_io_s *= io_cost_factor;
-                self.vendor.rand_page_io_s *= io_cost_factor;
+                let vendor = self.vendor_mut();
+                vendor.seq_page_io_s *= io_cost_factor;
+                vendor.rand_page_io_s *= io_cost_factor;
             }
         }
         Ok(())
@@ -809,6 +864,36 @@ mod tests {
             let probed = &a.trace().unwrap().entries().last().unwrap().query;
             assert_eq!(*probed, a.probing_query().describe(), "change {i}");
             assert_eq!(*probed != before, moves, "change {i}: {before} -> {probed}");
+        }
+        // Vendor and hardware changes: the next probe costs exactly what a
+        // fresh agent's does when the change came before its load, under
+        // the same RNG state (its first execution of the probing query
+        // stands in for the probe that filled the cache).
+        let load = Load::background(120.0);
+        let events = [
+            E::BufferPoolResize { pages: 16 },
+            E::DiskReplacement {
+                io_cost_factor: 0.25,
+            },
+            E::MemoryUpgrade {
+                new_phys_mem_mb: 4096.0,
+            },
+        ];
+        for event in &events {
+            let mut cached = agent();
+            cached.set_load(load.clone());
+            cached.probe(); // Fills the cache.
+            cached.apply_event(event).unwrap();
+            let mut fresh = agent();
+            fresh.apply_event(event).unwrap();
+            fresh.set_load(load.clone());
+            let q = fresh.probing_query();
+            fresh.run(&q).unwrap();
+            assert_eq!(
+                cached.probe().to_bits(),
+                fresh.probe().to_bits(),
+                "{event:?}"
+            );
         }
         // A clone carries the cache and probes exactly like the original.
         let mut a = agent();

@@ -55,18 +55,51 @@ impl Default for MachineSpec {
 }
 
 /// A simulated host: a spec plus the currently applied background load.
+///
+/// The inflation factors depend only on the two, so they are computed when
+/// either changes ([`Self::set_load`], [`Self::set_spec`]), not on every
+/// execution or statistics read.
 #[derive(Debug, Clone)]
 pub struct Machine {
     spec: MachineSpec,
     load: Load,
+    factors: Factors,
+}
+
+/// The inflation factors of one spec under one load.
+#[derive(Debug, Clone, Copy)]
+struct Factors {
+    cpu: f64,
+    io: f64,
+    thrash: f64,
+}
+
+impl Factors {
+    fn of(spec: &MachineSpec, load: &Load) -> Factors {
+        let over = (memory_fraction(spec, load) - spec.thrash_onset).max(0.0);
+        let thrash = (spec.thrash_coeff * over).exp();
+        let queueing = 1.0 + spec.io_weight * load.procs * load.io_intensity;
+        Factors {
+            cpu: 1.0 + spec.cpu_weight * load.procs * load.cpu_intensity,
+            io: queueing * thrash,
+            thrash,
+        }
+    }
+}
+
+/// Fraction of `spec`'s physical memory in use under `load`.
+fn memory_fraction(spec: &MachineSpec, load: &Load) -> f64 {
+    (spec.base_mem_mb + load.procs * spec.mem_per_proc_mb) / spec.phys_mem_mb
 }
 
 impl Machine {
     /// Creates a machine with the given spec and an idle load.
     pub fn new(spec: MachineSpec) -> Self {
+        let load = Load::idle();
         Machine {
+            factors: Factors::of(&spec, &load),
             spec,
-            load: Load::idle(),
+            load,
         }
     }
 
@@ -75,14 +108,16 @@ impl Machine {
         &self.spec
     }
 
-    /// Mutable access to the spec — hardware changes (memory upgrades) are
+    /// Replaces the spec — hardware changes (memory upgrades) are
     /// occasionally-changing environmental factors (paper §2).
-    pub fn spec_mut(&mut self) -> &mut MachineSpec {
-        &mut self.spec
+    pub fn set_spec(&mut self, spec: MachineSpec) {
+        self.factors = Factors::of(&spec, &self.load);
+        self.spec = spec;
     }
 
     /// Replaces the background load (the load builder calls this).
     pub fn set_load(&mut self, load: Load) {
+        self.factors = Factors::of(&self.spec, &load);
         self.load = load;
     }
 
@@ -93,26 +128,23 @@ impl Machine {
 
     /// Fraction of physical memory in use (may exceed 1 under overload).
     pub fn memory_fraction(&self) -> f64 {
-        (self.spec.base_mem_mb + self.load.procs * self.spec.mem_per_proc_mb)
-            / self.spec.phys_mem_mb
+        memory_fraction(&self.spec, &self.load)
     }
 
     /// Multiplier applied to a foreground query's CPU time.
     pub fn cpu_factor(&self) -> f64 {
-        1.0 + self.spec.cpu_weight * self.load.procs * self.load.cpu_intensity
+        self.factors.cpu
     }
 
     /// Multiplier applied to a foreground query's I/O time
     /// (queueing × thrashing).
     pub fn io_factor(&self) -> f64 {
-        let queueing = 1.0 + self.spec.io_weight * self.load.procs * self.load.io_intensity;
-        queueing * self.thrash_factor()
+        self.factors.io
     }
 
     /// The exponential paging penalty; 1.0 while memory suffices.
     pub fn thrash_factor(&self) -> f64 {
-        let over = (self.memory_fraction() - self.spec.thrash_onset).max(0.0);
-        (self.spec.thrash_coeff * over).exp()
+        self.factors.thrash
     }
 
     /// Converts a resource demand `(init_s, io_s, cpu_s)` measured on an
@@ -195,6 +227,35 @@ mod tests {
     fn memory_fraction_accounts_for_base_usage() {
         let m = Machine::new(MachineSpec::default());
         assert!((m.memory_fraction() - 96.0 / 512.0).abs() < 1e-12);
+    }
+
+    /// The cached factors are the formulas' bits after every load and
+    /// spec change.
+    #[test]
+    fn cached_factors_follow_load_and_spec() {
+        let fresh = |spec: &MachineSpec, load: &Load| {
+            let memory = (spec.base_mem_mb + load.procs * spec.mem_per_proc_mb) / spec.phys_mem_mb;
+            let thrash = (spec.thrash_coeff * (memory - spec.thrash_onset).max(0.0)).exp();
+            let queueing = 1.0 + spec.io_weight * load.procs * load.io_intensity;
+            let cpu = 1.0 + spec.cpu_weight * load.procs * load.cpu_intensity;
+            [cpu, queueing * thrash, thrash].map(f64::to_bits)
+        };
+        let cached =
+            |m: &Machine| [m.cpu_factor(), m.io_factor(), m.thrash_factor()].map(f64::to_bits);
+        let mut m = Machine::new(MachineSpec::default());
+        assert_eq!(cached(&m), fresh(m.spec(), m.load()));
+        for procs in [0.0, 37.5, 110.0, 140.0] {
+            m.set_load(Load::background(procs));
+            assert_eq!(cached(&m), fresh(m.spec(), m.load()));
+            for phys in [256.0, 4096.0] {
+                let spec = MachineSpec {
+                    phys_mem_mb: phys,
+                    ..m.spec().clone()
+                };
+                m.set_spec(spec);
+                assert_eq!(cached(&m), fresh(m.spec(), m.load()));
+            }
+        }
     }
 
     #[test]

@@ -12,34 +12,79 @@
 /// sums of squares overflow (values near `f64::MAX` make them `inf` and the
 /// ratio `NaN`) — this is exactly the "contributes nothing" interpretation
 /// the selection procedure wants for degenerate columns.
+///
+/// Samples of different lengths are cut to the shorter one. The arithmetic
+/// is [`Centered::correlation`]'s, so both give the same bits.
 pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     let n = x.len().min(y.len());
     if n < 2 {
         return 0.0;
     }
-    let nf = n as f64;
-    let mx = x[..n].iter().sum::<f64>() / nf;
-    let my = y[..n].iter().sum::<f64>() / nf;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
+    Centered::new(&x[..n]).correlation(&Centered::new(&y[..n]))
+}
+
+/// A sample's deviations from its own mean and their sum of squares: the
+/// half of [`pearson`] that does not depend on the other sample. A column
+/// correlated with many targets — one state's variable against the
+/// response, then against each forward step's residuals — is centred once.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Centered {
+    dev: Vec<f64>,
+    ss: f64,
+}
+
+impl Centered {
+    /// Centres a copy of `x`.
+    pub fn new(x: &[f64]) -> Centered {
+        Centered::from_vec(x.to_vec())
     }
-    let r = sxy / (sxx.sqrt() * syy.sqrt());
-    if sxx <= 0.0 || syy <= 0.0 || r.is_nan() {
-        return 0.0;
+
+    /// Centres `x` in place: the mean is the sum over the length, each
+    /// deviation `x_i − x̄`, and the sum of squares adds them in order.
+    pub fn from_vec(mut x: Vec<f64>) -> Centered {
+        let mean = x.iter().sum::<f64>() / x.len() as f64;
+        let mut ss = 0.0;
+        for v in &mut x {
+            *v -= mean;
+            ss += *v * *v;
+        }
+        Centered { dev: x, ss }
     }
-    r.clamp(-1.0, 1.0)
+
+    /// Sample size.
+    pub fn len(&self) -> usize {
+        self.dev.len()
+    }
+
+    /// True for an empty sample.
+    pub fn is_empty(&self) -> bool {
+        self.dev.is_empty()
+    }
+
+    /// The Pearson correlation with another centred sample of the same
+    /// length, with [`pearson`]'s conventions: `0.0` below two points, for
+    /// a constant sample, or when a sum of squares overflows.
+    pub fn correlation(&self, other: &Centered) -> f64 {
+        let n = self.len().min(other.len());
+        if n < 2 {
+            return 0.0;
+        }
+        let mut sxy = 0.0;
+        for (dx, dy) in self.dev[..n].iter().zip(&other.dev[..n]) {
+            sxy += dx * dy;
+        }
+        let (sxx, syy) = (self.ss, other.ss);
+        let r = sxy / (sxx.sqrt() * syy.sqrt());
+        if sxx <= 0.0 || syy <= 0.0 || r.is_nan() {
+            return 0.0;
+        }
+        r.clamp(-1.0, 1.0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::pearson;
+    use super::{pearson, Centered};
 
     #[test]
     fn perfect_positive_and_negative() {
@@ -83,6 +128,26 @@ mod tests {
         let y = [2.0, 4.0, 5.0, 4.0, 5.0];
         let r = pearson(&x, &y);
         assert!((r - 0.7745966692).abs() < 1e-9, "{r}");
+    }
+
+    /// The centred halves give `pearson`'s bits, reused across targets.
+    #[test]
+    fn centred_correlation_matches_pearson_bitwise() {
+        let x = [1.0, -2.0, 3.5, 0.0, 9.0, -4.0, 1e-3];
+        let targets: [[f64; 7]; 3] = [
+            [0.3, 8.0, -1.0, 2.0, 2.0, 0.0, 5.5],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [1e200, -1e200, 3.0, 4.0, 0.0, 1.0, 2.0],
+        ];
+        let cx = Centered::new(&x);
+        for y in &targets {
+            let r = cx.correlation(&Centered::new(y));
+            assert_eq!(r.to_bits(), pearson(&x, y).to_bits());
+        }
+        assert_eq!(
+            Centered::new(&[2.0]).correlation(&Centered::new(&[3.0])),
+            0.0
+        );
     }
 
     #[test]

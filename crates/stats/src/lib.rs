@@ -42,13 +42,14 @@ pub mod suffstats;
 pub mod vif;
 
 pub use clustering::{cluster_1d, cluster_path_1d, Cluster1D};
-pub use correlation::pearson;
+pub use correlation::{pearson, Centered};
 pub use describe::Summary;
 pub use matrix::Matrix;
 pub use regression::{fit_block_diagonal, BlockDiagonalFit, OlsFit, RegressionError};
 pub use rng::Rng;
 pub use suffstats::{
-    gram_coefficient_inference, solve_block_diagonal, GramAccumulator, GramFit, GramPrefix,
+    gram_coefficient_inference, solve_block_diagonal, solve_block_diagonal_in, GramAccumulator,
+    GramFit, GramPrefix, GramWorkspace,
 };
 
 /// Error type shared by numerical routines in this crate.

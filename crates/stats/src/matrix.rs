@@ -15,7 +15,7 @@ use crate::StatsError;
 const QR_ROW_BLOCK: usize = 4;
 
 /// A dense, row-major `rows × cols` matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -96,19 +96,40 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
+    /// Makes this a `rows × cols` matrix of zeros, reusing its buffer.
+    fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
+        let mut t = Matrix::default();
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Matrix::transpose`] into `out`, reusing its buffer.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
+                out[(c, r)] = self[(r, c)];
             }
         }
-        t
     }
 
     /// Matrix product `self * other`.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix, StatsError> {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] into `out`, reusing its buffer.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), StatsError> {
         if self.cols != other.rows {
             return Err(StatsError::DimensionMismatch {
                 context: format!(
@@ -117,7 +138,7 @@ impl Matrix {
                 ),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        out.reset(self.rows, other.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
@@ -129,7 +150,7 @@ impl Matrix {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix-vector product `self * v`.
@@ -173,59 +194,9 @@ impl Matrix {
     /// through [`HouseholderQr::q`]. A column that is already zero at and
     /// below the diagonal keeps no reflector.
     pub fn householder_qr(&self) -> Result<HouseholderQr, StatsError> {
-        let (m, n) = (self.rows, self.cols);
-        if m < n {
-            return Err(StatsError::DimensionMismatch {
-                context: format!("qr: need rows >= cols, got {m}x{n}"),
-            });
-        }
-        // Column-major copy: column j is cols[j·m..(j+1)·m].
-        let mut cols = vec![0.0; m * n];
-        for (i, row) in self.data.chunks_exact(n.max(1)).enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                cols[j * m + i] = x;
-            }
-        }
-        let mut reflectors: Vec<(usize, f64, Vec<f64>)> = Vec::with_capacity(n);
-        for k in 0..n {
-            // The Householder vector of column k at and below the diagonal.
-            let below = &cols[k * m + k..(k + 1) * m];
-            let norm = below.iter().fold(0.0, |acc, &x| acc + x * x).sqrt();
-            if norm == 0.0 {
-                continue; // Column already zero below (and at) the diagonal.
-            }
-            let alpha = if below[0] >= 0.0 { -norm } else { norm };
-            let mut v = below.to_vec();
-            v[0] -= alpha;
-            let vnorm2 = v.iter().fold(0.0, |acc, &x| acc + x * x);
-            if vnorm2 == 0.0 {
-                continue;
-            }
-            // Apply H = I - 2 v vᵀ / (vᵀv) to R (columns k..n).
-            for col in cols[k * m..].chunks_exact_mut(m) {
-                let tail = &mut col[k..];
-                let dot = v
-                    .iter()
-                    .zip(tail.iter())
-                    .fold(0.0, |acc, (v, r)| acc + v * r);
-                let scale = 2.0 * dot / vnorm2;
-                for (r, &vi) in tail.iter_mut().zip(&v) {
-                    *r -= scale * vi;
-                }
-            }
-            reflectors.push((k, vnorm2, v));
-        }
-        let mut r_thin = Matrix::zeros(n, n);
-        for (j, col) in cols.chunks_exact(m.max(1)).enumerate() {
-            for (i, &x) in col[..=j].iter().enumerate() {
-                r_thin[(i, j)] = x;
-            }
-        }
-        Ok(HouseholderQr {
-            rows: m,
-            r: r_thin,
-            reflectors,
-        })
+        let mut qr = HouseholderQr::default();
+        qr.factor(self.rows, self.cols, &self.data)?;
+        Ok(qr)
     }
 
     /// Solves the least-squares problem `min ‖self·x − y‖₂` via QR.
@@ -265,23 +236,26 @@ impl Matrix {
     /// Inverts the upper-triangular matrix in-place semantics free manner;
     /// used for coefficient covariance `(XᵀX)⁻¹ = R⁻¹ R⁻ᵀ`.
     pub fn invert_upper_triangular(&self) -> Result<Matrix, StatsError> {
+        let mut inv = Matrix::default();
+        self.invert_upper_triangular_into(&mut inv)?;
+        Ok(inv)
+    }
+
+    /// [`Matrix::invert_upper_triangular`] into `out`, reusing its buffer.
+    pub fn invert_upper_triangular_into(&self, out: &mut Matrix) -> Result<(), StatsError> {
         if self.rows != self.cols {
             return Err(StatsError::DimensionMismatch {
                 context: "invert_upper_triangular: not square".into(),
             });
         }
         let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
+        out.reset(n, n);
         for j in 0..n {
-            // Solve R x = e_j.
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let x = back_substitute(self, &e)?;
-            for i in 0..n {
-                inv[(i, j)] = x[i];
-            }
+            // Solve R x = e_j into column j.
+            let e = |i: usize| if i == j { 1.0 } else { 0.0 };
+            back_substitute_into(self, e, &mut out.data[j..], n)?;
         }
-        Ok(inv)
+        Ok(())
     }
 
     /// Maximum absolute element; useful for tolerance checks in tests.
@@ -292,18 +266,98 @@ impl Matrix {
 
 /// A Householder QR factorization `A = Q·R` of an `m × n` matrix (`m ≥ n`)
 /// that holds R and the reflectors rather than Q (see
-/// [`Matrix::householder_qr`]).
-#[derive(Debug, Clone)]
+/// [`Matrix::householder_qr`]). A default value is an empty factorization
+/// whose buffers [`HouseholderQr::factor`] fills and reuses.
+#[derive(Debug, Clone, Default)]
 pub struct HouseholderQr {
     rows: usize,
     /// Upper-triangular `n × n` factor.
     r: Matrix,
-    /// Every applied reflector `H = I − 2vvᵀ/(vᵀv)` as `(k, vᵀv, v[k..m])`,
-    /// in application order: `Q = H_0·H_1·…`.
-    reflectors: Vec<(usize, f64, Vec<f64>)>,
+    /// Every applied reflector `H = I − 2vvᵀ/(vᵀv)` as `(k, vᵀv, at)`, in
+    /// application order (`Q = H_0·H_1·…`), with `v[k..m]` stored at
+    /// `vectors[at..at + m − k]`.
+    reflectors: Vec<(usize, f64, usize)>,
+    vectors: Vec<f64>,
+    /// Column-major working copy of the matrix being reduced.
+    work: Vec<f64>,
 }
 
 impl HouseholderQr {
+    /// Factors the row-major `rows × cols` matrix `data` into `self`,
+    /// reusing its buffers; [`Matrix::householder_qr`] documents the
+    /// arithmetic.
+    pub fn factor(&mut self, rows: usize, cols: usize, data: &[f64]) -> Result<(), StatsError> {
+        let (m, n) = (rows, cols);
+        if m < n {
+            return Err(StatsError::DimensionMismatch {
+                context: format!("qr: need rows >= cols, got {m}x{n}"),
+            });
+        }
+        if data.len() != m * n {
+            return Err(StatsError::DimensionMismatch {
+                context: format!("qr: {} elements for a {m}x{n} matrix", data.len()),
+            });
+        }
+        // Column-major copy: column j is cols[j·m..(j+1)·m].
+        let cols = &mut self.work;
+        cols.clear();
+        cols.resize(m * n, 0.0);
+        for (i, row) in data.chunks_exact(n.max(1)).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                cols[j * m + i] = x;
+            }
+        }
+        self.rows = m;
+        self.reflectors.clear();
+        self.vectors.clear();
+        for k in 0..n {
+            // The Householder vector of column k at and below the diagonal.
+            let below = &cols[k * m + k..(k + 1) * m];
+            let norm = below.iter().fold(0.0, |acc, &x| acc + x * x).sqrt();
+            if norm == 0.0 {
+                continue; // Column already zero below (and at) the diagonal.
+            }
+            let alpha = if below[0] >= 0.0 { -norm } else { norm };
+            let at = self.vectors.len();
+            self.vectors.extend_from_slice(below);
+            let v = &mut self.vectors[at..];
+            v[0] -= alpha;
+            let vnorm2 = v.iter().fold(0.0, |acc, &x| acc + x * x);
+            if vnorm2 == 0.0 {
+                self.vectors.truncate(at);
+                continue;
+            }
+            // Apply H = I - 2 v vᵀ / (vᵀv) to R (columns k..n).
+            let v = &self.vectors[at..];
+            for col in cols[k * m..].chunks_exact_mut(m) {
+                let tail = &mut col[k..];
+                let dot = v
+                    .iter()
+                    .zip(tail.iter())
+                    .fold(0.0, |acc, (v, r)| acc + v * r);
+                let scale = 2.0 * dot / vnorm2;
+                for (r, &vi) in tail.iter_mut().zip(v) {
+                    *r -= scale * vi;
+                }
+            }
+            self.reflectors.push((k, vnorm2, at));
+        }
+        self.r.reset(n, n);
+        for (j, col) in cols.chunks_exact(m.max(1)).enumerate() {
+            for (i, &x) in col[..=j].iter().enumerate() {
+                self.r[(i, j)] = x;
+            }
+        }
+        Ok(())
+    }
+
+    /// The reflectors in application order, as `(k, vᵀv, v[k..m])`.
+    fn reflectors(&self) -> impl Iterator<Item = (usize, f64, &[f64])> {
+        self.reflectors
+            .iter()
+            .map(|&(k, vnorm2, at)| (k, vnorm2, &self.vectors[at..at + self.rows - k]))
+    }
+
     /// The upper-triangular `n × n` factor R.
     pub fn r(&self) -> &Matrix {
         &self.r
@@ -321,8 +375,8 @@ impl HouseholderQr {
             });
         }
         let mut w = y.to_vec();
-        for (k, vnorm2, v) in &self.reflectors {
-            let tail = &mut w[*k..];
+        for (k, vnorm2, v) in self.reflectors() {
+            let tail = &mut w[k..];
             let dot: f64 = tail.iter().zip(v).fold(0.0, |acc, (w, v)| acc + v * w);
             let scale = 2.0 * dot / vnorm2;
             for (w, &v) in tail.iter_mut().zip(v) {
@@ -352,11 +406,18 @@ impl HouseholderQr {
     /// reflectors plus four rows of length `m` built together. The work is
     /// O(m²·n).
     pub fn q(&self) -> Matrix {
+        let mut q = Matrix::default();
+        self.q_into(&mut q);
+        q
+    }
+
+    /// [`HouseholderQr::q`] into `out`, reusing its buffer.
+    pub fn q_into(&self, out: &mut Matrix) {
         let (m, n) = (self.rows, self.r.cols());
         // Q = H_0·H_1·…, row by row: row i of Q is e_iᵀ·H_0·H_1·…, and each
         // H_k = I − 2vvᵀ/(vᵀv) only reads and writes entries k..m of it.
         // Rows go in blocks so their sequential dot products interleave.
-        let mut q_thin = Matrix::zeros(m, n);
+        out.reset(m, n);
         let mut rows = vec![[0.0; QR_ROW_BLOCK]; m];
         for first in (0..m).step_by(QR_ROW_BLOCK) {
             let block = QR_ROW_BLOCK.min(m - first);
@@ -365,8 +426,8 @@ impl HouseholderQr {
                     *q = if l == first + b { 1.0 } else { 0.0 };
                 }
             }
-            for (k, vnorm2, v) in &self.reflectors {
-                let tail = &mut rows[*k..];
+            for (k, vnorm2, v) in self.reflectors() {
+                let tail = &mut rows[k..];
                 let mut dot = [0.0; QR_ROW_BLOCK];
                 for (q, &vl) in tail.iter().zip(v) {
                     for b in 0..QR_ROW_BLOCK {
@@ -382,11 +443,10 @@ impl HouseholderQr {
             }
             for b in 0..block {
                 for j in 0..n {
-                    q_thin[(first + b, j)] = rows[j][b];
+                    out[(first + b, j)] = rows[j][b];
                 }
             }
         }
-        q_thin
     }
 }
 
@@ -412,22 +472,35 @@ pub const QR_SINGULAR_RELATIVE_TOLERANCE: f64 = 1e-12;
 
 /// Solves `r · x = b` for upper-triangular `r` by back substitution.
 fn back_substitute(r: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
+    let mut x = vec![0.0; r.cols()];
+    back_substitute_into(r, |i| b[i], &mut x, 1)?;
+    Ok(x)
+}
+
+/// [`back_substitute`] with entry `i` of `b` given by `b(i)` and entry `i`
+/// of the solution written to `x[i·stride]`, so a column of a row-major
+/// matrix can take it.
+fn back_substitute_into(
+    r: &Matrix,
+    b: impl Fn(usize) -> f64,
+    x: &mut [f64],
+    stride: usize,
+) -> Result<(), StatsError> {
     let n = r.cols();
     // Relative singularity threshold against the largest diagonal entry.
     let scale = (0..n).fold(0.0f64, |acc, k| acc.max(r[(k, k)].abs()));
-    let mut x = vec![0.0; n];
     for i in (0..n).rev() {
-        let mut sum = b[i];
+        let mut sum = b(i);
         for j in (i + 1)..n {
-            sum -= r[(i, j)] * x[j];
+            sum -= r[(i, j)] * x[j * stride];
         }
         let d = r[(i, i)];
         if d.abs() <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0) {
             return Err(StatsError::Singular);
         }
-        x[i] = sum / d;
+        x[i * stride] = sum / d;
     }
-    Ok(x)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -576,6 +649,34 @@ mod tests {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!(approx(prod[(i, j)], expect, 1e-10));
             }
+        }
+    }
+
+    /// The `_into` forms reuse buffers left by larger and smaller shapes
+    /// and still give every entry bit for bit as the allocating forms.
+    #[test]
+    fn reused_buffers_match_fresh_results() {
+        let shapes = [(6, 3), (3, 3), (8, 2), (4, 4), (1, 1), (6, 3)];
+        let mut qr = HouseholderQr::default();
+        let (mut q, mut t, mut inv, mut prod) = Default::default();
+        for (s, &(m, n)) in shapes.iter().enumerate() {
+            let data: Vec<f64> = (0..m * n)
+                .map(|i| 10.0 * ((i * i) as f64 * 0.7 + s as f64).sin())
+                .collect();
+            let a = Matrix::from_vec(m, n, data.clone()).unwrap();
+            let fresh = a.householder_qr().unwrap();
+            qr.factor(m, n, &data).unwrap();
+            assert_eq!(qr.r(), fresh.r());
+            qr.q_into(&mut q);
+            assert_eq!(q, fresh.q());
+            let y: Vec<f64> = (0..m).map(|i| i as f64 * 1.5 - 2.0).collect();
+            assert_eq!(qr.apply_qt(&y).unwrap(), fresh.apply_qt(&y).unwrap());
+            q.transpose_into(&mut t);
+            assert_eq!(t, q.transpose());
+            fresh.r().invert_upper_triangular_into(&mut inv).unwrap();
+            assert_eq!(inv, fresh.r().invert_upper_triangular().unwrap());
+            inv.matmul_into(&t, &mut prod).unwrap();
+            assert_eq!(prod, inv.matmul(&t).unwrap());
         }
     }
 

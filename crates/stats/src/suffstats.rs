@@ -33,7 +33,7 @@
 //! observation-space QR solver in [`crate::regression::OlsFit`] so callers'
 //! skip/propagate logic is engine-agnostic.
 
-use crate::matrix::{Matrix, QR_SINGULAR_RELATIVE_TOLERANCE};
+use crate::matrix::{HouseholderQr, Matrix, QR_SINGULAR_RELATIVE_TOLERANCE};
 use crate::regression::{
     coefficient_inference, fit_summary, total_sum_of_squares, CoefficientInference,
 };
@@ -350,6 +350,13 @@ impl GramAccumulator {
     /// statistics of the same rows with the other columns dropped, which is
     /// exactly what a variable-selection candidate fit needs.
     pub fn subset(&self, cols: &[usize]) -> Result<GramAccumulator, StatsError> {
+        let mut out = GramAccumulator::new(0);
+        self.subset_into(cols, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::subset`] into `out`, reusing its buffers.
+    pub fn subset_into(&self, cols: &[usize], out: &mut GramAccumulator) -> Result<(), StatsError> {
         if cols.iter().any(|&c| c >= self.k) {
             return Err(StatsError::InvalidArgument(format!(
                 "subset: column out of range 0..{}",
@@ -357,22 +364,20 @@ impl GramAccumulator {
             )));
         }
         let k = cols.len();
-        let mut xtx = vec![0.0; k * k];
-        let mut xty = vec![0.0; k];
-        for (i, &ci) in cols.iter().enumerate() {
-            for (j, &cj) in cols.iter().enumerate() {
-                xtx[i * k + j] = self.xtx[ci * self.k + cj];
-            }
-            xty[i] = self.xty[ci];
+        out.xtx.clear();
+        out.xtx.reserve(k * k);
+        out.xty.clear();
+        out.xty.reserve(k);
+        for &ci in cols {
+            let row = &self.xtx[ci * self.k..(ci + 1) * self.k];
+            out.xtx.extend(cols.iter().map(|&cj| row[cj]));
+            out.xty.push(self.xty[ci]);
         }
-        Ok(GramAccumulator {
-            k,
-            n: self.n,
-            xtx,
-            xty,
-            yty: self.yty,
-            sum_y: self.sum_y,
-        })
+        out.k = k;
+        out.n = self.n;
+        out.yty = self.yty;
+        out.sum_y = self.sum_y;
+        Ok(())
     }
 
     /// Solves the accumulated least-squares problem and computes the
@@ -416,9 +421,92 @@ impl GramAccumulator {
 /// maintenance refits read only the coefficients and the fit summary.
 /// [`gram_coefficient_inference`] recomputes standard errors, t statistics
 /// and their p-values on demand, by the route this solve took.
+///
+/// A search that solves many candidates passes one [`GramWorkspace`] to
+/// [`solve_block_diagonal_in`] instead: the same arithmetic, without the
+/// factors' heap allocations.
 pub fn solve_block_diagonal(
     blocks: &[GramAccumulator],
     has_intercept: bool,
+) -> Result<GramFit, StatsError> {
+    solve_block_diagonal_in(blocks, has_intercept, &mut GramWorkspace::default())
+}
+
+/// Scratch memory of [`solve_block_diagonal_in`]: the Cholesky factors of
+/// every block, or the QR fallback's factorizations and inverses. Buffers
+/// grow to the largest problem solved and are reused, so a search that
+/// scores many candidates allocates them about once.
+#[derive(Debug, Clone, Default)]
+pub struct GramWorkspace {
+    /// Per block, row-major `k_b × k_b`: the Cholesky factor L.
+    factors: Vec<f64>,
+    /// The Cholesky forward-substitution vector.
+    forward: Vec<f64>,
+    /// Per block, the QR fallback's factorization and inverse `R⁻¹Qᵀ`.
+    qrs: Vec<HouseholderQr>,
+    inverses: Vec<Matrix>,
+    /// One block's Q, Qᵀ and R⁻¹.
+    q: Matrix,
+    q_transpose: Matrix,
+    r_inverse: Matrix,
+}
+
+impl GramWorkspace {
+    /// Factors every block by Cholesky with the absolute pivot tolerance
+    /// `tol` into `factors`; `false` when any pivot degenerates.
+    fn cholesky(&mut self, blocks: &[GramAccumulator], tol: f64) -> bool {
+        self.factors.clear();
+        for b in blocks {
+            let start = self.factors.len();
+            self.factors.resize(start + b.k * b.k, 0.0);
+            if cholesky_factor_into(b.k, &b.xtx, tol, &mut self.factors[start..]).is_err() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The QR fallback's inverse of every Gram block, `(XᵀX)⁻¹ = R⁻¹Qᵀ`
+    /// from the QR of the block itself ([`Matrix::qr`], then
+    /// [`Matrix::invert_upper_triangular`] and [`Matrix::matmul`] with the
+    /// transpose of Q), or [`StatsError::Singular`] when an R diagonal
+    /// entry of any block is at most [`QR_SINGULAR_RELATIVE_TOLERANCE`]
+    /// times the largest one of any block.
+    fn qr_inverses(&mut self, blocks: &[GramAccumulator]) -> Result<&[Matrix], StatsError> {
+        if self.qrs.len() < blocks.len() {
+            self.qrs.resize_with(blocks.len(), HouseholderQr::default);
+            self.inverses.resize_with(blocks.len(), Matrix::default);
+        }
+        for (b, qr) in blocks.iter().zip(&mut self.qrs) {
+            qr.factor(b.k, b.k, &b.xtx)?;
+        }
+        let qrs = &self.qrs[..blocks.len()];
+        let r_diagonal = || {
+            qrs.iter().flat_map(|qr| {
+                let r = qr.r();
+                (0..r.rows()).map(move |i| r[(i, i)].abs())
+            })
+        };
+        let scale = r_diagonal().fold(0.0f64, f64::max);
+        if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
+            return Err(StatsError::Singular);
+        }
+        for (qr, inverse) in qrs.iter().zip(&mut self.inverses) {
+            qr.q_into(&mut self.q);
+            self.q.transpose_into(&mut self.q_transpose);
+            qr.r().invert_upper_triangular_into(&mut self.r_inverse)?;
+            self.r_inverse.matmul_into(&self.q_transpose, inverse)?;
+        }
+        Ok(&self.inverses[..blocks.len()])
+    }
+}
+
+/// [`solve_block_diagonal`] with caller-owned scratch memory: bit for bit
+/// the same fit, with no heap traffic for the factors.
+pub fn solve_block_diagonal_in(
+    blocks: &[GramAccumulator],
+    has_intercept: bool,
+    ws: &mut GramWorkspace,
 ) -> Result<GramFit, StatsError> {
     let k: usize = blocks.iter().map(|b| b.k).sum();
     let n: usize = blocks.iter().map(|b| b.n).sum();
@@ -429,26 +517,22 @@ pub fn solve_block_diagonal(
         });
     }
     let tol = block_pivot_tolerance(blocks);
-    let factors: Result<Vec<Vec<f64>>, StatsError> = blocks
-        .iter()
-        .map(|b| cholesky_factor_with_tolerance(b.k, &b.xtx, tol))
-        .collect();
     let mut coefficients = Vec::with_capacity(k);
-    let cholesky = match factors {
-        Ok(factors) => {
-            for (b, l) in blocks.iter().zip(&factors) {
-                coefficients.extend(cholesky_solve(b.k, l, &b.xty));
-            }
-            true
+    let cholesky = ws.cholesky(blocks, tol);
+    if cholesky {
+        let mut offset = 0;
+        for b in blocks {
+            let l = &ws.factors[offset..offset + b.k * b.k];
+            let start = coefficients.len();
+            coefficients.resize(start + b.k, 0.0);
+            cholesky_solve_into(b.k, l, &b.xty, &mut ws.forward, &mut coefficients[start..]);
+            offset += b.k * b.k;
         }
-        Err(StatsError::Singular) => {
-            for (b, inv) in blocks.iter().zip(qr_gram_inverses(blocks)?) {
-                coefficients.extend(inv.matvec(&b.xty)?);
-            }
-            false
+    } else {
+        for (b, inverse) in blocks.iter().zip(ws.qr_inverses(blocks)?) {
+            coefficients.extend(inverse.matvec(&b.xty)?);
         }
-        Err(e) => return Err(e),
-    };
+    }
 
     // SSE = yᵀy − 2βᵀ(Xᵀy) + βᵀ(XᵀX)β, clamped: the quadratic form is
     // exact algebra but loses absolute precision ~ε·yᵀy, which can dip
@@ -499,30 +583,6 @@ fn block_pivot_tolerance(blocks: &[GramAccumulator]) -> f64 {
     CHOLESKY_RELATIVE_TOLERANCE * max_diag.max(1.0)
 }
 
-/// The QR fallback's inverse of every Gram block, `(XᵀX)⁻¹ = R⁻¹Qᵀ` from
-/// the QR of the block itself, or [`StatsError::Singular`] when an R
-/// diagonal entry of any block is at most [`QR_SINGULAR_RELATIVE_TOLERANCE`]
-/// times the largest one of any block.
-fn qr_gram_inverses(blocks: &[GramAccumulator]) -> Result<Vec<Matrix>, StatsError> {
-    let factors = blocks
-        .iter()
-        .map(|b| Matrix::from_vec(b.k, b.k, b.xtx.clone())?.qr())
-        .collect::<Result<Vec<_>, _>>()?;
-    let r_diagonal = || {
-        factors
-            .iter()
-            .flat_map(|(_, r)| (0..r.rows()).map(move |i| r[(i, i)].abs()))
-    };
-    let scale = r_diagonal().fold(0.0f64, f64::max);
-    if r_diagonal().any(|d| d <= QR_SINGULAR_RELATIVE_TOLERANCE * scale.max(1.0)) {
-        return Err(StatsError::Singular);
-    }
-    factors
-        .iter()
-        .map(|(q, r)| r.invert_upper_triangular()?.matmul(&q.transpose()))
-        .collect()
-}
-
 /// Standard errors, t statistics and two-sided t p-values of a
 /// [`solve_block_diagonal`] fit, recomputed from the blocks it solved.
 ///
@@ -553,8 +613,9 @@ pub fn gram_coefficient_inference(
             inverse_diagonal.extend(cholesky_inverse_diagonal(b.k, &l));
         }
     } else {
-        for (b, inv) in blocks.iter().zip(qr_gram_inverses(blocks)?) {
-            inverse_diagonal.extend((0..b.k).map(|i| inv[(i, i)]));
+        let mut ws = GramWorkspace::default();
+        for inverse in ws.qr_inverses(blocks)? {
+            inverse_diagonal.extend((0..inverse.rows()).map(|i| inverse[(i, i)]));
         }
     }
     coefficient_inference(&fit.coefficients, &inverse_diagonal, fit.sse, fit.n, k)
@@ -751,6 +812,13 @@ pub(crate) fn cholesky_factor(k: usize, a: &[f64]) -> Result<Vec<f64>, StatsErro
 /// or below it is [`StatsError::Singular`].
 fn cholesky_factor_with_tolerance(k: usize, a: &[f64], tol: f64) -> Result<Vec<f64>, StatsError> {
     let mut l = vec![0.0; k * k];
+    cholesky_factor_into(k, a, tol, &mut l)?;
+    Ok(l)
+}
+
+/// [`cholesky_factor_with_tolerance`] into the zeroed row-major `k × k`
+/// slice `l`.
+fn cholesky_factor_into(k: usize, a: &[f64], tol: f64, l: &mut [f64]) -> Result<(), StatsError> {
     for i in 0..k {
         for j in 0..=i {
             let mut sum = a[i * k + j];
@@ -767,12 +835,21 @@ fn cholesky_factor_with_tolerance(k: usize, a: &[f64], tol: f64) -> Result<Vec<f
             }
         }
     }
-    Ok(l)
+    Ok(())
 }
 
 /// Solves `L·Lᵀ·x = b` by forward then backward substitution.
 fn cholesky_solve(k: usize, l: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut z = vec![0.0; k];
+    let mut x = vec![0.0; k];
+    cholesky_solve_into(k, l, b, &mut Vec::new(), &mut x);
+    x
+}
+
+/// [`cholesky_solve`] into `x`, with `z` as the forward-substitution
+/// scratch vector.
+fn cholesky_solve_into(k: usize, l: &[f64], b: &[f64], z: &mut Vec<f64>, x: &mut [f64]) {
+    z.clear();
+    z.resize(k, 0.0);
     for i in 0..k {
         let mut sum = b[i];
         for j in 0..i {
@@ -780,7 +857,6 @@ fn cholesky_solve(k: usize, l: &[f64], b: &[f64]) -> Vec<f64> {
         }
         z[i] = sum / l[i * k + i];
     }
-    let mut x = vec![0.0; k];
     for i in (0..k).rev() {
         let mut sum = z[i];
         for j in (i + 1)..k {
@@ -788,7 +864,6 @@ fn cholesky_solve(k: usize, l: &[f64], b: &[f64]) -> Vec<f64> {
         }
         x[i] = sum / l[i * k + i];
     }
-    x
 }
 
 /// The diagonal of `(L·Lᵀ)⁻¹`: entry `j` of the solve against the unit
@@ -1094,6 +1169,53 @@ mod tests {
         let fit = acc.solve(true).unwrap();
         assert!(!fit.solved_by_cholesky, "expected the QR fallback");
         assert!(fit.coefficients.iter().all(|c| c.is_finite()));
+    }
+
+    /// One workspace reused across block sets of different counts, widths
+    /// and routes (Cholesky and QR fallback) gives every fit bit for bit
+    /// as a fresh solve does: no state leaks between solves.
+    #[test]
+    fn reused_workspace_matches_fresh_solves() {
+        let (rows, y) = noisy_design(60);
+        let wide = accumulate(&rows, &y);
+        let narrow = wide.subset(&[0, 2]).unwrap();
+        let ill = GramAccumulator::from_parts(
+            2,
+            10,
+            vec![1.0e6, 1.0e3, 1.0e3, 1.0 + 1.0e-5],
+            vec![2.0e6, 2.01e3],
+            4.1e6,
+            4.0e3,
+        )
+        .unwrap();
+        let sets = [
+            vec![wide.clone()],
+            vec![ill.clone()],
+            vec![wide.clone(), narrow.clone()],
+            vec![ill.clone(), ill.clone(), wide.clone()],
+            vec![narrow],
+            vec![wide],
+        ];
+        let mut ws = GramWorkspace::default();
+        let mut routes = Vec::new();
+        for blocks in &sets {
+            let fresh = solve_block_diagonal(blocks, true).unwrap();
+            let reused = solve_block_diagonal_in(blocks, true, &mut ws).unwrap();
+            let bits = |f: &GramFit| -> Vec<u64> {
+                f.coefficients
+                    .iter()
+                    .chain([&f.sse])
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&reused), bits(&fresh));
+            assert_eq!(reused.solved_by_cholesky, fresh.solved_by_cholesky);
+            routes.push(fresh.solved_by_cholesky);
+        }
+        assert!(
+            routes.contains(&true) && routes.contains(&false),
+            "{routes:?}"
+        );
     }
 
     #[test]

@@ -124,11 +124,12 @@ fn report(quick: bool) -> Result<String, Box<dyn std::error::Error>> {
         )?;
     }
 
+    let one_state = derived.one_state()?;
     writeln!(
         out,
         "\nthe one-state model would quote {:.2}s regardless of load (R² = {:.3}).",
-        derived.one_state.estimate(&x_sel, 0.0),
-        derived.one_state.fit.r_squared
+        one_state.estimate(&x_sel, 0.0),
+        one_state.fit.r_squared
     )?;
     Ok(out)
 }

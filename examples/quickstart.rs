@@ -112,7 +112,7 @@ fn report(quick: bool) -> Result<String, Box<dyn std::error::Error>> {
         "\nfor contrast, the one-state (static-method) model fitted on the same \
          sample has R² = {:.3} — the dynamic environment is simply not \
          describable by a single regression.",
-        derived.one_state.fit.r_squared
+        derived.one_state()?.fit.r_squared
     )?;
     Ok(out)
 }

@@ -33,7 +33,7 @@ fn table5_shape_holds() {
     assert_eq!(t5.combos.len(), 6);
     for combo in &t5.combos {
         let multi = &combo.derived.model;
-        let one = &combo.derived.one_state;
+        let one = &combo.one_state;
         assert!(
             multi.fit.r_squared > one.fit.r_squared,
             "{}: multi {} <= one-state {}",
