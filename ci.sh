@@ -58,10 +58,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> cargo test --examples (examples as tests)"
 cargo test -q --offline --workspace --examples
 
-echo "==> suffstats parity gate (legacy full-QR vs Gram engines)"
-# Redundant with the workspace test run above by design: the parity suite
-# is the contract that lets the Gram engine stay the default, so it gets
-# its own named gate that survives any future test-partitioning.
+echo "==> suffstats parity gate (Gram candidate scores vs the QR fit)"
+# Redundant with the workspace test run above by design: the search scores
+# every candidate from Gram blocks while the published model is the QR fit,
+# and this suite is the contract that lets it — every candidate family the
+# search scores, built as the search builds it, agrees with fit_cost_model
+# — so it gets its own named gate that survives any future
+# test-partitioning.
 cargo test -q --offline -p mdbs-bench --test suffstats_parity
 
 echo "==> block-diagonal solve parity gate (per-state solves vs the dense solves)"

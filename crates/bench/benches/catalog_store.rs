@@ -88,7 +88,7 @@ fn snapshot(sites: &[&str], n: usize, version: u64) -> CatalogSnapshot {
         for (ci, class) in CLASSES.iter().enumerate() {
             let obs = observations(n, 0xCA7A_0600 + (si * 8 + ci) as u64);
             let model = join_model(&obs);
-            let acc = ModelAccumulator::from_observations(&model, &obs);
+            let acc = ModelAccumulator::from_observations(&model, &obs).expect("finite sample");
             catalog.insert_model((*site).into(), *class, model);
             catalog.insert_accumulator((*site).into(), *class, acc);
         }

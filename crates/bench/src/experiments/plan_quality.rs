@@ -108,7 +108,6 @@ fn build_catalogs(sample_size: usize) -> Result<(GlobalCatalog, GlobalCatalog), 
                     max_states: 10,
                     min_r2_gain: 0.002,
                     min_see_gain: 0.005,
-                    ..StatesConfig::default()
                 },
                 sample_size: Some(sample_size),
                 fit_probe_estimator: false,

@@ -133,7 +133,6 @@ pub fn table6(
             family,
             &obs,
             &states_result.model.states,
-            cfg.form,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )?;

@@ -43,8 +43,6 @@ pub struct DerivationConfig {
     pub selection: SelectionConfig,
     /// Override the planned sample size (None → eq. (4)).
     pub sample_size: Option<usize>,
-    /// Environment draws allowed per targeted resample before giving up.
-    pub max_resample_attempts: usize,
     /// Whether to fit the eq.-(2) probing-cost estimator.
     pub fit_probe_estimator: bool,
 }
@@ -55,7 +53,6 @@ impl Default for DerivationConfig {
             states: StatesConfig::default(),
             selection: SelectionConfig::default(),
             sample_size: None,
-            max_resample_attempts: 40,
             fit_probe_estimator: true,
         }
     }
@@ -169,6 +166,9 @@ pub fn collect_observations(
     Ok(observations)
 }
 
+/// Environment draws allowed per targeted resample before giving up.
+const MAX_RESAMPLE_ATTEMPTS: usize = 40;
+
 /// An [`ObservationSource`] that draws targeted extra samples by re-rolling
 /// the environment until the probing cost lands in the requested subrange.
 pub struct AgentSource<'a> {
@@ -274,7 +274,7 @@ pub(crate) fn derive_inner(
             agent,
             generator: &mut generator,
             class,
-            max_attempts: cfg.max_resample_attempts,
+            max_attempts: MAX_RESAMPLE_ATTEMPTS,
         };
         determine_states_inner(
             algorithm,
@@ -293,14 +293,8 @@ pub(crate) fn derive_inner(
     tel.end_span(span);
 
     let span = tel.begin_span("derive.selection");
-    let selection = select_variables_inner(
-        family,
-        &observations,
-        &search.states,
-        cfg.states.form,
-        &cfg.selection,
-        tel,
-    )?;
+    let selection =
+        select_variables_inner(family, &observations, &search.states, &cfg.selection, tel)?;
     let Selection {
         model, accumulator, ..
     } = selection;

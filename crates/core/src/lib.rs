@@ -89,7 +89,7 @@ pub use derive::{
 };
 pub use maintenance::{MaintenanceConfig, MaintenanceConfigBuilder};
 pub use mdbs::{GlobalExecution, Mdbs};
-pub use model::{CostModel, FitEngine, ModelAccumulator, ModelForm};
+pub use model::{CostModel, ModelAccumulator, ModelForm};
 pub use observation::Observation;
 pub use pipeline::PipelineCtx;
 pub use qualvar::StateSet;

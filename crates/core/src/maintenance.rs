@@ -280,7 +280,7 @@ impl ModelMaintainer {
     ) -> Result<Self, CoreError> {
         let derived = DerivedModel {
             class,
-            accumulator: ModelAccumulator::from_observations(&model, &[]),
+            accumulator: ModelAccumulator::from_observations(&model, &[])?,
             model,
             history: Vec::new(),
             merges: 0,
@@ -406,6 +406,11 @@ impl ModelMaintainer {
     /// registry) so callers can stamp maintenance records with the exact
     /// version the refit produced. Counted as
     /// `maintenance.incremental_refits`.
+    ///
+    /// A batch [`ModelAccumulator::absorb`] rejects (a non-finite value, an
+    /// observation too short for the model's variables) is returned as its
+    /// error before the accumulator, the observations, the model or the
+    /// registry change.
     pub fn refit_incremental(
         &mut self,
         site: &SiteId,
@@ -413,7 +418,7 @@ impl ModelMaintainer {
         registry: Option<&mut ModelRegistry>,
         ctx: &mut PipelineCtx,
     ) -> Result<Option<u64>, CoreError> {
-        self.derived.accumulator.absorb(new_observations);
+        self.derived.accumulator.absorb(new_observations)?;
         let tel = &mut ctx.telemetry;
         let span = tel.begin_span("maintenance.refit_incremental");
         tel.field(span, "class", format!("{:?}", self.derived.class));

@@ -23,7 +23,7 @@
 //! states exactly as the paper's algorithm expects.
 
 use crate::classes::QueryClass;
-use crate::observation::Observation;
+use crate::observation::{check_moments, check_values, check_width, Observation};
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_stats::{
@@ -44,33 +44,15 @@ pub enum ModelForm {
     General,
 }
 
-/// Which fit machinery the state-determination and variable-selection
-/// searches use for their *candidate* evaluations.
-///
-/// Either way the **published** model (the search winner) is fitted once,
-/// from the observations, by [`fit_cost_model`] (one Householder QR per
-/// contention state under the general form), so the engines produce
-/// identical catalogs; the engine only decides how the dozens of
-/// intermediate candidate fits are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FitEngine {
-    /// Rebuild the design matrix and run a full O(n·k²) QR per candidate
-    /// (the historical behaviour; kept for parity testing).
-    FullRefit,
-    /// Solve candidates from cached sufficient statistics in O(k³),
-    /// independent of the observation count.
-    #[default]
-    Gram,
-}
-
 impl ModelForm {
-    /// The form a search fits over `states`: a single state admits only
-    /// the static method's one equation.
-    pub(crate) fn for_states(self, states: &StateSet) -> ModelForm {
+    /// The form a derivation fits over `states`: the paper's general form,
+    /// or the static method's one equation when a single state admits only
+    /// that.
+    pub(crate) fn for_states(states: &StateSet) -> ModelForm {
         if states.is_single() {
             ModelForm::Coincident
         } else {
-            self
+            ModelForm::General
         }
     }
 
@@ -221,8 +203,8 @@ impl CostModel {
 ///
 /// This is the single source of truth for the column layout — the
 /// observation-space rows of [`fit_cost_model`] and the Gram-assembly path
-/// ([`fit_gram_from_blocks`]) both derive from it, so the two engines fit
-/// the *same* design by construction.
+/// ([`fit_gram_from_blocks`]) both derive from it, so the QR fit and the
+/// Gram solves fit the *same* design by construction.
 pub(crate) fn design_position(form: ModelForm, m: usize, p: usize, state: usize) -> Vec<usize> {
     match form {
         ModelForm::Coincident => (0..=p).collect(),
@@ -285,11 +267,11 @@ pub fn min_obs_per_state(p: usize) -> usize {
     p + 2
 }
 
-/// Shared sample-sufficiency validation of both fit engines, in the exact
-/// legacy order: first the pooled total against `k + 1`, then (for the
+/// Shared sample-sufficiency validation of the QR fit and the Gram solves,
+/// in a fixed order: first the pooled total against `k + 1`, then (for the
 /// state-dependent general/concurrent forms with `m > 1`) each state
 /// against [`min_obs_per_state`].
-pub(crate) fn check_sample_counts(
+pub(crate) fn check_state_counts(
     form: ModelForm,
     p: usize,
     counts: &[usize],
@@ -335,7 +317,7 @@ pub(crate) fn fit_gram_from_blocks(
 ) -> Result<GramFit, CoreError> {
     let m = blocks.len();
     let counts: Vec<usize> = blocks.iter().map(|b| b.n()).collect();
-    check_sample_counts(form, p, &counts)?;
+    check_state_counts(form, p, &counts)?;
     if form == ModelForm::General {
         if let Some(b) = blocks.iter().find(|b| b.k() != p + 1) {
             return Err(CoreError::Numeric(StatsError::DimensionMismatch {
@@ -370,6 +352,12 @@ pub(crate) fn fit_gram_from_blocks(
 /// states and fit as one group, bit-identical to
 /// [`OlsFit::fit`](mdbs_stats::OlsFit::fit) of the design. R², SEE and F
 /// pool over every state.
+///
+/// Names that do not pair up with the indexes, an observation too short
+/// for a selected index, and a fit with a non-finite coefficient, R² or
+/// SEE (a non-finite cost or variable, or overflowing squares) are each a
+/// [`CoreError::Degenerate`]. The values themselves are not rescanned:
+/// callers that need every value finite run their own checks first.
 pub fn fit_cost_model(
     form: ModelForm,
     states: StateSet,
@@ -379,8 +367,15 @@ pub fn fit_cost_model(
 ) -> Result<CostModel, CoreError> {
     let m = states.len();
     let p = var_indexes.len();
+    if var_names.len() != p {
+        return Err(CoreError::Degenerate(format!(
+            "{} variable names for {p} variable indexes",
+            var_names.len()
+        )));
+    }
+    check_width(observations, var_indexes.iter().max().map_or(0, |&j| j + 1))?;
     let counts = counts_per_state(&states, observations);
-    check_sample_counts(form, p, &counts)?;
+    check_state_counts(form, p, &counts)?;
     // Each group's design rows go straight into one row-major buffer:
     // zeros, then the intercept and the variables at the state's
     // `design_position` columns. A one-state general row is the local row
@@ -418,6 +413,7 @@ pub fn fit_cost_model(
         .collect::<Result<Vec<_>, StatsError>>()
         .map_err(CoreError::Numeric)?;
     let fit = fit_block_diagonal(&blocks, true).map_err(CoreError::Numeric)?;
+    check_finite_fit(&fit.coefficients, fit.summary.r_squared, fit.summary.see)?;
     let coefficients = adjusted_coefficients(form, m, p, &fit.coefficients);
     Ok(CostModel {
         form,
@@ -437,6 +433,19 @@ pub fn fit_cost_model(
     })
 }
 
+/// Rejects a solved fit with a non-finite coefficient, R² or SEE, which a
+/// non-finite or overflowing input leaves behind. O(k): the fit, not the
+/// sample, is read.
+fn check_finite_fit(coefficients: &[f64], r_squared: f64, see: f64) -> Result<(), CoreError> {
+    if coefficients.iter().all(|c| c.is_finite()) && r_squared.is_finite() && see.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::Degenerate(
+            "the fit has a non-finite coefficient, R² or SEE".into(),
+        ))
+    }
+}
+
 /// Sufficient statistics of a fitted cost model, kept alive so maintenance
 /// can fold new observations in and refit in O(k³) **without** rescanning
 /// (or even retaining) the fitting sample — the cheap continuous refit that
@@ -454,8 +463,12 @@ pub struct ModelAccumulator {
 }
 
 impl ModelAccumulator {
-    /// Builds the accumulator of a fitted model from its fitting sample.
-    pub fn from_observations(model: &CostModel, observations: &[Observation]) -> ModelAccumulator {
+    /// Builds the accumulator of a fitted model from its fitting sample;
+    /// errors as [`ModelAccumulator::absorb`] does.
+    pub fn from_observations(
+        model: &CostModel,
+        observations: &[Observation],
+    ) -> Result<ModelAccumulator, CoreError> {
         let mut acc = ModelAccumulator {
             form: model.form,
             states: model.states.clone(),
@@ -463,8 +476,8 @@ impl ModelAccumulator {
             var_names: model.var_names.clone(),
             blocks: vec![GramAccumulator::new(model.num_variables() + 1); model.states.len()],
         };
-        acc.absorb(observations);
-        acc
+        acc.absorb(observations)?;
+        Ok(acc)
     }
 
     /// Rebuilds an accumulator from persisted parts. The blocks must match
@@ -501,18 +514,32 @@ impl ModelAccumulator {
     }
 
     /// Folds new observations into the per-state blocks (rank-1 updates;
-    /// the observations are not retained).
-    pub fn absorb(&mut self, observations: &[Observation]) {
+    /// the observations are not retained). A non-finite value, an
+    /// observation too short for the model's variables, or a batch whose
+    /// squares overflow a block is a [`CoreError::Degenerate`], and no
+    /// block changes.
+    pub fn absorb(&mut self, observations: &[Observation]) -> Result<(), CoreError> {
+        let width = self.var_indexes.iter().max().map_or(0, |&j| j + 1);
+        check_values(observations, width)?;
+        // An overflowed block would feed every later refit `±∞`/`NaN`
+        // (its SSE clamps to 0, so the fit even looks perfect): the batch
+        // goes into a copy that replaces the blocks only if it stays finite.
+        let mut blocks = self.blocks.clone();
         let mut z = Vec::with_capacity(self.var_indexes.len() + 1);
         for o in observations {
             let s = self.states.state_of(o.probe_cost);
             z.clear();
             z.push(1.0);
             z.extend(self.var_indexes.iter().map(|&i| o.x[i]));
-            self.blocks[s]
+            blocks[s]
                 .add_row(&z, o.cost)
                 .expect("block width matches var_indexes by construction");
         }
+        for block in &blocks {
+            check_moments(block)?;
+        }
+        self.blocks = blocks;
+        Ok(())
     }
 
     /// Total observations absorbed across all states.
@@ -546,10 +573,12 @@ impl ModelAccumulator {
     }
 
     /// Refits the cost model from the accumulated statistics — O(k³),
-    /// independent of how many observations were absorbed.
+    /// independent of how many observations were absorbed. A non-finite
+    /// coefficient, R² or SEE is rejected as [`fit_cost_model`] rejects it.
     pub fn refit(&self) -> Result<CostModel, CoreError> {
         let p = self.var_indexes.len();
         let gram = fit_gram_from_blocks(self.form, p, &self.blocks, &mut GramWorkspace::default())?;
+        check_finite_fit(&gram.coefficients, gram.r_squared, gram.see)?;
         let coefficients =
             adjusted_coefficients(self.form, self.states.len(), p, &gram.coefficients);
         Ok(CostModel {
@@ -807,6 +836,48 @@ mod tests {
             assert_eq!(via_probe.to_bits(), via_state.to_bits());
             assert_eq!(via_obs.to_bits(), via_state.to_bits());
         }
+    }
+
+    /// More names than variable indexes returned a model whose `render`
+    /// then indexed past a state's coefficients.
+    #[test]
+    fn unpaired_variable_names_are_a_typed_error() {
+        let obs = two_state_observations();
+        let names = vec!["x".into(), "extra".into()];
+        let err = fit_cost_model(ModelForm::General, two_states(), vec![0], names, &obs);
+        assert!(matches!(err, Err(CoreError::Degenerate(_))), "{err:?}");
+    }
+
+    /// A variable index past an observation's width was a slice panic.
+    #[test]
+    fn an_index_past_a_row_is_a_typed_error() {
+        let obs = two_state_observations();
+        let err = fit_cost_model(
+            ModelForm::General,
+            two_states(),
+            vec![3],
+            vec!["x3".into()],
+            &obs,
+        );
+        match err {
+            Err(CoreError::Degenerate(msg)) => assert!(msg.contains("observation 0"), "{msg}"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+    }
+
+    /// A NaN cost fitted to NaN coefficients with R² = 1.
+    #[test]
+    fn a_nan_cost_is_a_typed_error() {
+        let mut obs = two_state_observations();
+        obs[5].cost = f64::NAN;
+        let err = fit_cost_model(
+            ModelForm::General,
+            two_states(),
+            vec![0],
+            vec!["x".into()],
+            &obs,
+        );
+        assert!(matches!(err, Err(CoreError::Degenerate(_))), "{err:?}");
     }
 
     #[test]

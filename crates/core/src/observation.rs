@@ -26,38 +26,12 @@ impl Observation {
     }
 }
 
-/// Checks that a fitting sample can be ordered and summed, before any
-/// comparator or solver sees it: every cost, probe cost and variable is
-/// finite, every observation carries at least `width` variables, and the
-/// pooled second moments of the row `[1, x[vars]…]` and the cost do not
-/// overflow (a value of |v| ≳ 1e154 squares to ∞). The first offence is a
-/// [`CoreError::Degenerate`].
-///
-/// This is `check_values` followed by `check_moments` of one pooled pass.
-/// The states search and variable selection accumulate the same moments
-/// anyway (prefix sums, state blocks), so they run `check_values` and
-/// test their own totals instead; the `FullRefit` states search, which
-/// accumulates nothing, runs this.
-pub fn check_sample(
-    observations: &[Observation],
-    width: usize,
-    vars: &[usize],
-) -> Result<(), CoreError> {
-    check_values(observations, width)?;
-    let mut pooled = GramAccumulator::new(vars.len() + 1);
-    let mut z = Vec::with_capacity(vars.len() + 1);
-    for o in observations {
-        z.clear();
-        z.push(1.0);
-        z.extend(vars.iter().map(|&j| o.x[j]));
-        pooled.add_row(&z, o.cost).map_err(CoreError::Numeric)?;
-    }
-    check_moments(&pooled)
-}
-
-/// The per-value half of [`check_sample`]: every cost, probe cost and
-/// variable is finite and every observation carries at least `width`
-/// variables.
+/// Checks that a fitting sample can be ordered, before any comparator or
+/// solver sees it: every cost, probe cost and variable is finite and every
+/// observation carries at least `width` variables. The first offence is a
+/// [`CoreError::Degenerate`]. The states search and variable selection
+/// pair it with [`check_moments`] of the second moments they accumulate
+/// anyway (prefix sums, state blocks).
 pub(crate) fn check_values(observations: &[Observation], width: usize) -> Result<(), CoreError> {
     let finite = |o: &Observation| {
         o.cost.is_finite() && o.probe_cost.is_finite() && o.x.iter().all(|v| v.is_finite())
@@ -67,18 +41,23 @@ pub(crate) fn check_values(observations: &[Observation], width: usize) -> Result
             "observation {i} is not finite (cost, probe cost and every variable must be)"
         )));
     }
-    if let Some(i) = observations.iter().position(|o| o.x.len() < width) {
-        return Err(CoreError::Degenerate(format!(
-            "observation {i} has {} variables, {width} are needed",
-            observations[i].x.len()
-        )));
-    }
-    Ok(())
+    check_width(observations, width)
 }
 
-/// The overflow half of [`check_sample`]: every entry of a sample's total
-/// second moments is finite. An overflowing row leaves `±∞` or `NaN` in
-/// any total it was added to, whatever the grouping.
+/// Checks that every observation carries at least `width` variables.
+pub(crate) fn check_width(observations: &[Observation], width: usize) -> Result<(), CoreError> {
+    match observations.iter().position(|o| o.x.len() < width) {
+        Some(i) => Err(CoreError::Degenerate(format!(
+            "observation {i} has {} variables, {width} are needed",
+            observations[i].x.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Checks that every entry of a sample's total second moments is finite
+/// (a value of |v| ≳ 1e154 squares to ∞). An overflowing row leaves `±∞`
+/// or `NaN` in any total it was added to, whatever the grouping.
 pub(crate) fn check_moments(total: &GramAccumulator) -> Result<(), CoreError> {
     let moments = total.xtx().iter().chain(total.xty());
     if !(moments.copied().all(f64::is_finite) && total.yty().is_finite()) {

@@ -840,7 +840,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let acc = ModelAccumulator::from_observations(&model, &obs);
+            let acc = ModelAccumulator::from_observations(&model, &obs).expect("finite sample");
             let text = acc.to_catalog_entry();
             let back = ModelAccumulator::from_catalog_entry(&text).unwrap();
             // Bit-exact: shortest-round-trip floats reproduce every Gram entry.
@@ -854,7 +854,7 @@ mod tests {
         assert!(ModelAccumulator::from_catalog_entry("").is_err());
         assert!(ModelAccumulator::from_catalog_entry("gramacc v999\nend\n").is_err());
         let model = sample_model(3);
-        let acc = ModelAccumulator::from_observations(&model, &[]);
+        let acc = ModelAccumulator::from_observations(&model, &[]).expect("finite sample");
         let text = acc.to_catalog_entry();
         // Drop one block's xty line: the block is incomplete.
         let mut dropped = false;
@@ -890,7 +890,7 @@ mod tests {
                 }
             })
             .collect();
-        let acc = ModelAccumulator::from_observations(&model, &obs);
+        let acc = ModelAccumulator::from_observations(&model, &obs).expect("finite sample");
         catalog.insert_model("site-a".into(), QueryClass::UnaryNoIndex, model);
         catalog.insert_accumulator("site-a".into(), QueryClass::UnaryNoIndex, acc.clone());
         catalog.insert_model("site-b".into(), QueryClass::JoinNoIndex, sample_model(2));

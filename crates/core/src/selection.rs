@@ -22,9 +22,9 @@
 //! accumulated once into a Gram block per state over the full candidate
 //! width, and every VIF — the starting screen's, and each forward
 //! candidate's own — is read off a column subset of those blocks
-//! ([`gram_variance_inflation_factors`]) in O(p³), flat in n. Under
-//! [`FitEngine::Gram`] the add/eliminate candidate fits slice the same
-//! blocks, and the published model's sufficient statistics
+//! ([`gram_variance_inflation_factors`]) in O(p³), flat in n. The
+//! add/eliminate candidate fits slice the same blocks, and the published
+//! model's sufficient statistics
 //! ([`Selection::accumulator`]) are its columns of them. The observations
 //! are still scanned for the per-state correlations (each state's columns
 //! centred once, see [`Centered`]) and the forward step's residuals (group
@@ -33,7 +33,7 @@
 
 use crate::model::{
     adjusted_coefficients, fit_cost_model, fit_gram_from_blocks, min_obs_per_state, CostModel,
-    FitEngine, ModelAccumulator, ModelForm,
+    ModelAccumulator, ModelForm,
 };
 use crate::observation::{check_moments, check_values, Observation};
 use crate::qualvar::StateSet;
@@ -47,39 +47,35 @@ use mdbs_stats::{GramAccumulator, GramWorkspace};
 /// Tuning knobs of the selection procedure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionConfig {
-    /// Variables whose max-over-states |correlation| with the response is
-    /// below this are dropped outright.
-    pub min_corr: f64,
-    /// Relative SEE increase tolerated when removing a basic variable
-    /// (the paper's ε for the backward condition `(SE_r − SE)/SE < ε`).
-    pub backward_tolerance: f64,
     /// Relative SEE decrease required before a secondary variable is added
     /// (the paper's δ for the forward condition `(SE − SE_a)/SE > δ`).
     pub forward_min_gain: f64,
-    /// Variance-inflation-factor threshold. Neter et al. suggest 10 for
-    /// general data, but size-derived cost-model variables (`N_O`, `N_I`,
-    /// `N_R`, …) are *inherently* correlated — the intermediate and result
-    /// cardinalities are fractions of the operand cardinality — so the
-    /// default screens only pathological collinearity (exact or near-exact
-    /// linear dependence) and leaves the moderate kind to the SEE-driven
-    /// backward/forward steps.
-    pub vif_threshold: f64,
-    /// How add/eliminate candidates are scored (the published winner is
-    /// always fitted once, from the observations, by [`fit_cost_model`]).
-    pub engine: FitEngine,
 }
 
 impl Default for SelectionConfig {
     fn default() -> Self {
         SelectionConfig {
-            min_corr: 0.05,
-            backward_tolerance: 0.01,
             forward_min_gain: 0.02,
-            vif_threshold: 100.0,
-            engine: FitEngine::default(),
         }
     }
 }
+
+/// Variables whose max-over-states |correlation| with the response is
+/// below this are dropped outright, and a forward candidate scoring below
+/// it against the residuals ends the forward step.
+const MIN_CORR: f64 = 0.05;
+
+/// Relative SEE increase tolerated when removing a basic variable (the
+/// paper's ε for the backward condition `(SE_r − SE)/SE < ε`).
+const BACKWARD_TOLERANCE: f64 = 0.01;
+
+/// Variance-inflation-factor threshold. Neter et al. suggest 10 for general
+/// data, but size-derived cost-model variables (`N_O`, `N_I`, `N_R`, …) are
+/// *inherently* correlated — the intermediate and result cardinalities are
+/// fractions of the operand cardinality — so this screens only pathological
+/// collinearity (exact or near-exact linear dependence) and leaves the
+/// moderate kind to the SEE-driven backward/forward steps.
+const VIF_THRESHOLD: f64 = 100.0;
 
 /// The outcome of variable selection.
 #[derive(Debug, Clone)]
@@ -98,7 +94,8 @@ pub struct Selection {
 }
 
 /// Runs the full mixed procedure for `family` over `observations`
-/// partitioned by `states`, fitting models in the given `form`.
+/// partitioned by `states`, fitting models in the general form (the static
+/// method's one equation over a single state).
 ///
 /// When `ctx.telemetry` is enabled, records `selection.*` counters
 /// (low-correlation drops, VIF-screened starters, backward eliminations,
@@ -108,11 +105,10 @@ pub fn select_variables(
     family: VariableFamily,
     observations: &[Observation],
     states: &StateSet,
-    form: ModelForm,
     cfg: &SelectionConfig,
     ctx: &mut crate::pipeline::PipelineCtx,
 ) -> Result<Selection, CoreError> {
-    select_variables_inner(family, observations, states, form, cfg, &mut ctx.telemetry)
+    select_variables_inner(family, observations, states, cfg, &mut ctx.telemetry)
 }
 
 /// The selection body behind [`select_variables`], for callers that carry
@@ -121,7 +117,6 @@ pub(crate) fn select_variables_inner(
     family: VariableFamily,
     observations: &[Observation],
     states: &StateSet,
-    form: ModelForm,
     cfg: &SelectionConfig,
     tel: &mut Telemetry,
 ) -> Result<Selection, CoreError> {
@@ -152,7 +147,7 @@ pub(crate) fn select_variables_inner(
     let mut current: Vec<usize> = family
         .basic_indexes()
         .into_iter()
-        .filter(|&j| max_abs_corr(&columns, &y_by_state, j) >= cfg.min_corr)
+        .filter(|&j| max_abs_corr(&columns, &y_by_state, j) >= MIN_CORR)
         .collect();
     if current.is_empty() {
         // Degenerate workload; fall back to the full basic set and let the
@@ -165,49 +160,33 @@ pub(crate) fn select_variables_inner(
     // Step 1b: multicollinearity screen on the starting set. Among a
     // collinear group, the variable least correlated with the response is
     // the one sacrificed.
-    let screened = drop_high_vif(&mut current, &moments, cfg.vif_threshold, |j| relevance[j])?;
+    let screened = drop_high_vif(&mut current, &moments, |j| relevance[j])?;
     tel.inc("selection.vif_screened", screened as u64);
 
-    let form = form.for_states(states);
+    let form = ModelForm::for_states(states);
     // One set of column-subset blocks and one solver workspace serve
-    // every candidate fit of the search.
+    // every candidate fit of the search: each slices the per-state blocks
+    // (column subset) and solves in O(k³), never rescanning observations.
     let mut sub = vec![GramAccumulator::new(0); moments.blocks.len()];
     let mut ws = GramWorkspace::default();
     let mut fit = |idx: &[usize], tel: &mut Telemetry| -> Result<Scored, CoreError> {
-        match cfg.engine {
-            FitEngine::FullRefit => {
-                let model =
-                    fit_cost_model(form, states.clone(), idx.to_vec(), names(idx), observations)?;
-                Ok(Scored::from_model(model))
-            }
-            // Slices the per-state blocks (column subset) and solves in
-            // O(k³): the observations are never rescanned.
-            FitEngine::Gram => {
-                let cols = StateMoments::columns(idx);
-                for (block, out) in moments.blocks.iter().zip(&mut sub) {
-                    block.subset_into(&cols, out).map_err(CoreError::Numeric)?;
-                }
-                let pooled_n: usize = sub.iter().map(|b| b.n()).sum();
-                let gram = fit_gram_from_blocks(form, idx.len(), &sub, &mut ws)?;
-                tel.inc("fit.gram.solves", 1);
-                if gram.solved_by_cholesky {
-                    tel.inc("fit.gram.cholesky", 1);
-                } else {
-                    tel.inc("fit.gram.qr_fallback", 1);
-                }
-                tel.inc("fit.gram.rescans_avoided", pooled_n as u64);
-                Ok(Scored {
-                    see: gram.see,
-                    coefficients: adjusted_coefficients(
-                        form,
-                        states.len(),
-                        idx.len(),
-                        &gram.coefficients,
-                    ),
-                    model: None,
-                })
-            }
+        let cols = StateMoments::columns(idx);
+        for (block, out) in moments.blocks.iter().zip(&mut sub) {
+            block.subset_into(&cols, out).map_err(CoreError::Numeric)?;
         }
+        let pooled_n: usize = sub.iter().map(|b| b.n()).sum();
+        let gram = fit_gram_from_blocks(form, idx.len(), &sub, &mut ws)?;
+        tel.inc("fit.gram.solves", 1);
+        if gram.solved_by_cholesky {
+            tel.inc("fit.gram.cholesky", 1);
+        } else {
+            tel.inc("fit.gram.qr_fallback", 1);
+        }
+        tel.inc("fit.gram.rescans_avoided", pooled_n as u64);
+        Ok(Scored {
+            see: gram.see,
+            coefficients: adjusted_coefficients(form, states.len(), idx.len(), &gram.coefficients),
+        })
     };
 
     let mut model = fit(&current, tel)?;
@@ -228,7 +207,7 @@ pub(crate) fn select_variables_inner(
             Ok(reduced_model) => {
                 let see = model.see.max(f64::MIN_POSITIVE);
                 let delta = (reduced_model.see - model.see) / see;
-                if delta < cfg.backward_tolerance {
+                if delta < BACKWARD_TOLERANCE {
                     current = reduced;
                     model = reduced_model;
                     tel.inc("selection.vars_eliminated", 1);
@@ -274,14 +253,14 @@ pub(crate) fn select_variables_inner(
             .expect("non-empty pool");
         let score = scores[pos];
         pool.swap_remove(pos);
-        if score < cfg.min_corr {
+        if score < MIN_CORR {
             break; // Nothing left that explains the residuals.
         }
         let mut augmented = current.clone();
         augmented.push(cand);
         augmented.sort_unstable();
         // Reject candidates that would introduce multicollinearity.
-        if exceeds_vif(&augmented, cand, &moments, cfg.vif_threshold)? {
+        if exceeds_vif(&augmented, cand, &moments)? {
             tel.inc("selection.vif_rejections", 1);
             continue;
         }
@@ -297,20 +276,16 @@ pub(crate) fn select_variables_inner(
         }
     }
 
-    // The published model is always fitted from the observations by
+    // The published model is fitted from the observations by
     // `fit_cost_model` (one QR per contention state under the general
-    // form), so both engines produce identical selections *and* identical
-    // model numerics; the Gram engine only accelerated the candidate scan.
-    let model = match model.model {
-        Some(model) => model,
-        None => fit_cost_model(
-            form,
-            states.clone(),
-            current.clone(),
-            names(&current),
-            observations,
-        )?,
-    };
+    // form); the Gram blocks only scored the candidates.
+    let model = fit_cost_model(
+        form,
+        states.clone(),
+        current.clone(),
+        names(&current),
+        observations,
+    )?;
     let accumulator = moments.accumulator(&model)?;
 
     Ok(Selection {
@@ -321,24 +296,15 @@ pub(crate) fn select_variables_inner(
     })
 }
 
-/// A scored candidate variable set: the SEE that drives the search, the
+/// A scored candidate variable set: the SEE that drives the search and the
 /// adjusted per-state coefficients (for residual computation in the
-/// forward step), and — legacy engine only — the fitted model itself.
+/// forward step).
 struct Scored {
     see: f64,
     coefficients: Vec<Vec<f64>>,
-    model: Option<CostModel>,
 }
 
 impl Scored {
-    fn from_model(model: CostModel) -> Scored {
-        Scored {
-            see: model.fit.see,
-            coefficients: model.coefficients.clone(),
-            model: Some(model),
-        }
-    }
-
     /// Predicts the cost of an observation of contention state `s` — the
     /// same arithmetic as [`CostModel::estimate_in_state`], evaluated from
     /// the adjusted coefficients without materializing a model.
@@ -354,9 +320,9 @@ impl Scored {
 
 /// The second moments of one selection's observations: a Gram block per
 /// contention state over the row `[1, x_0..x_{width-1}]` (the full
-/// candidate width), and their pooled sum. Every VIF of the search and,
-/// under [`FitEngine::Gram`], every candidate fit is a column subset of
-/// these, so the observations are accumulated exactly once.
+/// candidate width), and their pooled sum. Every VIF and every candidate
+/// fit of the search is a column subset of these, so the observations are
+/// accumulated exactly once.
 struct StateMoments {
     blocks: Vec<GramAccumulator>,
     pooled: GramAccumulator,
@@ -500,14 +466,13 @@ fn per_state_corrs<'a>(
         .map(move |(cols, t)| cols[j].correlation(t).abs())
 }
 
-/// While any variable's VIF exceeds the threshold, removes — among those
-/// over the threshold — the one contributing least to explaining the
+/// While any variable's VIF exceeds [`VIF_THRESHOLD`], removes — among
+/// those over it — the one contributing least to explaining the
 /// response (`relevance`), preserving the strongest predictors. Returns the
 /// number of variables removed.
 fn drop_high_vif(
     current: &mut Vec<usize>,
     moments: &StateMoments,
-    threshold: f64,
     relevance: impl Fn(usize) -> f64,
 ) -> Result<usize, CoreError> {
     let mut dropped = 0;
@@ -517,7 +482,7 @@ fn drop_high_vif(
         let Some(drop_pos) = vifs
             .iter()
             .enumerate()
-            .filter(|(_, &v)| v > threshold)
+            .filter(|(_, &v)| v > VIF_THRESHOLD)
             .map(|(pos, _)| pos)
             .min_by(|&a, &b| {
                 relevance(current[a])
@@ -533,19 +498,18 @@ fn drop_high_vif(
     Ok(dropped)
 }
 
-/// Whether adding `cand` to the set pushes *its own* VIF over the threshold
-/// (only that one VIF is computed).
+/// Whether adding `cand` to the set pushes *its own* VIF over
+/// [`VIF_THRESHOLD`] (only that one VIF is computed).
 fn exceeds_vif(
     augmented: &[usize],
     cand: usize,
     moments: &StateMoments,
-    threshold: f64,
 ) -> Result<bool, CoreError> {
     let pos = augmented
         .iter()
         .position(|&i| i == cand)
         .expect("candidate is in the augmented set");
-    Ok(moments.max_vif(augmented, &[pos])?[0] > threshold)
+    Ok(moments.max_vif(augmented, &[pos])?[0] > VIF_THRESHOLD)
 }
 
 #[cfg(test)]
@@ -589,7 +553,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -607,7 +570,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -639,7 +601,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -661,7 +622,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -676,7 +636,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &StateSet::single(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -723,7 +682,6 @@ mod tests {
             VariableFamily::Join,
             &obs,
             &states,
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -745,7 +703,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut ctx,
         )
@@ -766,7 +723,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )
@@ -795,7 +751,6 @@ mod tests {
                     VariableFamily::Unary,
                     &obs,
                     &states(),
-                    ModelForm::General,
                     &SelectionConfig::default(),
                     &mut PipelineCtx::default(),
                 );
@@ -831,7 +786,6 @@ mod tests {
                         VariableFamily::Unary,
                         &obs,
                         &states(),
-                        ModelForm::General,
                         &SelectionConfig::default(),
                         &mut PipelineCtx::default(),
                     )
@@ -1021,7 +975,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         );
@@ -1038,7 +991,6 @@ mod tests {
             VariableFamily::Unary,
             &obs,
             &states(),
-            ModelForm::General,
             &SelectionConfig::default(),
             &mut PipelineCtx::default(),
         )

@@ -25,9 +25,9 @@
 
 use crate::model::{
     adjusted_coefficients, counts_per_state, fit_cost_model, fit_gram_from_blocks,
-    min_obs_per_state, CostModel, FitEngine, ModelForm,
+    min_obs_per_state, CostModel, ModelForm,
 };
-use crate::observation::{check_moments, check_sample, check_values, Observation};
+use crate::observation::{check_moments, check_values, Observation};
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
@@ -51,20 +51,6 @@ pub struct StatesConfig {
     pub min_r2_gain: f64,
     /// Minimum *relative* SEE reduction for an extra state.
     pub min_see_gain: f64,
-    /// Maximum relative difference between adjacent states' adjusted
-    /// coefficients below which the states are merged in phase 2.
-    pub merge_threshold: f64,
-    /// Regression form fitted at each step (the paper uses General).
-    pub form: ModelForm,
-    /// Consecutive insufficient-improvement steps tolerated before phase 1
-    /// stops. Gains are not monotone in `m` (uniform boundaries shift as
-    /// the partition refines), so stopping at the first flat step can
-    /// strand the model at a too-coarse partition.
-    pub patience: usize,
-    /// How candidate partitions are scored (the search returns only the
-    /// partition; its model is fitted once, from the observations, by
-    /// whoever publishes it).
-    pub engine: FitEngine,
 }
 
 impl Default for StatesConfig {
@@ -73,19 +59,27 @@ impl Default for StatesConfig {
             max_states: 6,
             min_r2_gain: 0.01,
             min_see_gain: 0.02,
-            merge_threshold: 0.15,
-            form: ModelForm::General,
-            patience: 2,
-            engine: FitEngine::default(),
         }
     }
 }
+
+/// Consecutive insufficient-improvement steps tolerated before phase 1
+/// stops. Gains are not monotone in `m` (uniform boundaries shift as the
+/// partition refines), so stopping at the first flat step can strand the
+/// model at a too-coarse partition.
+const PATIENCE: usize = 2;
+
+/// Maximum relative difference between adjacent states' adjusted
+/// coefficients below which phase 2 merges the states.
+const MERGE_THRESHOLD: f64 = 0.15;
 
 /// A supplier of extra observations targeted at a probing-cost subrange.
 ///
 /// `draw_in_range(lo, hi)` should execute one more sample query in an
 /// environment whose probing cost lies in `[lo, hi)` and return its
-/// observation, or `None` when that environment cannot be produced.
+/// observation, or `None` when that environment cannot be produced. A
+/// draw outside `[lo, hi)` is discarded and ends the targeted resampling
+/// of that state, as `None` does.
 pub trait ObservationSource {
     /// Attempts to produce one observation with `probe_cost ∈ [lo, hi)`.
     fn draw_in_range(&mut self, lo: f64, hi: f64) -> Option<Observation>;
@@ -165,7 +159,7 @@ pub fn determine_states(
         &mut ctx.telemetry,
     )?;
     let model = fit_cost_model(
-        cfg.form.for_states(&search.states),
+        ModelForm::for_states(&search.states),
         search.states,
         var_indexes.to_vec(),
         var_names.to_vec(),
@@ -194,52 +188,25 @@ pub(crate) fn determine_states_inner(
     // Probe costs are sorted and clustered, and the fits sum squares: a
     // non-finite or overflowing sample is a typed error, not a panic in a
     // comparator or a model with non-finite coefficients.
-    let width = var_indexes.iter().max().map_or(0, |&j| j + 1);
+    check_values(observations, var_indexes.iter().max().map_or(0, |&j| j + 1))?;
 
-    // The Gram engine accumulates every observation once, in probing-cost
-    // order, so each candidate partition is fitted from prefix differences
-    // without rescanning the sample. Rebuilt only when `populate_or_merge`
-    // draws extra observations (`fit.gram.prefix_builds` counts those).
-    // Its prefix total is the sample's second moments, so the overflow
-    // check reads them there instead of accumulating them again.
-    let mut cache = match cfg.engine {
-        FitEngine::FullRefit => {
-            check_sample(observations, width, var_indexes)?;
-            None
-        }
-        FitEngine::Gram => {
-            check_values(observations, width)?;
-            let cache = GramCache::build(observations, var_indexes, tel)?;
-            check_moments(&cache.total()?)?;
-            Some(cache)
-        }
-    };
+    // Every observation is accumulated once, in probing-cost order, so each
+    // candidate partition is fitted from prefix differences without
+    // rescanning the sample. Rebuilt only when `populate_or_merge` draws
+    // extra observations (`fit.gram.prefix_builds` counts those). Its
+    // prefix total is the sample's second moments, so the overflow check
+    // reads them there instead of accumulating them again.
+    let mut cache = GramCache::build(observations, var_indexes, tel)?;
+    check_moments(&cache.total()?)?;
 
     // One solver workspace serves every candidate fit of the search.
     let mut ws = GramWorkspace::default();
-    let fit_candidate = |obs: &[Observation],
-                         states: StateSet,
-                         cache: &Option<GramCache>,
-                         ws: &mut GramWorkspace,
-                         tel: &mut Telemetry| {
-        let form = cfg.form.for_states(&states);
-        match cache {
-            None => {
-                // Names only label the model; the search reads its numbers.
-                let names = vec![String::new(); var_indexes.len()];
-                let model = fit_cost_model(form, states, var_indexes.to_vec(), names, obs)?;
-                Ok(Candidate::from_model(model))
-            }
-            Some(cache) => {
-                let blocks = cache.blocks(&states)?;
-                Candidate::from_blocks(form, states, var_indexes.len(), blocks, ws, tel)
-            }
-        }
-    };
+    let p = var_indexes.len();
 
     // Phase 1, m = 1: the static special case (fit errors propagate — an
-    // unusable sample aborts the derivation in either engine).
-    let mut best = fit_candidate(observations, StateSet::single(), &cache, &mut ws, tel)?;
+    // unusable sample aborts the derivation).
+    let single = StateSet::single();
+    let mut best = Candidate::fit(cache.blocks(&single)?, single, p, &mut ws, tel)?;
     let mut history = vec![IterationStats {
         states: 1,
         r_squared: best.r_squared,
@@ -280,9 +247,7 @@ pub(crate) fn determine_states_inner(
             // and the cluster path are stale; rebuild them once for this
             // (and later) proposals.
             cluster_path = None;
-            if cache.is_some() {
-                cache = Some(GramCache::build(observations, var_indexes, tel)?);
-            }
+            cache = GramCache::build(observations, var_indexes, tel)?;
         }
         if states.len() <= history.last().map_or(1, |h| h.states)
             && states.len() <= best.num_states()
@@ -296,7 +261,7 @@ pub(crate) fn determine_states_inner(
         // not viable, the same situation as a collapsed proposal above, so
         // it is skipped rather than aborting the whole derivation. Other
         // numeric failures still propagate.
-        let candidate = match fit_candidate(observations, states, &cache, &mut ws, tel) {
+        let candidate = match Candidate::fit(cache.blocks(&states)?, states, p, &mut ws, tel) {
             Ok(candidate) => candidate,
             Err(CoreError::Numeric(mdbs_stats::StatsError::Singular)) => {
                 tel.inc("states.rank_deficient_skipped", 1);
@@ -315,7 +280,7 @@ pub(crate) fn determine_states_inner(
             // Not improving sufficiently (Algorithm 3.1 l. 13) — but give
             // the refinement a little patience before giving up.
             flat_steps += 1;
-            if flat_steps >= cfg.patience.max(1) {
+            if flat_steps >= PATIENCE {
                 break;
             }
         } else {
@@ -324,35 +289,22 @@ pub(crate) fn determine_states_inner(
         }
     }
 
-    // Phase 2: merging adjustment. The Gram engine combines the two
-    // adjacent states' accumulator blocks (`+`) and re-solves in O(k³);
-    // the legacy engine refits from scratch. Fit errors propagate here in
-    // both engines, as before.
+    // Phase 2: merging adjustment. The two adjacent states' accumulator
+    // blocks are combined (`+=`) and re-solved in O(k³); fit errors
+    // propagate.
     let mut merges = 0;
-    while let Some(i) = first_merge_candidate(&best.coefficients, cfg.merge_threshold) {
+    while let Some(i) = first_merge_candidate(&best.coefficients) {
         let merged_states = best.states.merge_with_next(i)?;
-        best = match best.blocks {
-            None => fit_candidate(observations, merged_states, &cache, &mut ws, tel)?,
-            Some(mut blocks) => {
-                let right = blocks.remove(i + 1);
-                blocks[i] += &right;
-                Candidate::from_blocks(
-                    cfg.form.for_states(&merged_states),
-                    merged_states,
-                    var_indexes.len(),
-                    blocks,
-                    &mut ws,
-                    tel,
-                )?
-            }
-        };
+        let mut blocks = best.blocks;
+        let right = blocks.remove(i + 1);
+        blocks[i] += &right;
+        best = Candidate::fit(blocks, merged_states, p, &mut ws, tel)?;
         merges += 1;
         tel.inc("states.merges", 1);
     }
 
     // The search ends with the partition: whoever publishes a model fits
-    // it once, from the observations, so both engines export identical
-    // catalogs; the Gram engine only accelerated the search.
+    // it once, from the observations (`fit_cost_model`).
     Ok(StatesSearch {
         states: best.states,
         history,
@@ -360,38 +312,28 @@ pub(crate) fn determine_states_inner(
     })
 }
 
-/// One scored candidate partition during the search. The Gram engine
-/// also carries the per-state accumulator blocks, so phase 2 can merge
-/// them.
+/// One scored candidate partition during the search, with its per-state
+/// accumulator blocks, so phase 2 can merge them.
 struct Candidate {
     states: StateSet,
     r_squared: f64,
     see: f64,
     /// Adjusted per-state coefficients (phase 2 compares these).
     coefficients: Vec<Vec<f64>>,
-    /// Per-state Gram blocks (Gram engine only).
-    blocks: Option<Vec<GramAccumulator>>,
+    blocks: Vec<GramAccumulator>,
 }
 
 impl Candidate {
-    fn from_model(model: CostModel) -> Candidate {
-        Candidate {
-            states: model.states,
-            r_squared: model.fit.r_squared,
-            see: model.fit.see,
-            coefficients: model.coefficients,
-            blocks: None,
-        }
-    }
-
-    fn from_blocks(
-        form: ModelForm,
+    /// Scores the partition `states` of the `p` search variables from its
+    /// per-state blocks.
+    fn fit(
+        blocks: Vec<GramAccumulator>,
         states: StateSet,
         p: usize,
-        blocks: Vec<GramAccumulator>,
         ws: &mut GramWorkspace,
         tel: &mut Telemetry,
     ) -> Result<Candidate, CoreError> {
+        let form = ModelForm::for_states(&states);
         let pooled_n: usize = blocks.iter().map(|b| b.n()).sum();
         let gram = fit_gram_from_blocks(form, p, &blocks, ws)?;
         tel.inc("fit.gram.solves", 1);
@@ -406,7 +348,7 @@ impl Candidate {
             states,
             r_squared: gram.r_squared,
             see: gram.see,
-            blocks: Some(blocks),
+            blocks,
         })
     }
 
@@ -415,7 +357,7 @@ impl Candidate {
     }
 }
 
-/// The Gram engine's per-derivation cache: every observation accumulated
+/// The search's per-derivation cache: every observation accumulated
 /// once in probing-cost order, as prefix sums, so any contiguous partition
 /// (uniform IUPMA slice, ICMA cluster cut, or phase-2 merge) is fitted by
 /// prefix difference.
@@ -522,14 +464,16 @@ fn populate_or_merge(
         let missing = need - counts[thin];
         let mut drawn = 0;
         for _ in 0..missing {
+            // A draw outside `[lo, hi)` ends the state's draws as `None`
+            // does: it would fill another state, and a source that kept
+            // answering out of range would never stop.
             match source.draw_in_range(lo, hi) {
-                Some(obs) => {
-                    debug_assert!(states.state_of(obs.probe_cost) == thin);
+                Some(obs) if (lo..hi).contains(&obs.probe_cost) => {
                     observations.push(obs);
                     drawn += 1;
                     tel.inc("states.resample_draws", 1);
                 }
-                None => break,
+                _ => break,
             }
         }
         if drawn == missing {
@@ -553,10 +497,11 @@ fn populate_or_merge(
 
 /// Finds the first adjacent pair of states whose adjusted coefficients are
 /// so close that separating them is unnecessary (Algorithm 3.1 l. 17–21).
-fn first_merge_candidate(coefficients: &[Vec<f64>], threshold: f64) -> Option<usize> {
+fn first_merge_candidate(coefficients: &[Vec<f64>]) -> Option<usize> {
     let m = coefficients.len();
-    (0..m.saturating_sub(1))
-        .find(|&i| max_relative_coef_error(&coefficients[i], &coefficients[i + 1]) < threshold)
+    (0..m.saturating_sub(1)).find(|&i| {
+        max_relative_coef_error(&coefficients[i], &coefficients[i + 1]) < MERGE_THRESHOLD
+    })
 }
 
 /// `max_j |a_j − b_j| / max(|a_j|, |b_j|)` over the coefficient vectors.
@@ -625,11 +570,11 @@ mod tests {
     }
 
     /// A NaN, ±∞ or ±1e200 at observation 17 of 200 — in the cost, the
-    /// variable or the probe cost, for either algorithm and either engine
-    /// — is a typed error or a finite model, never a panic (a NaN probe
-    /// cost broke the Gram cache's sort) and never an `Ok` model with
-    /// non-finite coefficients (a non-finite or overflowing cost or
-    /// variable did). Only a huge but finite probe cost may still fit.
+    /// variable or the probe cost, for either algorithm — is a typed error
+    /// or a finite model, never a panic (a NaN probe cost broke the Gram
+    /// cache's sort) and never an `Ok` model with non-finite coefficients
+    /// (a non-finite or overflowing cost or variable did). Only a huge but
+    /// finite probe cost may still fit.
     #[test]
     fn non_finite_or_overflowing_samples_are_typed_errors() {
         type Field = fn(&mut Observation) -> &mut f64;
@@ -640,53 +585,47 @@ mod tests {
         ];
         let mut cases = 0;
         for algorithm in [StateAlgorithm::Iupma, StateAlgorithm::Icma] {
-            for engine in [FitEngine::FullRefit, FitEngine::Gram] {
-                for (name, field) in fields {
-                    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200] {
-                        let at = format!("{algorithm:?} {engine:?} {name}={bad}");
-                        let mut obs = regime_observations(4, 50);
-                        *field(&mut obs[17]) = bad;
-                        let cfg = StatesConfig {
-                            engine,
-                            ..StatesConfig::default()
-                        };
-                        let result = std::panic::catch_unwind(move || {
-                            determine_states(
-                                algorithm,
-                                &mut obs,
-                                &[0],
-                                &["x".to_string()],
-                                &cfg,
-                                &mut NoResampling,
-                                &mut PipelineCtx::default(),
-                            )
-                        })
-                        .unwrap_or_else(|_| panic!("{at}: determine_states panicked"));
-                        match result {
-                            Err(CoreError::Degenerate(msg)) if !bad.is_finite() => {
-                                assert!(msg.contains("observation 17"), "{at}: {msg}")
-                            }
-                            Err(CoreError::Degenerate(msg)) => {
-                                assert!(msg.contains("overflow"), "{at}: {msg}")
-                            }
-                            Ok(r) if bad.is_finite() && name == "probe_cost" => {
-                                let fit = &r.model.fit;
-                                assert!(
-                                    r.model.coefficients.iter().flatten().all(|c| c.is_finite())
-                                        && fit.r_squared.is_finite()
-                                        && fit.see.is_finite(),
-                                    "{at}: non-finite model {:?}",
-                                    r.model
-                                );
-                            }
-                            other => panic!("{at}: expected a typed error, got {other:?}"),
+            for (name, field) in fields {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200] {
+                    let at = format!("{algorithm:?} {name}={bad}");
+                    let mut obs = regime_observations(4, 50);
+                    *field(&mut obs[17]) = bad;
+                    let result = std::panic::catch_unwind(move || {
+                        determine_states(
+                            algorithm,
+                            &mut obs,
+                            &[0],
+                            &["x".to_string()],
+                            &StatesConfig::default(),
+                            &mut NoResampling,
+                            &mut PipelineCtx::default(),
+                        )
+                    })
+                    .unwrap_or_else(|_| panic!("{at}: determine_states panicked"));
+                    match result {
+                        Err(CoreError::Degenerate(msg)) if !bad.is_finite() => {
+                            assert!(msg.contains("observation 17"), "{at}: {msg}")
                         }
-                        cases += 1;
+                        Err(CoreError::Degenerate(msg)) => {
+                            assert!(msg.contains("overflow"), "{at}: {msg}")
+                        }
+                        Ok(r) if bad.is_finite() && name == "probe_cost" => {
+                            let fit = &r.model.fit;
+                            assert!(
+                                r.model.coefficients.iter().flatten().all(|c| c.is_finite())
+                                    && fit.r_squared.is_finite()
+                                    && fit.see.is_finite(),
+                                "{at}: non-finite model {:?}",
+                                r.model
+                            );
+                        }
+                        other => panic!("{at}: expected a typed error, got {other:?}"),
                     }
+                    cases += 1;
                 }
             }
         }
-        assert_eq!(cases, 60);
+        assert_eq!(cases, 30);
     }
 
     #[test]
@@ -722,7 +661,6 @@ mod tests {
             max_states: 6,
             min_r2_gain: -1.0, // Force phase 1 to keep splitting.
             min_see_gain: -1.0,
-            ..StatesConfig::default()
         };
         let result = determine_states(
             StateAlgorithm::Iupma,
@@ -818,6 +756,64 @@ mod tests {
         assert!(source.draws > 0, "hole never triggered resampling");
         assert!(obs.len() > before);
         assert!(result.model.fit.r_squared > 0.9);
+    }
+
+    /// A source that answers every targeted draw with a probe cost outside
+    /// the requested band is treated as one that answers nothing: no draw
+    /// is appended (an appended draw filled another state, and a source
+    /// that never says `None` kept the loop drawing forever), and the
+    /// search ends as it does under `NoResampling`.
+    #[test]
+    fn out_of_band_draws_end_the_resampling() {
+        // Uniform data with a hole in [5, 7.5): a middle state runs thin.
+        let sample = || -> Vec<Observation> {
+            (0..160)
+                .filter_map(|i| {
+                    let probe = (i % 100) as f64 / 10.0;
+                    let x = (i % 25) as f64;
+                    (!(5.0..7.5).contains(&probe)).then(|| Observation {
+                        x: vec![x],
+                        cost: (1.0 + probe / 2.0) * (1.0 + x),
+                        probe_cost: probe,
+                    })
+                })
+                .collect()
+        };
+        struct Stray {
+            draws: usize,
+        }
+        impl ObservationSource for Stray {
+            fn draw_in_range(&mut self, _lo: f64, hi: f64) -> Option<Observation> {
+                self.draws += 1;
+                Some(Observation {
+                    x: vec![1.0],
+                    cost: 1.0,
+                    probe_cost: hi + 100.0,
+                })
+            }
+        }
+        let run = |source: &mut dyn ObservationSource| {
+            let mut obs = sample();
+            let result = determine_states(
+                StateAlgorithm::Iupma,
+                &mut obs,
+                &[0],
+                &["x".to_string()],
+                &StatesConfig::default(),
+                source,
+                &mut PipelineCtx::default(),
+            )
+            .unwrap();
+            (result, obs)
+        };
+        let mut stray = Stray { draws: 0 };
+        let (got, got_obs) = run(&mut stray);
+        let (want, want_obs) = run(&mut NoResampling);
+        assert!(stray.draws > 0, "the hole never asked the source");
+        assert_eq!(got_obs, want_obs);
+        assert_eq!(got.model, want.model);
+        assert_eq!(got.history, want.history);
+        assert_eq!(got.merges, want.merges);
     }
 
     #[test]

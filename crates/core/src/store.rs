@@ -816,11 +816,13 @@ mod tests {
     fn sample_snapshot(version: u64) -> CatalogSnapshot {
         let mut catalog = GlobalCatalog::new();
         let model = sample_model(3);
-        let acc = ModelAccumulator::from_observations(&model, &sample_obs(3, 36, 0));
+        let acc = ModelAccumulator::from_observations(&model, &sample_obs(3, 36, 0))
+            .expect("finite sample");
         catalog.insert_model("site-a".into(), QueryClass::UnaryNoIndex, model);
         catalog.insert_accumulator("site-a".into(), QueryClass::UnaryNoIndex, acc);
         let model2 = sample_model(2);
-        let acc2 = ModelAccumulator::from_observations(&model2, &sample_obs(2, 24, 3));
+        let acc2 = ModelAccumulator::from_observations(&model2, &sample_obs(2, 24, 3))
+            .expect("finite sample");
         catalog.insert_model("site-a".into(), QueryClass::JoinNoIndex, model2);
         catalog.insert_accumulator("site-a".into(), QueryClass::JoinNoIndex, acc2);
         catalog.insert_model(
@@ -909,7 +911,8 @@ mod tests {
         // 3 models + 2 accumulators + 1 probe estimator. An accumulator
         // without a model is not persisted, so it is not counted.
         let mut snap = sample_snapshot(4);
-        let orphan = ModelAccumulator::from_observations(&sample_model(1), &[]);
+        let orphan =
+            ModelAccumulator::from_observations(&sample_model(1), &[]).expect("finite sample");
         snap.catalog
             .insert_accumulator("site-c".into(), QueryClass::JoinIndexed, orphan);
         for format in [CatalogFormat::Text, CatalogFormat::Binary] {

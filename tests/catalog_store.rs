@@ -64,7 +64,8 @@ fn derived_snapshot(version: u64) -> CatalogSnapshot {
                 &mut PipelineCtx::seeded(seed + 7),
             )
             .expect("derivation succeeds");
-            let acc = ModelAccumulator::from_observations(&derived.model, &derived.observations);
+            let acc = ModelAccumulator::from_observations(&derived.model, &derived.observations)
+                .expect("finite sample");
             if let Some(est) = derived.probe_estimator.clone() {
                 catalog.insert_probe_estimator(site.clone(), est);
             }

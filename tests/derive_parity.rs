@@ -94,7 +94,8 @@ fn derived_accumulators_equal_the_observation_pass() {
             for (job, derived) in derive_catalog(algorithm, seed) {
                 let at = format!("{} seed {seed}", job.label());
                 let want =
-                    ModelAccumulator::from_observations(&derived.model, &derived.observations);
+                    ModelAccumulator::from_observations(&derived.model, &derived.observations)
+                        .expect("finite sample");
                 assert_bitwise_equal(derived.accumulator(), &want, &at);
                 let planned = planned_sample_size(
                     job.class.family(),
@@ -172,7 +173,8 @@ fn rederived_accumulators_equal_the_observation_pass() {
         .expect("sane config");
     let mut maintainer = ModelMaintainer::new(derived, maintenance, cfg, job.algorithm);
     let check = |m: &ModelMaintainer, at: &str| {
-        let want = ModelAccumulator::from_observations(&m.derived.model, &m.derived.observations);
+        let want = ModelAccumulator::from_observations(&m.derived.model, &m.derived.observations)
+            .expect("finite sample");
         assert_bitwise_equal(m.accumulator(), &want, at);
     };
     check(&maintainer, "initial");

@@ -235,6 +235,56 @@ fn incremental_refit_absorbs_traffic_and_publishes() {
     assert_eq!(snap.model, m.derived.model);
 }
 
+/// A batch with a NaN cost, an observation too short for the model's
+/// variables, or a cost whose square overflows is a typed error from
+/// `refit_incremental` (a NaN cost used to publish a model with NaN
+/// coefficients, a short row to panic, and a 1e200 cost a model with
+/// coefficients near 1e198, R² = 1 and SEE = 0), and leaves the
+/// accumulator's bytes, the sample, the model and the registry exactly as
+/// they were.
+#[test]
+fn incremental_refit_rejects_a_poisoned_batch_unchanged() {
+    let mut agent = dynamic_agent(73);
+    let mut m = maintainer(&mut agent);
+    let mut registry = ModelRegistry::new();
+    let site = mdbs_core::catalog::SiteId::from("site-1");
+    registry.publish(site.clone(), m.class(), m.derived.model.clone());
+    let bytes = |m: &ModelMaintainer| -> Vec<Vec<u8>> {
+        m.accumulator()
+            .blocks()
+            .iter()
+            .map(|b| b.to_bytes())
+            .collect()
+    };
+    let (acc_before, model_before) = (bytes(&m), m.derived.model.clone());
+    let (n_before, version_before) = (m.derived.observations.len(), registry.version());
+
+    let fresh = fresh_observations(&mut agent, 40, 74);
+    let mut nan = fresh.clone();
+    nan[17].cost = f64::NAN;
+    let mut short = fresh.clone();
+    short[23].x.truncate(1);
+    let mut huge = fresh;
+    huge[31].cost = 1e200;
+    for (what, batch) in [("NaN cost", nan), ("short row", short), ("huge cost", huge)] {
+        let result = m.refit_incremental(
+            &site,
+            &batch,
+            Some(&mut registry),
+            &mut PipelineCtx::default(),
+        );
+        assert!(
+            matches!(result, Err(mdbs_core::CoreError::Degenerate(_))),
+            "{what}: {result:?}"
+        );
+        assert_eq!(bytes(&m), acc_before, "{what}: accumulator changed");
+        assert_eq!(m.derived.model, model_before, "{what}: model changed");
+        assert_eq!(m.derived.observations.len(), n_before, "{what}");
+        assert_eq!(registry.version(), version_before, "{what}: published");
+        assert_eq!(m.incremental_refits, 0, "{what}");
+    }
+}
+
 /// The accumulator survives the catalog text format: persist `gram-entry`
 /// blocks, restore into a fresh maintainer, and continue incremental
 /// refits from the exact same statistics.

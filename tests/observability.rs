@@ -52,7 +52,8 @@ fn seeded_catalog() -> CatalogSnapshot {
     catalog.insert_accumulator(
         site,
         QueryClass::UnaryNoIndex,
-        ModelAccumulator::from_observations(&derived.model, &derived.observations),
+        ModelAccumulator::from_observations(&derived.model, &derived.observations)
+            .expect("finite sample"),
     );
     CatalogSnapshot::at_version(catalog, 0)
 }

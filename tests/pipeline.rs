@@ -198,7 +198,6 @@ fn sort_variable_selected_for_sorted_workloads() {
             fit_probe_estimator: false,
             selection: SelectionConfig {
                 forward_min_gain: 0.005,
-                ..SelectionConfig::default()
             },
             ..DerivationConfig::default()
         };

@@ -106,7 +106,8 @@ fn seeded_catalog() -> CatalogSnapshot {
     catalog.insert_accumulator(
         site.clone(),
         QueryClass::UnaryNoIndex,
-        ModelAccumulator::from_observations(&derived.model, &derived.observations),
+        ModelAccumulator::from_observations(&derived.model, &derived.observations)
+            .expect("finite sample"),
     );
     catalog.insert_model(site, QueryClass::UnaryNoIndex, derived.model);
     CatalogSnapshot::at_version(catalog, 0)
