@@ -57,11 +57,12 @@ fn main() {
                     job_agent,
                     &mut PipelineCtx::seeded(7),
                 );
+                assert!(
+                    outcomes.iter().all(|o| o.result.is_ok()),
+                    "derivation succeeds"
+                );
                 let mut snapshot = CatalogSnapshot::new();
-                for outcome in &outcomes {
-                    let derived = outcome.result.as_ref().expect("derivation succeeds");
-                    snapshot.publish_derived(&outcome.job.site, derived);
-                }
+                snapshot.publish_batch(&outcomes);
                 snapshot.catalog.export_versioned(snapshot.version)
             },
         );

@@ -236,10 +236,9 @@ pub fn probe_ablation(
         &cfg,
         &mut PipelineCtx::seeded(seed_for(site, class, 45)),
     )?;
-    let estimator: &ProbeCostEstimator = derived
-        .probe_estimator
-        .as_ref()
-        .expect("estimator requested in config");
+    let estimator: ProbeCostEstimator = derived
+        .probe_estimator()
+        .expect("estimator requested in config")?;
 
     // Test flow executed once; each query priced twice (observed probe vs
     // estimated probe from a statistics snapshot).

@@ -375,7 +375,7 @@ fn cmd_derive(args: &Args) -> Result<String, CliError> {
         let derived = derive_cost_model(&mut agent, class, algorithm, &cfg, &mut ctx)?;
 
         let mut snapshot = load_snapshot_or_empty(&out_path, &mut ctx.telemetry)?;
-        snapshot.publish_derived(&site.id().into(), &derived);
+        snapshot.publish_derived(&site.id().into(), &derived)?;
         FileCatalogStore::sniffing(&out_path).store(&snapshot, &mut ctx.telemetry)?;
 
         let mut out = String::new();
@@ -437,13 +437,13 @@ fn cmd_derive(args: &Args) -> Result<String, CliError> {
     );
 
     let mut snapshot = load_snapshot_or_empty(&out_path, &mut ctx.telemetry)?;
+    let discarded = snapshot.publish_batch(&outcomes);
     let mut lines = String::new();
     let mut ok = 0usize;
     for outcome in &outcomes {
         match &outcome.result {
             Ok(derived) => {
                 ok += 1;
-                snapshot.publish_derived(&outcome.job.site, derived);
                 lines.push_str(&format!(
                     "  {}: {} states | R^2 = {:.3} | SEE = {:.3} ({} samples)\n",
                     outcome.job.label(),
@@ -455,6 +455,12 @@ fn cmd_derive(args: &Args) -> Result<String, CliError> {
             }
             Err(e) => lines.push_str(&format!("  {}: FAILED: {e}\n", outcome.job.label())),
         }
+    }
+    for (index, e) in &discarded {
+        lines.push_str(&format!(
+            "  {}: probe estimator not kept: {e}\n",
+            outcomes[*index].job.label()
+        ));
     }
     if ok == 0 {
         return Err(CliError::Invalid(format!(

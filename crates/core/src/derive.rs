@@ -11,11 +11,16 @@
 //!    thin,
 //! 4. run mixed backward/forward variable selection with the states fixed
 //!    ([`crate::selection`]),
-//! 5. fit the probing-cost estimator of eq. (2) ([`crate::probing`]),
-//! 6. return the final model plus everything a report needs (iteration
-//!    history, sample statistics, the model's sufficient statistics); the
-//!    one-state comparison model is fitted on demand
-//!    ([`DerivedModel::one_state`]).
+//! 5. return the final model plus everything a report needs (iteration
+//!    history, sample statistics, the model's sufficient statistics).
+//!
+//! Two by-products are fitted only on demand: the one-state comparison
+//! model ([`DerivedModel::one_state`]) and the probing-cost estimator of
+//! eq. (2) ([`DerivedModel::probe_estimator`], [`crate::probing`]), whose
+//! monitor readings step 2 takes deferred. A catalog keeps one estimator
+//! per site, so publishing a batch
+//! ([`crate::store::CatalogSnapshot::publish_batch`]) fits only the one it
+//! keeps.
 
 use crate::catalog::SiteId;
 use crate::classes::QueryClass;
@@ -31,7 +36,7 @@ use crate::states::{
 };
 use crate::CoreError;
 use mdbs_obs::Telemetry;
-use mdbs_sim::{MdbsAgent, SystemStats};
+use mdbs_sim::{DeferredStats, MachineSpec, MdbsAgent};
 use mdbs_stats::rng::split_stream;
 
 /// Configuration of the whole derivation pipeline.
@@ -43,7 +48,8 @@ pub struct DerivationConfig {
     pub selection: SelectionConfig,
     /// Override the planned sample size (None → eq. (4)).
     pub sample_size: Option<usize>,
-    /// Whether to fit the eq.-(2) probing-cost estimator.
+    /// Whether to log the eq.-(2) probing-cost estimator's sample, so
+    /// [`DerivedModel::probe_estimator`] can fit it.
     pub fit_probe_estimator: bool,
 }
 
@@ -97,8 +103,9 @@ pub struct DerivedModel {
     pub merges: usize,
     /// The observations the models were fitted on.
     pub observations: Vec<Observation>,
-    /// The probing-cost estimator (when requested).
-    pub probe_estimator: Option<ProbeCostEstimator>,
+    /// The eq.-(2) estimator's sample, when requested; read the estimator
+    /// through [`DerivedModel::probe_estimator`].
+    pub(crate) probe_sample: Option<ProbeSample>,
     /// Mean observed cost of the sample queries (reported in Table 5).
     pub avg_sample_cost: f64,
 }
@@ -116,6 +123,37 @@ impl DerivedModel {
     pub fn one_state(&self) -> Result<CostModel, CoreError> {
         fit_one_state(&self.model, &self.observations)
     }
+
+    /// The probing-cost estimator of eq. (2), fitted on the monitor
+    /// readings taken before each first-pass probe; `None` when the
+    /// derivation was not asked for it
+    /// ([`DerivationConfig::fit_probe_estimator`]). Fitted on each call.
+    pub fn probe_estimator(&self) -> Option<Result<ProbeCostEstimator, CoreError>> {
+        self.probe_sample.as_ref().map(ProbeSample::fit)
+    }
+}
+
+/// Significance level of the estimator's backward elimination.
+const PROBE_ALPHA: f64 = 0.05;
+
+/// The eq.-(2) sample of one derivation: a deferred monitor reading and
+/// the probing cost that followed it per first-pass observation, and the
+/// spec of the machine they were taken on.
+#[derive(Debug, Clone)]
+pub(crate) struct ProbeSample {
+    spec: MachineSpec,
+    readings: Vec<(DeferredStats, f64)>,
+}
+
+impl ProbeSample {
+    fn fit(&self) -> Result<ProbeCostEstimator, CoreError> {
+        ProbeCostEstimator::fit_rows(
+            self.readings
+                .iter()
+                .map(|(reading, probe)| (reading.read(&self.spec).probe_predictors(), *probe)),
+            PROBE_ALPHA,
+        )
+    }
 }
 
 /// The one-state comparison model of `model` over its fitting sample.
@@ -131,31 +169,38 @@ fn fit_one_state(model: &CostModel, observations: &[Observation]) -> Result<Cost
 
 /// Collects `n` observations for a class: tick the environment, measure the
 /// probing cost, run the sample query, extract the Table-3 variables.
-/// Optionally records `(stats, probe)` pairs for eq. (2).
+///
+/// With a `probe_log`, each probe is preceded by the environment
+/// monitor's reading, logged with the probing cost as an eq.-(2) pair.
+/// The reading is deferred ([`MdbsAgent::stats_deferred`]): only an
+/// estimator that is fitted evaluates its readings, and the agent's
+/// generator moves exactly as an eager `stats()` call would move it.
 pub fn collect_observations(
     agent: &mut MdbsAgent,
     class: QueryClass,
     n: usize,
     generator: &mut SampleGenerator,
-    mut probe_log: Option<&mut Vec<(SystemStats, f64)>>,
+    mut probe_log: Option<&mut Vec<(DeferredStats, f64)>>,
 ) -> Result<Vec<Observation>, CoreError> {
     let family = class.family();
     let mut observations = Vec::with_capacity(n);
     while observations.len() < n {
-        let query = generator.generate(class, agent.catalog());
-        let Some(x) = family.extract(agent.catalog(), &query) else {
+        let query = generator.next_query(class, agent.catalog());
+        let Some(x) = family.extract(agent.catalog(), query) else {
             continue; // Shape mismatch cannot happen for generated queries.
         };
         agent.tick();
-        if let Some(log) = probe_log.as_deref_mut() {
-            log.push((agent.stats(), 0.0));
-        }
-        let probe_cost = agent.probe();
-        if let Some(log) = probe_log.as_deref_mut() {
-            log.last_mut().expect("just pushed").1 = probe_cost;
-        }
+        let probe_cost = match probe_log.as_deref_mut() {
+            Some(log) => {
+                let reading = agent.stats_deferred();
+                let probe_cost = agent.probe();
+                log.push((reading, probe_cost));
+                probe_cost
+            }
+            None => agent.probe(),
+        };
         let exec = agent
-            .run(&query)
+            .run(query)
             .map_err(|e| CoreError::Agent(e.to_string()))?;
         observations.push(Observation {
             x,
@@ -187,9 +232,9 @@ impl ObservationSource for AgentSource<'_> {
             if !(probe_cost >= lo && probe_cost < hi) {
                 continue;
             }
-            let query = self.generator.generate(self.class, self.agent.catalog());
-            let x = family.extract(self.agent.catalog(), &query)?;
-            let exec = self.agent.run(&query).ok()?;
+            let query = self.generator.next_query(self.class, self.agent.catalog());
+            let x = family.extract(self.agent.catalog(), query)?;
+            let exec = self.agent.run(query).ok()?;
             return Some(Observation {
                 x,
                 cost: exec.cost_s,
@@ -249,7 +294,7 @@ pub(crate) fn derive_inner(
     }
 
     let mut generator = SampleGenerator::new(seed);
-    let mut probe_log = Vec::new();
+    let mut readings = Vec::new();
     let span = tel.begin_span("derive.sampling");
     let clock0 = agent.clock_s();
     let mut observations = collect_observations(
@@ -257,8 +302,12 @@ pub(crate) fn derive_inner(
         class,
         n,
         &mut generator,
-        cfg.fit_probe_estimator.then_some(&mut probe_log),
+        cfg.fit_probe_estimator.then_some(&mut readings),
     )?;
+    let probe_sample = cfg.fit_probe_estimator.then(|| ProbeSample {
+        spec: agent.machine().spec().clone(),
+        readings,
+    });
     tel.field(span, "observations", observations.len() as u64);
     tel.field(span, "virtual_s", agent.clock_s() - clock0);
     tel.end_span(span);
@@ -305,15 +354,12 @@ pub(crate) fn derive_inner(
     // The traced span reports the one-state comparison model; nothing else
     // in a derivation reads it, so it is fitted only while telemetry is on,
     // and a failed fit is reported in the span rather than failing a
-    // derivation that never needed it.
+    // derivation that never needed it. The probe estimator is fitted on
+    // demand ([`DerivedModel::probe_estimator`]); the span says whether
+    // its sample was logged.
     let span = tel.begin_span("derive.fit");
     let one_state = if tel.is_enabled() {
         Some(fit_one_state(&model, &observations))
-    } else {
-        None
-    };
-    let probe_estimator = if cfg.fit_probe_estimator {
-        Some(ProbeCostEstimator::fit(&probe_log, 0.05)?)
     } else {
         None
     };
@@ -324,7 +370,7 @@ pub(crate) fn derive_inner(
         Some(Err(e)) => tel.field(span, "one_state_error", e.to_string()),
         None => {}
     }
-    tel.field(span, "probe_estimator", probe_estimator.is_some());
+    tel.field(span, "probe_estimator", probe_sample.is_some());
     tel.end_span(span);
 
     let span = tel.begin_span("derive.validation");
@@ -348,7 +394,7 @@ pub(crate) fn derive_inner(
         history: search.history,
         merges: search.merges,
         observations,
-        probe_estimator,
+        probe_sample,
         avg_sample_cost,
     })
 }
@@ -450,6 +496,9 @@ pub struct BatchOutcome {
 /// across worker counts; only wall-clock fields and `pool.sched.*` metrics
 /// (worker count, steals, queue depth) differ, and
 /// [`mdbs_obs::telemetry::strip_wall_clock`] removes exactly those.
+///
+/// No job fits its probe estimator: a catalog keeps one per site, so
+/// [`crate::store::CatalogSnapshot::publish_batch`] fits the one it keeps.
 ///
 /// Telemetry: one `derive_all` span with per-job `derive` spans merged
 /// beneath it, the deterministic `pool.jobs_completed` counter, and the
@@ -570,6 +619,61 @@ mod tests {
         for ((_, probe), o) in log.iter().zip(&obs) {
             assert_eq!(*probe, o.probe_cost);
         }
+    }
+
+    /// A batch publish keeps each site's estimator from its last job whose
+    /// estimator fits, falling back past jobs whose fit fails (here: too
+    /// few readings), keeps their models, and reports each discarded fit.
+    #[test]
+    fn publish_batch_falls_back_past_failed_estimator_fits() {
+        use crate::store::CatalogSnapshot;
+        let jobs: Vec<DeriveJob> = QueryClass::all()[..3]
+            .iter()
+            .map(|&class| DeriveJob::new("oracle", class, StateAlgorithm::Iupma))
+            .collect();
+        let cfg = BatchConfig {
+            derivation: DerivationConfig::default(),
+            workers: Some(1),
+        };
+        let mut outcomes = derive_all(
+            jobs,
+            &cfg,
+            |_, seed| dynamic_agent(seed),
+            &mut PipelineCtx::seeded(9),
+        );
+        let site = SiteId::from("oracle");
+        let kept = |outcomes: &[BatchOutcome]| {
+            let mut snapshot = CatalogSnapshot::new();
+            let discarded = snapshot.publish_batch(outcomes);
+            assert_eq!(snapshot.version, 3, "every model is published");
+            let est = snapshot.catalog.probe_estimator(&site).cloned();
+            let failed: Vec<usize> = discarded.iter().map(|(i, _)| *i).collect();
+            for (_, e) in &discarded {
+                assert!(matches!(e, CoreError::InsufficientSamples { .. }), "{e}");
+            }
+            (est.map(|e| (e.selected, e.coefficients)), failed)
+        };
+        let fitted = |o: &BatchOutcome| {
+            let est = o
+                .result
+                .as_ref()
+                .unwrap()
+                .probe_estimator()
+                .unwrap()
+                .unwrap();
+            Some((est.selected, est.coefficients))
+        };
+        let starve = |o: &mut BatchOutcome| {
+            let derived = o.result.as_mut().unwrap();
+            derived.probe_sample.as_mut().unwrap().readings.truncate(3);
+        };
+        assert_eq!(kept(&outcomes), (fitted(&outcomes[2]), vec![]));
+        starve(&mut outcomes[2]);
+        assert_eq!(kept(&outcomes), (fitted(&outcomes[1]), vec![2]));
+        starve(&mut outcomes[1]);
+        assert_eq!(kept(&outcomes), (fitted(&outcomes[0]), vec![1, 2]));
+        starve(&mut outcomes[0]);
+        assert_eq!(kept(&outcomes), (None, vec![0, 1, 2]));
     }
 
     #[test]

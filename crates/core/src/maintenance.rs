@@ -285,7 +285,7 @@ impl ModelMaintainer {
             history: Vec::new(),
             merges: 0,
             observations: Vec::new(),
-            probe_estimator: None,
+            probe_sample: None,
             avg_sample_cost: 0.0,
         };
         let mut maintainer = ModelMaintainer::new(derived, maintenance, derivation, algorithm);

@@ -100,7 +100,6 @@ impl Mdbs {
         cfg: &DerivationConfig,
         seed: u64,
     ) -> Result<(), CoreError> {
-        let keep_probe = cfg.fit_probe_estimator;
         let agent = self.agent_mut_or_err(site)?;
         let derived = derive_cost_model(
             agent,
@@ -109,12 +108,11 @@ impl Mdbs {
             cfg,
             &mut crate::pipeline::PipelineCtx::seeded(seed),
         )?;
+        let estimator = derived.probe_estimator().transpose()?;
         self.catalog
             .insert_model(site.clone(), class, derived.model);
-        if keep_probe {
-            if let Some(est) = derived.probe_estimator {
-                self.catalog.insert_probe_estimator(site.clone(), est);
-            }
+        if let Some(est) = estimator {
+            self.catalog.insert_probe_estimator(site.clone(), est);
         }
         Ok(())
     }

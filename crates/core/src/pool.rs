@@ -44,10 +44,13 @@ pub struct PoolReport {
 /// parallelism (1 when unknown); any request is clamped to `1..=jobs`
 /// (zero jobs still yields one notional worker).
 pub fn effective_workers(requested: Option<usize>, jobs: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.unwrap_or(available).clamp(1, jobs.max(1))
+    requested
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+        .clamp(1, jobs.max(1))
 }
 
 /// Runs every job on a pool of `workers` workers and returns the results in

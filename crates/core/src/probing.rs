@@ -32,20 +32,34 @@ impl ProbeCostEstimator {
     /// Fits eq. (2) on `(statistics snapshot, observed probing cost)` pairs,
     /// keeping only parameters significant at level `alpha`.
     pub fn fit(samples: &[(SystemStats, f64)], alpha: f64) -> Result<Self, CoreError> {
-        if samples.len() < SystemStats::probe_predictor_names().len() + 3 {
+        Self::fit_rows(
+            samples.iter().map(|(s, c)| (s.probe_predictors(), *c)),
+            alpha,
+        )
+    }
+
+    /// [`Self::fit`] over `(predictors, observed probing cost)` rows, the
+    /// predictors as [`SystemStats::probe_predictors`] orders them.
+    pub(crate) fn fit_rows(
+        rows: impl ExactSizeIterator<Item = ([f64; 4], f64)>,
+        alpha: f64,
+    ) -> Result<Self, CoreError> {
+        let all_names = SystemStats::probe_predictor_names();
+        let q = all_names.len();
+        if rows.len() < q + 3 {
             return Err(CoreError::InsufficientSamples {
-                needed: SystemStats::probe_predictor_names().len() + 3,
-                got: samples.len(),
+                needed: q + 3,
+                got: rows.len(),
             });
         }
-        let all_names = SystemStats::probe_predictor_names();
         // Every sample's predictors, read once: row r is
         // preds[r·q..(r+1)·q].
-        let q = all_names.len();
-        let preds: Vec<f64> = samples
-            .iter()
-            .flat_map(|(s, _)| s.probe_predictors())
-            .collect();
+        let mut preds = Vec::with_capacity(rows.len() * q);
+        let mut y = Vec::with_capacity(rows.len());
+        for (row, cost) in rows {
+            preds.extend_from_slice(&row);
+            y.push(cost);
+        }
         let mut selected: Vec<usize> = (0..q).collect();
         // Drop constant predictors up front (zero variance breaks OLS).
         selected.retain(|&j| {
@@ -56,7 +70,6 @@ impl ProbeCostEstimator {
                 .step_by(q)
                 .any(|v| (v - first).abs() > 1e-12)
         });
-        let y: Vec<f64> = samples.iter().map(|(_, c)| *c).collect();
         loop {
             let fitted = Self::fit_subset(&preds, q, &y, &selected)?;
             // Find the least significant predictor (skip the intercept).

@@ -12,6 +12,7 @@
 
 use crate::CoreError;
 use mdbs_stats::Cluster1D;
+use std::cmp::Ordering;
 
 /// A partition of the probing-cost range into contention states.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,14 +31,18 @@ impl StateSet {
 
     /// Builds a state set from explicit ascending edges.
     ///
-    /// Requires at least two strictly increasing edges.
+    /// Requires at least two strictly increasing edges; a NaN edge compares
+    /// with nothing, so it is rejected too.
     pub fn from_edges(edges: Vec<f64>) -> Result<StateSet, CoreError> {
         if edges.len() < 2 {
             return Err(CoreError::Degenerate(
                 "state set needs at least two edges".into(),
             ));
         }
-        if edges.windows(2).any(|w| w[1] <= w[0]) {
+        if edges
+            .windows(2)
+            .any(|w| w[0].partial_cmp(&w[1]) != Some(Ordering::Less))
+        {
             return Err(CoreError::Degenerate(format!(
                 "state edges must be strictly increasing: {edges:?}"
             )));

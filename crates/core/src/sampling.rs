@@ -10,7 +10,7 @@
 
 use crate::classes::QueryClass;
 use crate::variables::VariableFamily;
-use mdbs_sim::catalog::{IndexKind, LocalCatalog, TableDef};
+use mdbs_sim::catalog::{IndexKind, LocalCatalog, TableDef, TableId};
 use mdbs_sim::query::{JoinQuery, Predicate, Query, UnaryQuery};
 use mdbs_stats::rng::Rng;
 
@@ -40,6 +40,18 @@ pub struct SampleGenerator {
     /// quarter-million-tuple tables would dominate wall-clock for little
     /// statistical benefit; the paper's join workloads are similar).
     pub max_join_card: u64,
+    /// The query [`Self::next_query`] rebuilds in place.
+    query: Query,
+}
+
+/// A query with no table, columns or predicates, for a generator to fill.
+fn blank_query() -> Query {
+    Query::Unary(UnaryQuery {
+        table: TableId(0),
+        projection: Vec::new(),
+        predicates: Vec::new(),
+        order_by: None,
+    })
 }
 
 impl SampleGenerator {
@@ -48,17 +60,36 @@ impl SampleGenerator {
         SampleGenerator {
             rng: Rng::seed_from_u64(seed),
             max_join_card: 60_000,
+            query: blank_query(),
         }
     }
 
     /// Generates one query guaranteed to belong to `class`.
     pub fn generate(&mut self, class: QueryClass, catalog: &LocalCatalog) -> Query {
+        let mut query = blank_query();
+        self.fill(class, catalog, &mut query);
+        query
+    }
+
+    /// The query [`Self::generate`] would return, built in a buffer the
+    /// generator keeps: a caller that is done with each query before asking
+    /// for the next allocates nothing for it once the buffer has grown.
+    pub fn next_query(&mut self, class: QueryClass, catalog: &LocalCatalog) -> &Query {
+        let mut query = std::mem::replace(&mut self.query, blank_query());
+        self.fill(class, catalog, &mut query);
+        self.query = query;
+        &self.query
+    }
+
+    /// Overwrites `query` with the next query of `class`, reusing its
+    /// vectors when it already has the class's shape.
+    fn fill(&mut self, class: QueryClass, catalog: &LocalCatalog, query: &mut Query) {
         match class {
-            QueryClass::UnaryNoIndex => self.unary_no_index(catalog),
-            QueryClass::UnaryNonClusteredIndex => self.unary_nonclustered(catalog),
-            QueryClass::UnaryClusteredIndex => self.unary_clustered(catalog),
-            QueryClass::JoinNoIndex => self.join(catalog, false),
-            QueryClass::JoinIndexed => self.join(catalog, true),
+            QueryClass::UnaryNoIndex => self.unary_no_index(catalog, unary(query)),
+            QueryClass::UnaryNonClusteredIndex => self.unary_nonclustered(catalog, unary(query)),
+            QueryClass::UnaryClusteredIndex => self.unary_clustered(catalog, unary(query)),
+            QueryClass::JoinNoIndex => self.join(catalog, false, join(query)),
+            QueryClass::JoinIndexed => self.join(catalog, true, join(query)),
         }
     }
 
@@ -109,9 +140,12 @@ impl SampleGenerator {
         Predicate::between(col, lo, lo + width - 1)
     }
 
-    fn random_projection(&mut self, t: &TableDef) -> Vec<usize> {
+    /// Replaces `cols` with a random non-empty set of `t`'s columns, in
+    /// column order.
+    fn random_projection(&mut self, t: &TableDef, cols: &mut Vec<usize>) {
         let k = self.rng.gen_range(1..=t.columns.len());
-        let mut cols: Vec<usize> = (0..t.columns.len()).collect();
+        cols.clear();
+        cols.extend(0..t.columns.len());
         // Partial Fisher–Yates: take the first k of a shuffle.
         for i in 0..k {
             let j = self.rng.gen_range(i..cols.len());
@@ -119,18 +153,15 @@ impl SampleGenerator {
         }
         cols.truncate(k);
         cols.sort_unstable();
-        cols
     }
 
-    /// Extra (non-index-usable) predicates on unindexed columns.
-    fn extra_predicates(&mut self, t: &TableDef, count: usize) -> Vec<Predicate> {
-        Self::unindexed_columns(t)
-            .take(count)
-            .map(|col| {
-                let sel = self.rng.gen_range(0.15..0.9);
-                self.range_predicate(t, col, sel)
-            })
-            .collect()
+    /// Appends `count` extra (non-index-usable) predicates on unindexed
+    /// columns to `out`.
+    fn extra_predicates(&mut self, t: &TableDef, count: usize, out: &mut Vec<Predicate>) {
+        for col in Self::unindexed_columns(t).take(count) {
+            let sel = self.rng.gen_range(0.15..0.9);
+            out.push(self.range_predicate(t, col, sel));
+        }
     }
 
     /// About a third of unary samples order their result — the SORT
@@ -143,49 +174,46 @@ impl SampleGenerator {
         }
     }
 
-    fn unary_no_index(&mut self, catalog: &LocalCatalog) -> Query {
+    // Each builder draws in one fixed order — table, predicates,
+    // projection, ordering — which pins every generated query.
+
+    fn unary_no_index(&mut self, catalog: &LocalCatalog, u: &mut UnaryQuery) {
         let t = self.pick_table(catalog, |_| true);
         let n_preds = self.rng.gen_range(1..=3usize);
-        let predicates = self.extra_predicates(t, n_preds);
-        Query::Unary(UnaryQuery {
-            table: t.id,
-            projection: self.random_projection(t),
-            predicates,
-            order_by: self.random_order_by(t),
-        })
+        u.table = t.id;
+        u.predicates.clear();
+        self.extra_predicates(t, n_preds, &mut u.predicates);
+        self.random_projection(t, &mut u.projection);
+        u.order_by = self.random_order_by(t);
     }
 
-    fn unary_nonclustered(&mut self, catalog: &LocalCatalog) -> Query {
+    fn unary_nonclustered(&mut self, catalog: &LocalCatalog, u: &mut UnaryQuery) {
         // a3 (column index 2) carries a non-clustered index on every table.
         let t = self.pick_table(catalog, |t| t.columns[2].index == IndexKind::NonClustered);
         let sel = self.rng.gen_range(0.004..0.09);
-        let mut predicates = vec![self.range_predicate(t, 2, sel)];
+        u.table = t.id;
+        u.predicates.clear();
+        u.predicates.push(self.range_predicate(t, 2, sel));
         let extra = self.rng.gen_range(0..=2usize);
-        predicates.extend(self.extra_predicates(t, extra));
-        Query::Unary(UnaryQuery {
-            table: t.id,
-            projection: self.random_projection(t),
-            predicates,
-            order_by: self.random_order_by(t),
-        })
+        self.extra_predicates(t, extra, &mut u.predicates);
+        self.random_projection(t, &mut u.projection);
+        u.order_by = self.random_order_by(t);
     }
 
-    fn unary_clustered(&mut self, catalog: &LocalCatalog) -> Query {
+    fn unary_clustered(&mut self, catalog: &LocalCatalog, u: &mut UnaryQuery) {
         let t = self.pick_table(catalog, |t| t.clustered_column().is_some());
         let col = t.clustered_column().expect("filtered on clustered index");
         let sel = self.rng.gen_range(0.02..0.6);
-        let mut predicates = vec![self.range_predicate(t, col, sel)];
+        u.table = t.id;
+        u.predicates.clear();
+        u.predicates.push(self.range_predicate(t, col, sel));
         let extra = self.rng.gen_range(0..=2usize);
-        predicates.extend(self.extra_predicates(t, extra));
-        Query::Unary(UnaryQuery {
-            table: t.id,
-            projection: self.random_projection(t),
-            predicates,
-            order_by: self.random_order_by(t),
-        })
+        self.extra_predicates(t, extra, &mut u.predicates);
+        self.random_projection(t, &mut u.projection);
+        u.order_by = self.random_order_by(t);
     }
 
-    fn join(&mut self, catalog: &LocalCatalog, indexed: bool) -> Query {
+    fn join(&mut self, catalog: &LocalCatalog, indexed: bool, j: &mut JoinQuery) {
         let max_card = self.max_join_card;
         let left = self.pick_table(catalog, |t| t.cardinality <= max_card);
         let right_id = loop {
@@ -207,34 +235,63 @@ impl SampleGenerator {
         };
         let lp = self.rng.gen_range(0..=2usize);
         let rp = self.rng.gen_range(0..=2usize);
-        let left_predicates = self.filtered_join_preds(left, left_col, lp);
-        let right_predicates = self.filtered_join_preds(right, right_col, rp);
-        let projection = vec![(true, 0), (true, 4), (false, 1)];
-        Query::Join(JoinQuery {
-            left: left.id,
-            right: right.id,
-            left_col,
-            right_col,
-            left_predicates,
-            right_predicates,
-            projection,
-        })
+        j.left = left.id;
+        j.right = right.id;
+        j.left_col = left_col;
+        j.right_col = right_col;
+        j.left_predicates.clear();
+        self.filtered_join_preds(left, left_col, lp, &mut j.left_predicates);
+        j.right_predicates.clear();
+        self.filtered_join_preds(right, right_col, rp, &mut j.right_predicates);
+        j.projection.clear();
+        j.projection
+            .extend_from_slice(&[(true, 0), (true, 4), (false, 1)]);
     }
 
+    /// Appends `count` predicates on unindexed columns other than
+    /// `join_col` to `out`.
     fn filtered_join_preds(
         &mut self,
         t: &TableDef,
         join_col: usize,
         count: usize,
-    ) -> Vec<Predicate> {
-        Self::unindexed_columns(t)
-            .filter(|&c| c != join_col) // Keep the join column predicate-free.
-            .take(count)
-            .map(|col| {
-                let sel = self.rng.gen_range(0.1..0.7);
-                self.range_predicate(t, col, sel)
-            })
-            .collect()
+        out: &mut Vec<Predicate>,
+    ) {
+        let cols = Self::unindexed_columns(t).filter(|&c| c != join_col); // Keep the join column predicate-free.
+        for col in cols.take(count) {
+            let sel = self.rng.gen_range(0.1..0.7);
+            out.push(self.range_predicate(t, col, sel));
+        }
+    }
+}
+
+/// `query` as a unary query, made one (empty) first if it is a join.
+fn unary(query: &mut Query) -> &mut UnaryQuery {
+    if let Query::Join(_) = query {
+        *query = blank_query();
+    }
+    match query {
+        Query::Unary(u) => u,
+        Query::Join(_) => unreachable!("replaced by a unary query"),
+    }
+}
+
+/// `query` as a join query, made one (empty) first if it is unary.
+fn join(query: &mut Query) -> &mut JoinQuery {
+    if let Query::Unary(_) = query {
+        *query = Query::Join(JoinQuery {
+            left: TableId(0),
+            right: TableId(0),
+            left_col: 0,
+            right_col: 0,
+            left_predicates: Vec::new(),
+            right_predicates: Vec::new(),
+            projection: Vec::new(),
+        });
+    }
+    match query {
+        Query::Join(j) => j,
+        Query::Unary(_) => unreachable!("replaced by a join query"),
     }
 }
 
@@ -253,6 +310,25 @@ mod tests {
         assert_eq!(planned_sample_size(VariableFamily::Unary, 6), 421);
         // Join family: p_exp = 6 + 3 = 9.
         assert_eq!(planned_sample_size(VariableFamily::Join, 6), 601);
+    }
+
+    /// The reused buffer yields the queries `generate` yields, through
+    /// every switch between unary and join shapes.
+    #[test]
+    fn next_query_equals_generate() {
+        let db = standard_database(42);
+        let classes = QueryClass::all();
+        let mut fresh = SampleGenerator::new(5);
+        let mut reused = SampleGenerator::new(5);
+        for i in 0..500 {
+            let class = classes[(i * 7 / 3) % classes.len()];
+            let want = fresh.generate(class, &db);
+            assert_eq!(
+                reused.next_query(class, &db),
+                &want,
+                "query {i} ({class:?})"
+            );
+        }
     }
 
     #[test]

@@ -345,11 +345,12 @@ impl StateMoments {
             z.push(1.0);
             z.extend_from_slice(&o.x[..width]);
             blocks[states.state_of(o.probe_cost)]
-                .add_row(&z, o.cost)
+                .add_row_upper(&z, o.cost)
                 .map_err(CoreError::Numeric)?;
         }
         let mut pooled = GramAccumulator::new(width + 1);
-        for b in &blocks {
+        for b in &mut blocks {
+            b.mirror_upper();
             pooled.merge(b).map_err(CoreError::Numeric)?;
         }
         Ok(StateMoments { blocks, pooled })

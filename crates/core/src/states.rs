@@ -192,8 +192,9 @@ pub(crate) fn determine_states_inner(
 
     // Every observation is accumulated once, in probing-cost order, so each
     // candidate partition is fitted from prefix differences without
-    // rescanning the sample. Rebuilt only when `populate_or_merge` draws
-    // extra observations (`fit.gram.prefix_builds` counts those). Its
+    // rescanning the sample. Brought up to date only when
+    // `populate_or_merge` draws extra observations
+    // (`fit.gram.prefix_builds` counts the build and those updates). Its
     // prefix total is the sample's second moments, so the overflow check
     // reads them there instead of accumulating them again.
     let mut cache = GramCache::build(observations, var_indexes, tel)?;
@@ -216,9 +217,9 @@ pub(crate) fn determine_states_inner(
     let (c_min, c_max) = probe_range(observations)?;
     let degenerate_range = c_max <= c_min;
     let mut flat_steps = 0usize;
-    // ICMA's agglomeration of the current sample: one pass records every
-    // level up to `max_states`, rebuilt (like the Gram cache) only when
-    // `populate_or_merge` draws extra observations.
+    // ICMA's agglomeration of the current sample: one pass over the
+    // cache's sorted probes records every level up to `max_states`,
+    // rebuilt only when `populate_or_merge` draws extra observations.
     let mut cluster_path: Option<Vec<Vec<Cluster1D>>> = None;
 
     for m in 2..=cfg.max_states {
@@ -229,10 +230,8 @@ pub(crate) fn determine_states_inner(
         let proposed = match algorithm {
             StateAlgorithm::Iupma => StateSet::uniform(c_min, c_max, m)?,
             StateAlgorithm::Icma => {
-                let path = cluster_path.get_or_insert_with(|| {
-                    let probes: Vec<f64> = observations.iter().map(|o| o.probe_cost).collect();
-                    cluster_path_1d(&probes, cfg.max_states)
-                });
+                let path = cluster_path
+                    .get_or_insert_with(|| cluster_path_1d(&cache.probes, cfg.max_states));
                 StateSet::from_clusters(&path[m - 1])?
             }
         };
@@ -244,10 +243,10 @@ pub(crate) fn determine_states_inner(
         let states = populate_or_merge(proposed, observations, var_indexes.len(), source, tel);
         if observations.len() != before {
             // Targeted resampling appended observations — the prefix sums
-            // and the cluster path are stale; rebuild them once for this
-            // (and later) proposals.
+            // and the cluster path are stale; bring them up to date once
+            // for this (and later) proposals.
             cluster_path = None;
-            cache = GramCache::build(observations, var_indexes, tel)?;
+            cache.extend(observations, var_indexes, before, tel)?;
         }
         if states.len() <= history.last().map_or(1, |h| h.states)
             && states.len() <= best.num_states()
@@ -365,7 +364,17 @@ struct GramCache {
     /// Probing costs ascending (ties broken by original index, so the
     /// accumulation order — and hence every rounding — is deterministic).
     probes: Vec<f64>,
+    /// The observation index at each position of `probes`.
+    indexes: Vec<usize>,
     prefix: GramPrefix,
+}
+
+/// The cache's order: probing cost, then observation index, which makes
+/// it total.
+fn probe_order(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.1.cmp(&b.1))
 }
 
 impl GramCache {
@@ -374,30 +383,70 @@ impl GramCache {
         var_indexes: &[usize],
         tel: &mut Telemetry,
     ) -> Result<GramCache, CoreError> {
+        let n = observations.len();
+        let mut cache = GramCache {
+            probes: Vec::with_capacity(n),
+            indexes: Vec::with_capacity(n),
+            prefix: GramPrefix::with_capacity(var_indexes.len() + 1, n),
+        };
+        cache.extend(observations, var_indexes, 0, tel)?;
+        Ok(cache)
+    }
+
+    /// Brings the cache up to date after `observations[first_new..]` were
+    /// appended: merges them into the order and recomputes the prefix sums
+    /// from the first position one of them takes. The slots before it sum
+    /// the same rows in the same order, so they are kept as they are.
+    fn extend(
+        &mut self,
+        observations: &[Observation],
+        var_indexes: &[usize],
+        first_new: usize,
+        tel: &mut Telemetry,
+    ) -> Result<(), CoreError> {
         // (probing cost, index) pairs sort without an indirection per
-        // comparison; the index breaks ties, so the order is total.
-        let mut order: Vec<(f64, usize)> = observations
+        // comparison.
+        let mut fresh: Vec<(f64, usize)> = observations
             .iter()
             .enumerate()
+            .skip(first_new)
             .map(|(i, o)| (o.probe_cost, i))
             .collect();
-        order.sort_unstable_by(|(pa, a), (pb, b)| {
-            pa.partial_cmp(pb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
+        fresh.sort_unstable_by(probe_order);
+        // Every kept index is below every fresh one, so on a tie in
+        // probing cost the kept observation comes first.
+        let start = fresh.first().map_or(self.probes.len(), |&(first, _)| {
+            self.probes
+                .partition_point(|&p| p.partial_cmp(&first) != Some(std::cmp::Ordering::Greater))
         });
-        let mut prefix = GramPrefix::with_capacity(var_indexes.len() + 1, observations.len());
+        let kept: Vec<(f64, usize)> = self.probes[start..]
+            .iter()
+            .copied()
+            .zip(self.indexes[start..].iter().copied())
+            .collect();
+        self.probes.truncate(start);
+        self.indexes.truncate(start);
+        self.prefix.truncate(start);
+        let (mut kept, mut fresh) = (kept.into_iter().peekable(), fresh.into_iter().peekable());
         let mut z = Vec::with_capacity(var_indexes.len() + 1);
-        for &(_, i) in &order {
+        loop {
+            let next = match (kept.peek(), fresh.peek()) {
+                (Some(k), Some(f)) if probe_order(k, f).is_lt() => kept.next(),
+                (_, Some(_)) => fresh.next(),
+                (Some(_), None) => kept.next(),
+                (None, None) => break,
+            };
+            let (probe, i) = next.expect("peeked");
             let o = &observations[i];
             z.clear();
             z.push(1.0);
             z.extend(var_indexes.iter().map(|&j| o.x[j]));
-            prefix.push(&z, o.cost).map_err(CoreError::Numeric)?;
+            self.prefix.push(&z, o.cost).map_err(CoreError::Numeric)?;
+            self.probes.push(probe);
+            self.indexes.push(i);
         }
-        let probes = order.into_iter().map(|(probe, _)| probe).collect();
         tel.inc("fit.gram.prefix_builds", 1);
-        Ok(GramCache { probes, prefix })
+        Ok(())
     }
 
     /// The sufficient statistics of the whole sample.
@@ -567,6 +616,48 @@ mod tests {
         // Phase-1 history starts at the static case.
         assert_eq!(result.history[0].states, 1);
         assert!(result.history[0].r_squared < result.model.fit.r_squared);
+    }
+
+    /// Extending the cache with appended observations — ties in probing
+    /// cost with kept ones, new minima and maxima, one at a time or
+    /// several — leaves it as a fresh build over the grown sample: the
+    /// same order and prefix sums bit for bit.
+    #[test]
+    fn extended_cache_equals_a_fresh_build() {
+        let bits = |cache: &GramCache| -> Vec<u64> {
+            let mut v: Vec<u64> = cache.probes.iter().map(|p| p.to_bits()).collect();
+            v.extend(cache.indexes.iter().map(|&i| i as u64));
+            for b in 0..=cache.prefix.len() {
+                let acc = cache.prefix.range(0, b).unwrap();
+                v.extend(acc.xtx().iter().chain(acc.xty()).map(|x| x.to_bits()));
+                v.extend([acc.yty().to_bits(), acc.sum_y().to_bits()]);
+            }
+            v
+        };
+        let mut obs = regime_observations(3, 40);
+        let extra = |probe: f64, i: usize| Observation {
+            x: vec![(i % 7) as f64 * 3.0],
+            cost: 2.0 + probe * (i % 7) as f64,
+            probe_cost: probe,
+        };
+        let mut tel = Telemetry::disabled();
+        let mut cache = GramCache::build(&obs, &[0], &mut tel).unwrap();
+        for (i, batch) in [
+            vec![obs[17].probe_cost],
+            vec![-1.0, 4.2, obs[60].probe_cost, 11.0],
+            vec![obs[0].probe_cost, obs[0].probe_cost],
+            vec![],
+            vec![12.5],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = obs.len();
+            obs.extend(batch.iter().map(|&p| extra(p, i)));
+            cache.extend(&obs, &[0], before, &mut tel).unwrap();
+            let fresh = GramCache::build(&obs, &[0], &mut tel).unwrap();
+            assert_eq!(bits(&cache), bits(&fresh), "batch {i}");
+        }
     }
 
     /// A NaN, ±∞ or ±1e200 at observation 17 of 200 — in the cost, the

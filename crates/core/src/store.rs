@@ -31,12 +31,13 @@
 
 use crate::catalog::{GlobalCatalog, SiteId};
 use crate::classes::QueryClass;
-use crate::derive::DerivedModel;
+use crate::derive::{BatchOutcome, DerivedModel};
 use crate::model::{CostModel, FitStats, ModelAccumulator, ModelForm};
 use crate::probing::ProbeCostEstimator;
 use crate::qualvar::StateSet;
 use crate::CoreError;
 use mdbs_obs::Telemetry;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every binary catalog file.
@@ -115,19 +116,70 @@ impl CatalogSnapshot {
 
     /// Publishes one derived model on top of this snapshot: the model, the
     /// sufficient statistics a later `serve --loop` resumes incremental
-    /// refits from, and the site's probe estimator when one was fitted.
-    /// Each publish advances the version by one, as a registry publish
-    /// does.
-    pub fn publish_derived(&mut self, site: &SiteId, derived: &DerivedModel) {
+    /// refits from, and the site's probe estimator when the derivation
+    /// logged its sample ([`DerivedModel::probe_estimator`]). Each publish
+    /// advances the version by one, as a registry publish does. A failed
+    /// estimator fit is returned and publishes nothing.
+    pub fn publish_derived(
+        &mut self,
+        site: &SiteId,
+        derived: &DerivedModel,
+    ) -> Result<(), CoreError> {
+        let estimator = derived.probe_estimator().transpose()?;
+        self.publish_model(site, derived);
+        if let Some(est) = estimator {
+            self.catalog.insert_probe_estimator(site.clone(), est);
+        }
+        Ok(())
+    }
+
+    /// Publishes a batch's models in job order, one version per successful
+    /// outcome, and one probe estimator per site: the one of the site's
+    /// last successful job, fitted here and only here. An estimator that
+    /// fails to fit is not kept, and the latest earlier job's that fits is
+    /// kept instead; its job's model stays published. When every fit
+    /// succeeds, the result is what publishing the outcomes one by one with
+    /// [`Self::publish_derived`] leaves.
+    ///
+    /// Returns each discarded fit: the outcome's index and its error.
+    pub fn publish_batch(&mut self, outcomes: &[BatchOutcome]) -> Vec<(usize, CoreError)> {
+        for outcome in outcomes {
+            if let Ok(derived) = &outcome.result {
+                self.publish_model(&outcome.job.site, derived);
+            }
+        }
+        let mut discarded = Vec::new();
+        let mut settled = BTreeSet::new();
+        for (index, outcome) in outcomes.iter().enumerate().rev() {
+            let site = &outcome.job.site;
+            let Ok(derived) = &outcome.result else {
+                continue;
+            };
+            if settled.contains(site) {
+                continue;
+            }
+            match derived.probe_estimator() {
+                Some(Err(e)) => {
+                    discarded.push((index, e));
+                    continue;
+                }
+                Some(Ok(est)) => self.catalog.insert_probe_estimator(site.clone(), est),
+                None => {}
+            }
+            settled.insert(site);
+        }
+        discarded.reverse();
+        discarded
+    }
+
+    /// Publishes a derived model and its sufficient statistics, advancing
+    /// the version by one.
+    fn publish_model(&mut self, site: &SiteId, derived: &DerivedModel) {
         let class = derived.class;
         self.catalog
             .insert_model(site.clone(), class, derived.model.clone());
         self.catalog
             .insert_accumulator(site.clone(), class, derived.accumulator.clone());
-        if let Some(est) = &derived.probe_estimator {
-            self.catalog
-                .insert_probe_estimator(site.clone(), est.clone());
-        }
         self.version += 1;
     }
 }

@@ -113,8 +113,8 @@ pub fn run_test_queries(
     let mut generator = SampleGenerator::new(seed);
     let mut points = Vec::with_capacity(n);
     while points.len() < n {
-        let query = generator.generate(class, agent.catalog());
-        let Some(x) = family.extract(agent.catalog(), &query) else {
+        let query = generator.next_query(class, agent.catalog());
+        let Some(x) = family.extract(agent.catalog(), query) else {
             continue;
         };
         agent.tick();
@@ -122,7 +122,7 @@ pub fn run_test_queries(
         let x_sel: Vec<f64> = model.var_indexes.iter().map(|&i| x[i]).collect();
         let estimated = model.estimate(&x_sel, probe_cost);
         let exec = agent
-            .run(&query)
+            .run(query)
             .map_err(|e| CoreError::Agent(e.to_string()))?;
         let result_card = match exec.sizes {
             ExecutionSizes::Unary(s) => s.result,

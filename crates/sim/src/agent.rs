@@ -22,7 +22,7 @@ use crate::engine::{cost_join, cost_unary, ResourceDemand};
 use crate::machine::{Machine, MachineSpec};
 use crate::query::{Predicate, Query, UnaryQuery};
 use crate::selectivity::{JoinSizes, UnarySizes};
-use crate::sysstats::SystemStats;
+use crate::sysstats::{DeferredStats, SystemStats};
 use crate::trace::{ExecutionTrace, TraceEntry};
 use crate::util::noise_factor;
 use crate::vendor::VendorProfile;
@@ -231,6 +231,13 @@ impl MdbsAgent {
     /// Reads the system statistics the environment monitor would report.
     pub fn stats(&mut self) -> SystemStats {
         SystemStats::observe(&self.machine, &mut self.rng)
+    }
+
+    /// Takes the reading [`Self::stats`] would return without evaluating
+    /// it: `stats_deferred().read(machine().spec())` equals `stats()` bit
+    /// for bit, and the agent's generator moves on exactly as far.
+    pub fn stats_deferred(&mut self) -> DeferredStats {
+        DeferredStats::take(&self.machine, &mut self.rng)
     }
 
     /// Executes a local query under the *current* load and returns the

@@ -55,5 +55,5 @@ pub use events::EnvironmentEvent;
 pub use machine::{Machine, MachineSpec};
 pub use query::{JoinQuery, Predicate, Query, UnaryQuery};
 pub use sql::parse_query;
-pub use sysstats::SystemStats;
+pub use sysstats::{DeferredStats, SystemStats};
 pub use vendor::VendorProfile;

@@ -103,6 +103,15 @@ impl Machine {
         }
     }
 
+    /// Creates a machine with the given spec under `load`.
+    pub fn loaded(spec: MachineSpec, load: Load) -> Self {
+        Machine {
+            factors: Factors::of(&spec, &load),
+            spec,
+            load,
+        }
+    }
+
     /// The hardware spec.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec

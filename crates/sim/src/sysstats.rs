@@ -9,10 +9,18 @@
 //! the probe.
 //!
 //! [`SystemStats::observe`] derives a noisy snapshot from the simulated
-//! machine, mimicking what an environment monitor would read.
+//! machine, mimicking what an environment monitor would read. A
+//! [`DeferredStats`] records what such a reading depends on, so a caller
+//! that may never need the snapshot pays for its noise only when it reads
+//! it.
 
-use crate::machine::Machine;
+use crate::contention::Load;
+use crate::machine::{Machine, MachineSpec};
 use mdbs_stats::rng::Rng;
+
+/// Generator outputs [`SystemStats::observe`] consumes: two per Gaussian
+/// jitter, one jitter per statistic.
+pub(crate) const OBSERVE_DRAWS: usize = 16;
 
 /// A snapshot of the frequently-changing environmental statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +73,8 @@ impl SystemStats {
 
     /// The explanatory vector used by probing-cost estimation (eq. (2)):
     /// CPU load, I/O utilization, used memory and swap traffic.
-    pub fn probe_predictors(&self) -> Vec<f64> {
-        vec![
+    pub fn probe_predictors(&self) -> [f64; 4] {
+        [
             self.load_avg_1m,
             self.disk_util_pct,
             self.mem_used_mb,
@@ -85,11 +93,39 @@ impl SystemStats {
     }
 }
 
+/// A monitor reading taken but not yet evaluated: the load the machine
+/// was under and the generator position its noise starts at. Taking one
+/// costs a copy and 16 generator steps, with no `ln`, `cos`
+/// or `sqrt`; [`Self::read`] later evaluates the same snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeferredStats {
+    load: Load,
+    rng: Rng,
+}
+
+impl DeferredStats {
+    /// Records a reading of `machine` whose noise is drawn from `rng`, and
+    /// moves `rng` past the draws [`SystemStats::observe`] would make.
+    pub(crate) fn take(machine: &Machine, rng: &mut Rng) -> DeferredStats {
+        let reading = DeferredStats {
+            load: machine.load().clone(),
+            rng: rng.clone(),
+        };
+        rng.skip(OBSERVE_DRAWS);
+        reading
+    }
+
+    /// The snapshot, for a machine of `spec` (the one the reading was
+    /// taken on): bit for bit what [`SystemStats::observe`] returned then.
+    pub fn read(&self, spec: &MachineSpec) -> SystemStats {
+        let machine = Machine::loaded(spec.clone(), self.load.clone());
+        SystemStats::observe(&machine, &mut self.rng.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contention::Load;
-    use crate::machine::{Machine, MachineSpec};
 
     fn machine_with(procs: f64) -> Machine {
         let mut m = Machine::new(MachineSpec::default());
@@ -142,6 +178,24 @@ mod tests {
             let s = SystemStats::observe(&machine_with(procs), &mut rng);
             assert!((0.0..=100.0).contains(&s.cpu_busy_pct));
             assert!((0.0..=100.0).contains(&s.disk_util_pct));
+        }
+    }
+
+    #[test]
+    fn a_deferred_reading_reads_what_observe_returned() {
+        for procs in [0.0, 40.0, 130.0] {
+            let machine = machine_with(procs);
+            let mut eager = Rng::seed_from_u64(6);
+            let mut deferred = eager.clone();
+            let reading = DeferredStats::take(&machine, &mut deferred);
+            let s = SystemStats::observe(&machine, &mut eager);
+            assert_eq!(eager, deferred, "generator positions differ");
+            let r = reading.read(machine.spec());
+            assert_eq!(
+                s.probe_predictors().map(f64::to_bits),
+                r.probe_predictors().map(f64::to_bits)
+            );
+            assert_eq!(format!("{s:?}"), format!("{r:?}"));
         }
     }
 

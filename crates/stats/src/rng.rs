@@ -81,6 +81,14 @@ impl Rng {
         result
     }
 
+    /// Moves past the next `n` outputs without using them: the state `n`
+    /// calls of [`Self::next_u64`] leave behind.
+    pub fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -234,6 +242,17 @@ mod tests {
                 211316841551650330,
             ]
         );
+    }
+
+    #[test]
+    fn skip_lands_where_the_draws_would() {
+        let mut skipped = Rng::seed_from_u64(9);
+        let mut drawn = skipped.clone();
+        skipped.skip(16);
+        for _ in 0..16 {
+            drawn.next_u64();
+        }
+        assert_eq!(skipped, drawn);
     }
 
     #[test]

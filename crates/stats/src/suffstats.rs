@@ -266,6 +266,38 @@ impl GramAccumulator {
         Ok(())
     }
 
+    /// Folds `(row, y)` in as [`Self::add_row`] does, but into the upper
+    /// triangle of `XᵀX` only (`j ≥ i`), so each product is computed once;
+    /// the lower triangle is left as it is. After a run of these,
+    /// [`Self::mirror_upper`] leaves a symmetric block bit for bit where
+    /// the same run of `add_row` would have (`xᵢ·xⱼ = xⱼ·xᵢ` in IEEE).
+    pub fn add_row_upper(&mut self, row: &[f64], y: f64) -> Result<(), StatsError> {
+        self.check_row(row)?;
+        let k = self.k;
+        for (i, (&ri, xty_i)) in row.iter().zip(&mut self.xty).enumerate() {
+            let upper = &mut self.xtx[i * k + i..(i + 1) * k];
+            for (a, &rj) in upper.iter_mut().zip(&row[i..]) {
+                *a += ri * rj;
+            }
+            *xty_i += ri * y;
+        }
+        self.yty += y * y;
+        self.sum_y += y;
+        self.n += 1;
+        Ok(())
+    }
+
+    /// Copies the upper triangle of `XᵀX` onto the lower one; see
+    /// [`Self::add_row_upper`].
+    pub fn mirror_upper(&mut self) {
+        let k = self.k;
+        for i in 1..k {
+            for j in 0..i {
+                self.xtx[i * k + j] = self.xtx[j * k + i];
+            }
+        }
+    }
+
     /// Removes one previously added observation (a rank-1 downdate). The
     /// caller asserts the row was in fact accumulated; removing from an
     /// empty accumulator is an error.
@@ -693,10 +725,12 @@ impl GramFit {
 /// use case) and the statistics of any contiguous range `[a, b)` come back
 /// as a prefix difference in O(k²) — no rescan of the observations.
 ///
-/// The prefixes live in one flat buffer, one slot of stride `k² + k + 2`
-/// per prefix (`XᵀX` row-major, `Xᵀy`, `Σy²`, `Σy`; the row count of slot
-/// `i` is `i`), so a push copies one slot forward and adds one row into it
-/// with [`GramAccumulator::add_row`]'s arithmetic in its order.
+/// The prefixes live in one flat buffer, one slot of stride
+/// `k(k+1)/2 + k + 2` per prefix (the upper triangle of `XᵀX` row by row,
+/// `Xᵀy`, `Σy²`, `Σy`; the row count of slot `i` is `i`), so a push copies
+/// one slot forward and adds one row into it with
+/// [`GramAccumulator::add_row`]'s arithmetic, each product of the
+/// symmetric `XᵀX` once; [`Self::range`] mirrors the triangle.
 #[derive(Debug, Clone)]
 pub struct GramPrefix {
     k: usize,
@@ -720,7 +754,12 @@ impl GramPrefix {
     }
 
     fn stride_of(k: usize) -> usize {
-        k * k + k + 2
+        Self::triangle_of(k) + k + 2
+    }
+
+    /// Entries of the upper triangle of a `k × k` matrix.
+    fn triangle_of(k: usize) -> usize {
+        k * (k + 1) / 2
     }
 
     /// Design-row width `k`.
@@ -750,12 +789,25 @@ impl GramPrefix {
         let last = self.sums.len() - stride;
         self.sums.extend_from_within(last..);
         let next = &mut self.sums[last + stride..];
-        let (xtx, rest) = next.split_at_mut(k * k);
+        let (mut upper, rest) = next.split_at_mut(Self::triangle_of(k));
         let (xty, moments) = rest.split_at_mut(k);
-        add_rank_one(xtx, xty, row, y);
+        for (i, (&ri, xty_i)) in row.iter().zip(xty).enumerate() {
+            let (upper_row, tail) = std::mem::take(&mut upper).split_at_mut(k - i);
+            for (a, &rj) in upper_row.iter_mut().zip(&row[i..]) {
+                *a += ri * rj;
+            }
+            *xty_i += ri * y;
+            upper = tail;
+        }
         moments[0] += y * y;
         moments[1] += y;
         Ok(())
+    }
+
+    /// Drops every row after the first `rows`, so the next push appends
+    /// row `rows`. Keeping more rows than there are is a no-op.
+    pub fn truncate(&mut self, rows: usize) {
+        self.sums.truncate((rows + 1) * Self::stride_of(self.k));
     }
 
     /// Slot `i`: the sums over rows `0..i`.
@@ -774,7 +826,13 @@ impl GramPrefix {
         }
         let k = self.k;
         let mut diff = self.slot(b).iter().zip(self.slot(a)).map(|(x, y)| x - y);
-        let xtx = diff.by_ref().take(k * k).collect();
+        let mut xtx = vec![0.0; k * k];
+        for i in 0..k {
+            for (j, d) in (i..k).zip(diff.by_ref()) {
+                xtx[i * k + j] = d;
+                xtx[j * k + i] = d;
+            }
+        }
         let xty = diff.by_ref().take(k).collect();
         Ok(GramAccumulator {
             k,
@@ -1105,6 +1163,52 @@ mod tests {
         assert!(prefix.range(10, 5).is_err());
         assert!(prefix.range(0, 91).is_err());
         assert_eq!(prefix.range(0, prefix.len()).unwrap().n(), 90);
+    }
+
+    /// The prefix sums each product of the triangle once and mirrors it;
+    /// `add_row_upper` plus `mirror_upper` does the same in place. Both
+    /// must equal `add_row`'s full-matrix sums bit for bit, and a truncated
+    /// prefix must continue as if the dropped rows had never been pushed.
+    #[test]
+    fn triangle_sums_equal_full_sums_bitwise() {
+        let bits = |acc: &GramAccumulator| {
+            let mut v: Vec<u64> = acc.xtx().iter().map(|x| x.to_bits()).collect();
+            v.extend(acc.xty().iter().map(|x| x.to_bits()));
+            v.extend([acc.yty().to_bits(), acc.sum_y().to_bits(), acc.n() as u64]);
+            v
+        };
+        let (rows, y) = noisy_design(90);
+        let mut prefix = GramPrefix::new(3);
+        let mut upper = GramAccumulator::new(3);
+        for (r, &v) in rows.iter().zip(&y) {
+            prefix.push(r, v).unwrap();
+            upper.add_row_upper(r, v).unwrap();
+        }
+        upper.mirror_upper();
+        let full = accumulate(&rows, &y);
+        assert_eq!(bits(&upper), bits(&full));
+        for b in [1, 37, 90] {
+            let direct = accumulate(&rows[..b], &y[..b]);
+            assert_eq!(
+                bits(&prefix.range(0, b).unwrap()),
+                bits(&direct),
+                "rows 0..{b}"
+            );
+        }
+        let shifted: Vec<f64> = y.iter().map(|v| v + 1.5).collect();
+        let mut fresh = GramPrefix::new(3);
+        for (r, &v) in rows.iter().zip(y[..40].iter().chain(&shifted[40..])) {
+            fresh.push(r, v).unwrap();
+        }
+        prefix.truncate(40);
+        assert_eq!(prefix.len(), 40);
+        for (r, &v) in rows[40..].iter().zip(&shifted[40..]) {
+            prefix.push(r, v).unwrap();
+        }
+        for (a, b) in [(0, 90), (12, 41), (40, 90)] {
+            let (p, f) = (prefix.range(a, b).unwrap(), fresh.range(a, b).unwrap());
+            assert_eq!(bits(&p), bits(&f), "rows {a}..{b}");
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn report(quick: bool) -> Result<String, Box<dyn std::error::Error>> {
     writeln!(out, "\nper-state cost equations (paper Table 4 style):")?;
     write!(out, "{}", derived.model.render())?;
 
-    if let Some(est) = &derived.probe_estimator {
+    if let Some(est) = derived.probe_estimator().transpose()? {
         writeln!(
             out,
             "\nprobing-cost estimator (eq. 2): C_probe ≈ f({}), R² = {:.3}",

@@ -38,8 +38,8 @@ fn populated_catalog() -> (GlobalCatalog, MdbsAgent, SiteId) {
             &mut PipelineCtx::seeded(51),
         )
         .expect("derivation succeeds");
-        if let Some(est) = derived.probe_estimator.clone() {
-            catalog.insert_probe_estimator(site.clone(), est);
+        if let Some(est) = derived.probe_estimator() {
+            catalog.insert_probe_estimator(site.clone(), est.expect("estimator fits"));
         }
         catalog.insert_model(site.clone(), class, derived.model);
     }

@@ -26,6 +26,7 @@ use mdbs_sim::datagen::standard_database;
 use mdbs_sim::query::Query;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
 use mdbs_stats::rng::Rng;
+use mdbs_stats::suffstats::push_f64_compact;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -66,8 +67,8 @@ fn derived_snapshot(version: u64) -> CatalogSnapshot {
             .expect("derivation succeeds");
             let acc = ModelAccumulator::from_observations(&derived.model, &derived.observations)
                 .expect("finite sample");
-            if let Some(est) = derived.probe_estimator.clone() {
-                catalog.insert_probe_estimator(site.clone(), est);
+            if let Some(est) = derived.probe_estimator() {
+                catalog.insert_probe_estimator(site.clone(), est.expect("estimator fits"));
             }
             catalog.insert_model(site.clone(), class, derived.model);
             catalog.insert_accumulator(site.clone(), class, acc);
@@ -251,6 +252,68 @@ fn out_of_range_variable_index_is_a_typed_error() {
             Err(StoreError::Corrupt(e)) => {
                 assert!(
                     e.to_string().contains("variable index 230"),
+                    "{format}: {e}"
+                )
+            }
+            other => panic!("{format}: expected a corruption error, got {other:?}"),
+        }
+    }
+}
+
+/// A NaN state edge compares false with its neighbours, so a check
+/// written as "`next <= previous` is an error" let it through and every
+/// probe cost then fell into the wrong state. Both decoders now reject a
+/// model whose second edge is NaN with a typed error.
+#[test]
+fn nan_state_edge_is_a_typed_error() {
+    let snap = derived_snapshot(2);
+    let site: SiteId = "oracle-a".into();
+    let edges = snap
+        .catalog
+        .model(&site, CLASSES[0])
+        .unwrap()
+        .states
+        .edges();
+
+    // Text: the first model's `states` line, second value.
+    let text = snap.catalog.export_versioned(snap.version);
+    let (before, rest) = text.split_once("\nstates ").expect("a states line");
+    let (line, after) = rest.split_once('\n').expect("line ends");
+    let mut values: Vec<&str> = line.split(' ').collect();
+    values[1] = "NaN";
+    let bad_text = format!("{before}\nstates {}\n{after}", values.join(" "));
+
+    // Binary: the edge list as the model entry stores it (a u16 count,
+    // then compact floats), its second edge swapped for a NaN of the same
+    // encoded length, so every length prefix stays valid.
+    let mut list = (edges.len() as u16).to_le_bytes().to_vec();
+    push_f64_compact(&mut list, edges[0]);
+    let second_at = list.len();
+    push_f64_compact(&mut list, edges[1]);
+    let second_len = list.len() - second_at;
+    for &edge in &edges[2..] {
+        push_f64_compact(&mut list, edge);
+    }
+    let nan = f64::from_bits(0x7ff8_0000_0000_0000 | 1u64 << (8 * (9 - second_len)));
+    let mut swap = Vec::new();
+    push_f64_compact(&mut swap, nan);
+    assert!(nan.is_nan());
+    assert_eq!(swap.len(), second_len);
+    let mut bytes = snapshot_to_bytes(&snap);
+    let at = bytes
+        .windows(list.len())
+        .position(|w| w == list.as_slice())
+        .expect("the edge list is stored verbatim")
+        + second_at;
+    bytes[at..at + second_len].copy_from_slice(&swap);
+
+    for (format, bytes) in [("binary", bytes), ("text", bad_text.into_bytes())] {
+        let path = scratch(&format!("nan-edge.{format}"));
+        std::fs::write(&path, &bytes).unwrap();
+        match FileCatalogStore::sniffing(&path).load(&mut Telemetry::disabled()) {
+            Err(StoreError::Corrupt(e)) => {
+                assert!(
+                    e.to_string().contains("strictly increasing"),
                     "{format}: {e}"
                 )
             }

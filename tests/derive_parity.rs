@@ -1,19 +1,28 @@
-//! Parity of the statistics derivation computes once with the passes they
-//! replaced: a derived model's accumulator (read off variable selection's
-//! per-state Gram blocks) against `ModelAccumulator::from_observations`
-//! over the fitting sample, and the on-demand one-state comparison model
-//! against the eager fit — both bit for bit, at the paper's sample sizes.
+//! Parity of the statistics derivation computes once, or only on demand,
+//! with the passes they replaced: a derived model's accumulator (read off
+//! variable selection's per-state Gram blocks) against
+//! `ModelAccumulator::from_observations` over the fitting sample, the
+//! on-demand one-state comparison model against the eager fit, and the
+//! probing-cost estimator fitted from deferred monitor readings against
+//! the estimator fitted from eager `stats()` readings — all bit for bit,
+//! at the paper's sample sizes.
 
 use mdbs_bench::workloads::Site;
-use mdbs_core::derive::{derive_all, BatchConfig, DerivationConfig, DeriveJob, DerivedModel};
+use mdbs_core::derive::{
+    derive_all, BatchConfig, BatchOutcome, DerivationConfig, DeriveJob, DerivedModel,
+};
 use mdbs_core::maintenance::{rederive_drifted, MaintenanceConfig, ModelMaintainer};
 use mdbs_core::model::{fit_cost_model, CostModel, ModelAccumulator, ModelForm};
 use mdbs_core::pipeline::PipelineCtx;
-use mdbs_core::sampling::planned_sample_size;
+use mdbs_core::probing::ProbeCostEstimator;
+use mdbs_core::sampling::{planned_sample_size, SampleGenerator};
 use mdbs_core::states::StateAlgorithm;
-use mdbs_core::{QueryClass, StateSet};
+use mdbs_core::store::CatalogSnapshot;
+use mdbs_core::{CoreError, QueryClass, StateSet};
 use mdbs_obs::json::Json;
+use mdbs_sim::contention::Load;
 use mdbs_sim::MdbsAgent;
+use mdbs_stats::rng::split_stream;
 
 /// Every number of two accumulators, compared by bit pattern.
 fn assert_bitwise_equal(got: &ModelAccumulator, want: &ModelAccumulator, at: &str) {
@@ -63,14 +72,15 @@ fn agent_for(job: &DeriveJob, env_seed: u64) -> MdbsAgent {
     }
 }
 
-/// Both sites × all five classes with one algorithm, at eq. (4) sizes.
-fn derive_catalog(algorithm: StateAlgorithm, seed: u64) -> Vec<(DeriveJob, DerivedModel)> {
+/// Both sites × all five classes with one algorithm, at eq. (4) sizes, in
+/// job order (each site's classes in `classes` order).
+fn derive_batch(algorithm: StateAlgorithm, seed: u64, classes: &[QueryClass]) -> Vec<BatchOutcome> {
     let jobs: Vec<DeriveJob> = ["db2", "oracle"]
         .into_iter()
         .flat_map(|site| {
-            QueryClass::all()
-                .into_iter()
-                .map(move |class| DeriveJob::new(site, class, algorithm))
+            classes
+                .iter()
+                .map(move |&class| DeriveJob::new(site, class, algorithm))
         })
         .collect();
     let cfg = BatchConfig {
@@ -78,9 +88,173 @@ fn derive_catalog(algorithm: StateAlgorithm, seed: u64) -> Vec<(DeriveJob, Deriv
         workers: Some(2),
     };
     derive_all(jobs, &cfg, agent_for, &mut PipelineCtx::seeded(seed))
+}
+
+/// [`derive_batch`] over the canonical class order, every job succeeding.
+fn derive_catalog(algorithm: StateAlgorithm, seed: u64) -> Vec<(DeriveJob, DerivedModel)> {
+    derive_batch(algorithm, seed, &QueryClass::all())
         .into_iter()
         .map(|o| (o.job, o.result.expect("derivation succeeds")))
         .collect()
+}
+
+/// Every number of an estimator, by bit pattern, with its predictors.
+fn estimator_bits(e: &ProbeCostEstimator) -> (Vec<usize>, Vec<String>, Vec<u64>) {
+    let floats = e
+        .coefficients
+        .iter()
+        .chain([e.r_squared, e.see].iter())
+        .map(|v| v.to_bits())
+        .collect();
+    (e.selected.clone(), e.names.clone(), floats)
+}
+
+/// A taken-then-read monitor reading is the eager `stats()` snapshot bit
+/// for bit, and the agent's generator continues exactly as after the eager
+/// call: over dynamic and pinned loads, the next 1,000 draws (ticks,
+/// probes and eager readings) of the two agents agree.
+#[test]
+fn deferred_readings_equal_eager_stats() {
+    for (name, mut agent) in [
+        ("oracle dynamic", Site::Oracle.dynamic_agent(5)),
+        ("db2 clustered", Site::Db2.clustered_agent(6)),
+        ("oracle thrashing", {
+            let mut a = Site::Oracle.agent(7);
+            a.set_load(Load::background(140.0));
+            a
+        }),
+    ] {
+        for round in 0..20 {
+            agent.tick();
+            let mut eager = agent.clone();
+            let want = eager.stats();
+            let got = agent.stats_deferred().read(agent.machine().spec());
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{name} round {round}"
+            );
+            assert_eq!(
+                got.probe_predictors().map(f64::to_bits),
+                want.probe_predictors().map(f64::to_bits),
+                "{name} round {round}"
+            );
+            let mut a_draws = Vec::with_capacity(1000);
+            let mut b_draws = Vec::with_capacity(1000);
+            let mut a = agent.clone();
+            for (agent, draws) in [(&mut a, &mut a_draws), (&mut eager, &mut b_draws)] {
+                while draws.len() < 1000 {
+                    agent.tick();
+                    draws.push(agent.probe().to_bits());
+                    draws.push(agent.stats().load_avg_1m.to_bits());
+                }
+            }
+            assert_eq!(a_draws, b_draws, "{name} round {round}: later draws");
+        }
+    }
+}
+
+/// The first-pass sampling loop as it read the monitor before deferral:
+/// an eager `stats()` before each probe.
+fn eager_probe_sample(
+    agent: &mut MdbsAgent,
+    class: QueryClass,
+    n: usize,
+    generator: &mut SampleGenerator,
+) -> Vec<(mdbs_sim::SystemStats, f64)> {
+    let family = class.family();
+    let mut pairs = Vec::with_capacity(n);
+    while pairs.len() < n {
+        let query = generator.generate(class, agent.catalog());
+        if family.extract(agent.catalog(), &query).is_none() {
+            continue;
+        }
+        agent.tick();
+        let stats = agent.stats();
+        let probe = agent.probe();
+        agent.run(&query).expect("generated queries run");
+        pairs.push((stats, probe));
+    }
+    pairs
+}
+
+/// For every job of an IUPMA and an ICMA all-classes batch, the estimator
+/// `probe_estimator()` fits from the deferred readings is the estimator
+/// fitted from eager readings of the same environment, bit for bit.
+#[test]
+fn probe_estimator_on_demand_equals_the_eager_fit() {
+    let seed = 21;
+    let max_states = DerivationConfig::default().states.max_states;
+    for algorithm in [StateAlgorithm::Iupma, StateAlgorithm::Icma] {
+        for outcome in derive_batch(algorithm, seed, &QueryClass::all()) {
+            let job = &outcome.job;
+            let derived = outcome.result.expect("derivation succeeds");
+            // The job's generation stream, split from the root seed by its
+            // key as `derive_all` splits it.
+            let gen_seed = split_stream(seed, job.job_key() ^ 0x4745_4E00);
+            let mut agent = agent_for(job, outcome.env_seed);
+            let n = planned_sample_size(job.class.family(), max_states);
+            let pairs = eager_probe_sample(
+                &mut agent,
+                job.class,
+                n,
+                &mut SampleGenerator::new(gen_seed),
+            );
+            for ((_, probe), o) in pairs.iter().zip(&derived.observations) {
+                assert_eq!(probe.to_bits(), o.probe_cost.to_bits(), "{}", job.label());
+            }
+            let eager = ProbeCostEstimator::fit(&pairs, 0.05).expect("eager fit succeeds");
+            let lazy = derived
+                .probe_estimator()
+                .expect("estimator requested")
+                .expect("deferred fit succeeds");
+            assert_eq!(
+                estimator_bits(&lazy),
+                estimator_bits(&eager),
+                "{}",
+                job.label()
+            );
+        }
+    }
+}
+
+/// Publishing a batch keeps the catalog that publishing every outcome one
+/// by one leaves (every estimator here fits). When a site's last job
+/// failed, the site keeps the estimator of its latest successful job.
+#[test]
+fn publish_batch_keeps_each_sites_last_estimator() {
+    for algorithm in [StateAlgorithm::Iupma, StateAlgorithm::Icma] {
+        let mut outcomes = derive_batch(algorithm, 31, &QueryClass::all());
+        let mut batch = CatalogSnapshot::new();
+        assert!(batch.publish_batch(&outcomes).is_empty());
+        let mut one_by_one = CatalogSnapshot::new();
+        for outcome in &outcomes {
+            let derived = outcome.result.as_ref().expect("derivation succeeds");
+            one_by_one
+                .publish_derived(&outcome.job.site, derived)
+                .expect("estimator fits");
+        }
+        assert_eq!(batch.version, one_by_one.version);
+        assert_eq!(
+            batch.catalog.export_versioned(batch.version),
+            one_by_one.catalog.export_versioned(one_by_one.version)
+        );
+
+        // Jobs 0–4 are db2's, 5–9 oracle's: fail db2's last job.
+        let fitted = |o: &BatchOutcome| {
+            let derived = o.result.as_ref().expect("derivation succeeds");
+            estimator_bits(&derived.probe_estimator().expect("requested").expect("fits"))
+        };
+        let (db2, oracle) = (outcomes[4].job.site.clone(), outcomes[9].job.site.clone());
+        assert_ne!(fitted(&outcomes[3]), fitted(&outcomes[4]));
+        outcomes[4].result = Err(CoreError::InsufficientSamples { needed: 1, got: 0 });
+        let mut batch = CatalogSnapshot::new();
+        assert!(batch.publish_batch(&outcomes).is_empty());
+        assert_eq!(batch.version, 9);
+        let kept = |site| estimator_bits(batch.catalog.probe_estimator(site).expect("kept"));
+        assert_eq!(kept(&db2), fitted(&outcomes[3]), "{algorithm:?}");
+        assert_eq!(kept(&oracle), fitted(&outcomes[9]), "{algorithm:?}");
+    }
 }
 
 /// All 5 classes × IUPMA and ICMA × 3 seeds: the accumulator a derivation

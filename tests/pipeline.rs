@@ -136,7 +136,10 @@ fn probe_estimator_supports_estimation_flow() {
         &mut PipelineCtx::seeded(12),
     )
     .expect("derivation with probe estimator");
-    let est = derived.probe_estimator.expect("estimator requested");
+    let est = derived
+        .probe_estimator()
+        .expect("estimator requested")
+        .expect("estimator fits");
     assert!(
         est.r_squared > 0.7,
         "eq.(2) fit too weak: {}",
