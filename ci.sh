@@ -52,6 +52,12 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings -W clippy::or_fun_call"
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 
+echo "==> perfbench: cargo fmt --check + clippy -D warnings (its own workspace)"
+# perfbench/ is a separate cargo workspace, so the two steps above never
+# see it.
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings -W clippy::or_fun_call
+
 echo "==> cargo doc --offline --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 

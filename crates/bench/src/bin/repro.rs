@@ -15,8 +15,6 @@
 //! rendered JSONL line-by-line (exiting non-zero if any line fails to
 //! parse), writes it to PATH and prints the human-readable summary.
 
-#![forbid(unsafe_code)]
-
 use mdbs_bench::experiments::fig4_9::multi_wins;
 use mdbs_bench::experiments::{
     average_improvement, fig1, fig10, fig4_9, forms_ablation, noise_sensitivity, parallel_derive,

@@ -12,8 +12,6 @@
 //! line of [`mdbs_obs::telemetry::Telemetry::render_jsonl`] has, and which
 //! none of the human-oriented report lines share.
 
-#![forbid(unsafe_code)]
-
 use mdbs_obs::json::parse;
 use mdbs_obs::telemetry::strip_wall_clock;
 use std::io::Read;

@@ -33,7 +33,8 @@
 
 use mdbs_obs::json::Json;
 use std::hint::black_box;
-// lint:allow(no-wall-clock): the bench harness exists to measure wall-clock time; nothing here feeds reproducible output
+// The bench harness exists to measure wall-clock time (mdbs-lint's
+// WALL_CLOCK_ALLOWED); nothing here feeds reproducible output.
 #[allow(clippy::disallowed_types)]
 use std::time::Instant;
 

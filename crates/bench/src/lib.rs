@@ -15,7 +15,6 @@
 //! | E-STATES | §5 — R² as the state count grows | [`experiments::states_sweep`](mod@experiments::states_sweep) |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;

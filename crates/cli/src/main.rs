@@ -1,7 +1,5 @@
 //! `mdbs-qcost` — see [`mdbs_cli`] for the full documentation.
 
-#![forbid(unsafe_code)]
-
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 

@@ -55,7 +55,6 @@
 //! a versioned [`registry::ModelRegistry`] it owns.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod classes;

@@ -74,7 +74,8 @@ pub fn effective_workers(requested: Option<usize>, jobs: usize) -> usize {
 /// let costs = vec![1.0_f64, 2.0, 3.0];
 /// pool::run_jobs(costs, 2, |_, c| ledger.observe("oracle", "S1", c, c));
 /// ```
-// lint:allow(no-raw-threads): this file IS the sanctioned thread pool; everything else fans out through it
+// The sanctioned thread pool: clippy.toml disallows raw thread creation
+// everywhere else, so all fan-out goes through here.
 #[allow(clippy::disallowed_methods)]
 pub fn run_jobs<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> (Vec<R>, PoolReport)
 where

@@ -7,8 +7,6 @@
 //! `finding_count` agrees with the `findings` array (which, unlike a bench
 //! report, may legitimately be empty).
 
-#![forbid(unsafe_code)]
-
 use mdbs_obs::json::{parse, Json};
 
 fn fail(msg: &str) -> ! {

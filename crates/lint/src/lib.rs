@@ -1,7 +1,7 @@
 //! # mdbs-lint
 //!
-//! In-tree static analysis for the workspace's determinism, hermeticity
-//! and concurrency policy (DESIGN §5). The runtime byte-compare gates
+//! In-tree static analysis for the workspace's determinism and
+//! hermeticity policy (DESIGN §5). The runtime byte-compare gates
 //! (`tests/determinism.rs`, `tests/parallel.rs`, the ci.sh `--jobs` sweep)
 //! catch a nondeterminism bug only when the seed and the schedule happen to
 //! expose it; this crate enforces the *source-level* invariants those
@@ -12,15 +12,18 @@
 //! * **`no-ambient-entropy`** — no environment entropy (`RandomState`,
 //!   `thread_rng`, …) anywhere, and no RNG implementation outside
 //!   `mdbs_stats::rng`; every stream is split from a seed.
-//! * **`no-raw-threads`** — `thread::{spawn,scope,Builder}` only in
-//!   `mdbs_core::pool`.
-//! * **`no-unordered-iteration`** — no `HashMap`/`HashSet` iteration on
-//!   the output-relevant crates (core/sim/stats/cli) without ordering
-//!   evidence.
-//! * **`no-unsafe`** — no `unsafe` tokens; every crate root carries
-//!   `#![forbid(unsafe_code)]`.
 //! * **`hermetic-manifests`** — every manifest dependency is an in-tree
-//!   path crate (the zero-external-dependency policy).
+//!   path crate (the zero-external-dependency policy), and every crate
+//!   manifest inherits the workspace lints (`[lints] workspace = true`).
+//! * **`unregistered-metric`** — every telemetry name is in
+//!   `crates/lint/telemetry.registry`.
+//!
+//! The other determinism rules each have one compiler-level owner: rustc
+//! forbids `unsafe` through the root manifest's `[workspace.lints.rust]`,
+//! and clippy (`clippy.toml`) disallows raw thread creation outside
+//! `mdbs_core::pool` and the `HashMap`/`HashSet` types. `clippy.toml`
+//! also bans the wall-clock types outside the files `no-wall-clock`
+//! exempts; that rule stays here because perfbench's waivers name it.
 //!
 //! Sanctioned exceptions are written in the code as
 //! `// lint:allow(<rule>): <justification>` on (or directly above) the
@@ -33,7 +36,6 @@
 //! and CI can diff two runs to assert it.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod graph;
 pub mod rules;
@@ -42,8 +44,7 @@ pub mod telemetry_registry;
 
 pub use rules::{
     check_manifest_text, check_rust_source, ALL_RULES, BAD_WAIVER, HERMETIC_MANIFESTS,
-    NO_AMBIENT_ENTROPY, NO_RAW_THREADS, NO_UNORDERED_ITERATION, NO_UNSAFE, NO_WALL_CLOCK,
-    UNREGISTERED_METRIC,
+    NO_AMBIENT_ENTROPY, NO_WALL_CLOCK, UNREGISTERED_METRIC,
 };
 
 use mdbs_obs::json::Json;
@@ -298,7 +299,7 @@ mod tests {
             Finding {
                 file: "b.rs".into(),
                 line: 1,
-                rule: rules::NO_UNSAFE,
+                rule: rules::NO_AMBIENT_ENTROPY,
                 message: String::new(),
             },
             Finding {

@@ -1,5 +1,5 @@
-//! `mdbs-lint` — machine-checks the workspace's determinism, hermeticity
-//! and concurrency policy. See [`mdbs_lint`] for the rules.
+//! `mdbs-lint` — machine-checks the workspace's determinism and
+//! hermeticity policy. See [`mdbs_lint`] for the rules.
 //!
 //! ```text
 //! mdbs-lint [WORKSPACE_ROOT] [--json PATH]
@@ -14,8 +14,6 @@
 //! * `0` — no findings (nothing printed),
 //! * `1` — findings printed,
 //! * `2` — usage or I/O error (message on stderr).
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -4,8 +4,8 @@
 //! identifier / number / punctuation tokens with their line numbers, plus
 //! the text of every line comment (where waivers live). Everything inside
 //! string literals, char literals and comments is invisible to the rules —
-//! a doc comment may freely discuss `HashMap` iteration without tripping
-//! `no-unordered-iteration`.
+//! a doc comment may freely discuss `Instant` without tripping
+//! `no-wall-clock`.
 //!
 //! This is deliberately *not* a full Rust lexer. It understands exactly the
 //! constructs that would otherwise corrupt the token stream: `//` and
@@ -421,7 +421,7 @@ mod tests {
         assert!(s.is_waived("no-wall-clock", 1));
         assert!(s.is_waived("no-wall-clock", 2), "covers the next line");
         assert!(!s.is_waived("no-wall-clock", 3));
-        assert!(!s.is_waived("no-raw-threads", 2));
+        assert!(!s.is_waived("no-ambient-entropy", 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ pub fn timed() -> u128 {
     start.elapsed().as_millis()
 }
 
-pub fn threaded() {
-    let h = std::thread::spawn(|| 1); // lint:allow(no-raw-threads): fixture demonstrates a trailing waiver
-    let _ = h.join();
+pub fn stepped(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15); // lint:allow(no-ambient-entropy): fixture demonstrates a trailing waiver
+    *state
 }

@@ -43,7 +43,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod metrics;

@@ -9,7 +9,8 @@ use crate::json::{parse, Json};
 use crate::metrics::MetricsRegistry;
 use crate::sink::{Event, EventSink};
 use crate::span::{SpanId, SpanRecord};
-// lint:allow(no-wall-clock): this file IS the sanctioned wall_ms path; spans strip it for determinism comparisons
+// This file is the sanctioned wall_ms path (mdbs-lint's WALL_CLOCK_ALLOWED);
+// determinism comparisons strip wall_ms from spans.
 #[allow(clippy::disallowed_types)]
 use std::time::Instant;
 

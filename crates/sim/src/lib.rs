@@ -30,7 +30,6 @@
 //! Everything is seeded and reproducible; "elapsed time" is virtual seconds.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod agent;

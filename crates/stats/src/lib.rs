@@ -29,7 +29,6 @@
 //! The crate is dependency-free (std only) and fully deterministic.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod clustering;
 pub mod correlation;
